@@ -10,11 +10,14 @@ exactly, so the shared rate needed on the minimum-sum-rate surface equals
 the common information; :func:`pangloss_triple` returns that point.
 
 :func:`region_sweep` traces the weighted surface
-``T(alpha1, alpha2) = min_W [ R0 + alpha1 R1 + alpha2 R2 ]`` restricted to
-diagonal states, which makes each coordinate a one-dimensional search.
-The restriction means the sweep reports an upper bound on the true
-surface (a diagonal-family upper bound), exact at (1, 1) on the
-equal-split region.
+``T(alpha1, alpha2) = min_W [ R0 + alpha1 R1 + alpha2 R2 ]`` with W
+restricted to diagonal family states ``d_j <= q_j <= 1/d_j``.  For weights
+in [0, 1] the weighted rate is convex in ``log q`` jointly with the branch
+allocations, so each weight pair is one convex solve and the sweep returns
+the diagonal-family minimum, certified by a duality-gap bound.  The
+diagonal restriction keeps that minimum an upper bound on the unrestricted
+surface; it is exact at (1, 1) on the equal-split region, where it equals
+the joint rate.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveDistortion, OutsideDW
+from .errors import NonpositiveDistortion, OutsideDW, QWOutOfFamily
 from .rdf import conditional_rdf, dw_bound, in_dw
 from .wyner import mi_given_state
 
@@ -75,6 +78,9 @@ class SweepPoint:
     objective: float
     triple: RateTriple
     q: np.ndarray
+    iterations: int  # Newton steps of the barrier solve
+    converged: bool  # the gap bound reached its tolerance within the step cap
+    gap: float  # barrier bound m/t on objective - (diagonal-family minimum)
 
 
 def _check_region(d: np.ndarray, delta1: float, delta2: float) -> None:
@@ -120,27 +126,117 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
     )
 
 
-def _golden_min(f, lo: float, hi: float, seed_points: int, tol: float = 1e-10):
-    """Coarse log-spaced scan to bracket, then golden-section refinement."""
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), max(seed_points, 5)))
-    vals = [f(x) for x in grid]
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+# Barrier schedule: each centring multiplies t by _BARRIER_GROWTH until the
+# duality-gap bound m/t falls below _GAP_TOL nats; a centring stops when
+# half the squared Newton decrement is below _CENTRE_TOL.
+_GAP_TOL = 1e-11
+_BARRIER_GROWTH = 16.0
+_CENTRE_TOL = 1e-12
+_MAX_NEWTON = 400
+
+
+def _barrier_min(d, delta, alpha):
+    """Minimize ``R0 + alpha1 R1 + alpha2 R2`` over diagonal family states.
+
+    With ``u = log q`` and the branch allocations ``x_ij`` as variables the
+    weighted rate is, up to the constant ``0.5 sum log(1 - d^2)``, the
+    smooth jointly convex program
+
+        minimize  sum_j sum_i [ -(1 - alpha_i)/2 log v_ij(u_j) - alpha_i/2 log x_ij ]
+        s.t.      x_ij <= v_ij(u_j),   sum_j x_ij <= delta_i,
+
+    with ``v_1 = 1 - d e^{-u}`` and ``v_2 = 1 - d e^{u}`` concave in u (the
+    inner minimum over x is the water-fill, so the program's value at u is
+    the weighted rate at ``q = e^u``).  A branch with zero weight drops its
+    allocations.  It is solved by the log-barrier method (Boyd &
+    Vandenberghe, Convex Optimization, ch. 11).  The Newton system is
+    block-arrowhead per coordinate plus one rank-one term per budget row,
+    solved in O(n) by the Schur complement and Woodbury.
+
+    Returns ``(q, newton_steps, converged, gap)`` with ``gap = m/t`` the
+    barrier's bound on the distance of the returned objective from the
+    family minimum.
+    """
+    n = d.size
+    ld = np.log(d)
+    on = alpha > 0.0
+    k = int(on.sum())
+    m = k * (n + 1)
+    flip = np.array([[-1.0], [1.0]])  # v = 1 - exp(log d + flip u), dv/du = -flip w
+    coef = 0.5 * (1.0 - alpha)[:, None]
+    half_a = 0.5 * alpha[on][:, None]
+    sign_on = -flip[on]
+    budget = delta[on]
+    unit_rows = np.repeat(np.eye(k)[:, :, None], n, axis=2)
+
+    def state(u):
+        e = ld + flip * u
+        return np.exp(e), -np.expm1(e)  # w = d e^{-+u} = 1 - v, and v
+
+    u = np.zeros(n)
+    w, v = state(u)
+    x = 0.5 * np.minimum(v[on], (budget / n)[:, None])
+    # the slacks are carried, not recomputed as v - x, so that they keep
+    # their relative precision once they shrink like 1/t
+    s = v[on] - x
+    r = budget - x.sum(1)
+    t = 1.0
+    steps = 0
+    while True:
+        while True:
+            wv = coef * w / v
+            ws = w[on] / s
+            g_u = t * (flip * wv).sum(0) - (sign_on * ws).sum(0)
+            g_x = (1.0 / s - t * half_a / x) + (1.0 / r)[:, None]
+            # per coordinate the Hessian is an arrowhead (u couples to each
+            # x_i, the x_i do not couple); eliminate u by its Schur complement
+            a = t * half_a / (x * x)
+            h_xx = a + 1.0 / (s * s)
+            h_ux = -sign_on * ws / s
+            schur = t * (wv / v).sum(0) + (ws + ws * ws * a * s * s / (1.0 + a * s * s)).sum(0)
+            ratio = h_ux / h_xx
+
+            def arrow_solve(b_u, b_x):
+                du = (b_u - (ratio * b_x).sum(-2)) / schur
+                return du, b_x / h_xx - ratio * du[..., None, :]
+
+            du, dx = arrow_solve(-g_u, -g_x)
+            if k:
+                # Woodbury over the budget rows, each adding (1/r_i^2) 1 1^T
+                zu, zx = arrow_solve(0.0, unit_rows)
+                c = np.linalg.solve(np.diag(r * r) + zx.sum(2).T, dx.sum(1))
+                du = du - c @ zu
+                dx = dx - (c[:, None, None] * zx).sum(0)
+            dec = -(g_u @ du + (g_x * dx).sum())
+            if 0.5 * dec <= _CENTRE_TOL or steps >= _MAX_NEWTON:
+                break
+            # backtracking on the change of the barrier function, summed
+            # from relative changes so it stays exact while the function
+            # itself grows like t
+            step = 1.0
+            for _ in range(64):
+                dv = -w * np.expm1(flip * (step * du))
+                ddx = step * dx
+                ds = dv[on] - ddx
+                dr = -ddx.sum(1)
+                rv, rx, rs, rr = dv / v, ddx / x, ds / s, dr / r
+                if min(rv.min(), rx.min(initial=0.0), rs.min(initial=0.0), rr.min(initial=0.0)) > -1.0:
+                    change = -t * ((coef * np.log1p(rv)).sum() + (half_a * np.log1p(rx)).sum())
+                    change -= np.log1p(rs).sum() + np.log1p(rr).sum()
+                    if change <= -0.25 * step * dec:
+                        break
+                step *= 0.5
+            else:
+                return np.exp(u), steps, False, m / t
+            u = u + step * du
+            x, s, r = x + ddx, s + ds, r + dr
+            w, v = state(u)
+            steps += 1
+        if steps >= _MAX_NEWTON:
+            return np.exp(u), steps, False, m / t
+        if m / t <= _GAP_TOL:
+            return np.exp(u), steps, True, m / t
+        t *= _BARRIER_GROWTH
 
 
 def region_sweep(
@@ -148,56 +244,39 @@ def region_sweep(
     delta1: float,
     delta2: float,
     alphas=None,
-    qgrid: int = 33,
 ) -> list[SweepPoint]:
     """Minimize the weighted rate over diagonal states per weight pair.
 
     ``alphas`` defaults to the 11 x 11 grid over [0, 1]^2 restricted to
-    ``alpha1 + alpha2 >= 1``.  Each coordinate of q is optimized in turn
-    by a seeded golden-section search on ``[d_j, 1/d_j]``, cycling until
-    the objective stops improving.  Diagonal restriction makes every
-    reported objective an upper bound on the unrestricted surface.
+    ``alpha1 + alpha2 >= 1``; every weight must lie in [0, 1], where the
+    weighted rate is convex in ``log q``.  Each pair is one convex solve
+    (see :func:`_barrier_min`), so the point returned is the minimum over
+    the diagonal family up to the reported ``gap``; the diagonal
+    restriction makes it an upper bound on the unrestricted surface.  The
+    triple is evaluated at the returned state by :func:`mi_given_state`
+    and :func:`conditional_rdf`, and the objective is built from it.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if np.any(d <= 0.0) or np.any(d >= 1.0):
-        raise NonpositiveDistortion("sweep needs coefficients strictly inside (0, 1)")
+        raise QWOutOfFamily("sweep needs coefficients strictly inside (0, 1)")
     if delta1 <= 0.0 or delta2 <= 0.0:
         raise NonpositiveDistortion("sweep needs positive distortions")
     if alphas is None:
         ticks = [i / 10.0 for i in range(11)]
         alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
-
-    margin = 1e-9
-    lows = d * (1.0 + margin)
-    highs = (1.0 / d) * (1.0 - margin)
-
-    def objective(q: np.ndarray, a1: float, a2: float) -> float:
-        r0 = mi_given_state(d, np.diag(q))
-        r1 = conditional_rdf(d, q, 1, delta1).rate
-        r2 = conditional_rdf(d, q, 2, delta2).rate
-        return r0 + a1 * r1 + a2 * r2
+    delta = np.array([delta1, delta2], dtype=float)
 
     points: list[SweepPoint] = []
     for a1, a2 in alphas:
-        q = np.ones(d.size)
-        best = objective(q, a1, a2)
-        for _ in range(60):
-            improved = best
-            for j in range(d.size):
-
-                def fj(x, j=j):
-                    qt = q.copy()
-                    qt[j] = x
-                    return objective(qt, a1, a2)
-
-                xj, fx = _golden_min(fj, lows[j], highs[j], qgrid)
-                if fx < best:
-                    q[j] = xj
-                    best = fx
-            if improved - best < 1e-12:
-                break
+        alpha = np.array([a1, a2], dtype=float)
+        if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+            raise ValueError(f"weights must lie in [0, 1], got ({a1}, {a2})")
+        if d.size:
+            q, steps, converged, gap = _barrier_min(d, delta, alpha)
+        else:
+            q, steps, converged, gap = np.zeros(0), 0, True, 0.0
         triple = RateTriple(
-            r0=mi_given_state(d, np.diag(q)),
+            r0=mi_given_state(d, q),
             r1=conditional_rdf(d, q, 1, delta1).rate,
             r2=conditional_rdf(d, q, 2, delta2).rate,
             delta1=float(delta1),
@@ -205,6 +284,15 @@ def region_sweep(
             tag="sweep-point",
         )
         points.append(
-            SweepPoint(alpha1=a1, alpha2=a2, objective=best, triple=triple, q=q.copy())
+            SweepPoint(
+                alpha1=a1,
+                alpha2=a2,
+                objective=triple.r0 + a1 * triple.r1 + a2 * triple.r2,
+                triple=triple,
+                q=q,
+                iterations=steps,
+                converged=converged,
+                gap=gap,
+            )
         )
     return points

@@ -32,9 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NonpositiveDistortion, OutsideDW, QWNotDiagonal, QWOutOfFamily
-from .wyner import as_state_covariance
-
-WATERFILL_TOL = 1e-12
+from .wyner import as_state_covariance, in_state_family
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,41 +54,26 @@ class JointRdfResult:
 
 
 def _waterfill(variances: np.ndarray, delta: float):
-    """Reverse water-fill: alloc = min(level, v), sum(alloc) = delta.
+    """Exact sorted reverse water-fill: alloc = min(level, v), sum(alloc) = delta.
 
-    Bisection to 1e-12 locates the level; the active set (v strictly above
-    the level; a component whose variance equals the level is saturated)
-    is then finalized and the level recomputed exactly on it.
-    Returns (alloc, level, active mask).
+    With the k smallest variances saturated the level is
+    ``(delta - their sum) / (m - k)``; the level is the first such
+    candidate that does not exceed the next variance (Cover & Thomas,
+    Elements of Information Theory, 10.3.3).  A variance equal to the
+    level counts as saturated.  Returns (alloc, level, active mask).
     """
     v = variances
-    total = float(v.sum())
-    if delta >= total:
-        return v.copy(), float(v.max(initial=0.0)), np.zeros(v.size, dtype=bool)
-    lo, hi = 0.0, float(v.max(initial=0.0))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        filled = float(np.minimum(mid, v).sum())
-        if abs(filled - delta) <= WATERFILL_TOL:
-            lo = hi = mid
-            break
-        if filled < delta:
-            lo = mid
-        else:
-            hi = mid
-    level = 0.5 * (lo + hi)
+    m = v.size
+    if delta >= float(v.sum()):
+        return v.copy(), float(v.max(initial=0.0)), np.zeros(m, dtype=bool)
+    s = np.sort(v)
+    below = np.concatenate(([0.0], np.cumsum(s[:-1])))
+    levels = (delta - below) / np.arange(m, 0, -1)
+    fits = levels <= s
+    fits[-1] = True  # delta < sum(v); guards the last comparison against rounding
+    level = float(levels[np.argmax(fits)])
     active = v > level
-    for _ in range(v.size + 2):
-        if not active.any():
-            break
-        exact = (delta - float(v[~active].sum())) / int(active.sum())
-        refreshed = v > exact
-        if np.array_equal(refreshed, active):
-            level = exact
-            break
-        active = refreshed
-    alloc = np.where(active, level, v)
-    return alloc, float(level), active
+    return np.where(active, level, v), level, active
 
 
 def marginal_rdf(variances, delta: float) -> RdfResult:
@@ -123,8 +106,7 @@ def _diagonal_state(d: np.ndarray, q) -> np.ndarray:
     if off > 1e-10 * max(1.0, float(np.max(np.abs(qw), initial=0.0))):
         raise QWNotDiagonal("conditional rates require a diagonal state covariance")
     qd = np.diag(qw).copy()
-    tol = 1e-10 * float(np.max(1.0 / d[d > 0], initial=1.0))
-    if np.any(qd < d - tol) or np.any(d * qd > 1.0 + tol):
+    if not in_state_family(qd, d):
         raise QWOutOfFamily("diagonal entries must satisfy d_j <= q_j <= 1/d_j")
     return qd
 

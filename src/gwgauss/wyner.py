@@ -27,7 +27,7 @@ from .errors import (
     QWOutOfFamily,
     SingularFactor,
 )
-from .gaussmodel import logdet_or_neginf, symmetrize, symmetry_tolerance
+from .gaussmodel import _eig_floor, logdet_or_neginf, symmetrize, symmetry_tolerance
 from .cvf import IndexSextuple
 
 
@@ -84,13 +84,40 @@ def as_state_covariance(q) -> np.ndarray:
 
 
 def state_family_tolerance(d: np.ndarray) -> float:
-    # relative to the largest family bound, which is max 1/d_i
-    return 1e-10 * float(np.max(1.0 / d)) if d.size else 1e-10
+    # relative to the largest finite family bound, max 1/d_i over d_i > 0;
+    # a zero coefficient leaves its upper bound open and sets no scale
+    return 1e-10 * float(np.max(1.0 / d[d > 0.0], initial=1.0))
+
+
+def diagonal_entries(q) -> np.ndarray | None:
+    """The diagonal of a diagonal state (scalar, vector, or a matrix whose
+    off-diagonal entries are exactly zero); ``None`` for any other state."""
+    a = q.qw if isinstance(q, QWParameter) else np.asarray(q, dtype=float)
+    if a.ndim <= 1:
+        return np.atleast_1d(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    diag = np.diagonal(a)
+    if np.count_nonzero(a) > np.count_nonzero(diag):
+        return None
+    return diag.copy()
 
 
 def in_state_family(q, d, tol: float | None = None) -> bool:
-    """Whether ``Diag(d) <= Q_W <= Diag(d)^{-1}`` holds up to tolerance."""
+    """Whether ``Diag(d) <= Q_W <= Diag(d)^{-1}`` holds up to tolerance.
+
+    For a diagonal state the eigenvalue test reduces to the elementwise
+    ``d_j - tol <= q_j <= 1/d_j + tol``, checked in O(n).
+    """
     d = np.atleast_1d(np.asarray(d, dtype=float))
+    if tol is None:
+        tol = state_family_tolerance(d)
+    qd = diagonal_entries(q)
+    if qd is not None:
+        if qd.shape != d.shape:
+            return False
+        # q <= 1/d + tol, multiplied through by d >= 0 so d = 0 needs no care
+        return bool(np.all(qd >= d - tol) and np.all(d * qd <= 1.0 + d * tol))
     qw = as_state_covariance(q)
     if qw.shape != (d.size, d.size):
         return False
@@ -98,8 +125,6 @@ def in_state_family(q, d, tol: float | None = None) -> bool:
         return False
     if d.size == 0:
         return True
-    if tol is None:
-        tol = state_family_tolerance(d)
     dm = np.diag(d)
     lower = np.linalg.eigvalsh(symmetrize(qw - dm))
     upper = np.linalg.eigvalsh(symmetrize(np.diag(1.0 / d) - qw))
@@ -148,9 +173,27 @@ def mi_given_state(d, q) -> float:
     ``0.5 sum(log(1 - d_i^2)) - 0.5 logdet(M1 M2)`` with the two conditional
     factors above; equals the common information exactly at ``Q_W = I`` and
     exceeds it strictly everywhere else in the family.  Singular factors
-    (boundary states) give ``inf``.
+    (boundary states) give ``inf``.  A diagonal state (a vector, or a
+    matrix with zero off-diagonal entries) takes the O(n) form
+    ``0.5 sum[log(1 - d^2) - log(1 - d/q) - log(1 - d q)]``, whose factor
+    eigenvalues ``1 - d/q`` and ``1 - d q`` meet the same singularity floor.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
+    qd = diagonal_entries(q)
+    if qd is not None:
+        if not in_state_family(qd, d):
+            raise QWOutOfFamily("diagonal entries must satisfy d_j <= q_j <= 1/d_j")
+        if d.size == 0:
+            return 0.0
+        with np.errstate(divide="ignore"):
+            r1 = np.divide(d, qd, out=np.zeros_like(d), where=d > 0.0)
+        r2 = d * qd
+        # 1 - r1 and 1 - r2 are the eigenvalues of M1 and M2: the same
+        # singularity floor as the dense path
+        for ev in (np.sort(1.0 - r1), np.sort(1.0 - r2)):
+            if ev[0] <= _eig_floor(ev):
+                return math.inf
+        return float(0.5 * np.sum(np.log1p(-d * d) - np.log1p(-r1) - np.log1p(-r2)))
     qw = assert_in_state_family(q, d)
     if d.size == 0:
         return 0.0

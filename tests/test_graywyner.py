@@ -70,7 +70,7 @@ def test_region_gate_reports_bound():
 
 
 def test_region_sweep_alpha_filter_and_membership():
-    pts = gw.region_sweep(np.array([0.7, 0.2]), 0.2, 0.2, qgrid=9)
+    pts = gw.region_sweep(np.array([0.7, 0.2]), 0.2, 0.2)
     assert pts
     for p in pts:
         assert p.alpha1 + p.alpha2 >= 1.0 - 1e-12
@@ -79,7 +79,7 @@ def test_region_sweep_alpha_filter_and_membership():
 
 
 def test_region_sweep_equal_weights_closes_sum_rate_bound():
-    pts = gw.region_sweep(D3, 0.3, 0.3, alphas=[(1.0, 1.0)], qgrid=17)
+    pts = gw.region_sweep(D3, 0.3, 0.3, alphas=[(1.0, 1.0)])
     (pt,) = pts
     joint = gw.joint_rdf(D3, 0.3, 0.3).rate
     # at unit weights the whole optimal state family attains the same sum,
@@ -100,7 +100,7 @@ def test_region_sweep_never_beats_shared_rate_lower_bound():
     # T >= R0 >= C always; the sweep objective respects the information floor
     d = np.array([0.6, 0.3])
     c = gw.common_information(gw.IndexSextuple(0, 2, 0, 0, 2, 0), d).value
-    for pt in gw.region_sweep(d, 0.25, 0.4, qgrid=9):
+    for pt in gw.region_sweep(d, 0.25, 0.4):
         assert pt.objective >= c - 1e-9
 
 
@@ -108,3 +108,130 @@ def test_region_sweep_custom_alphas_echoed():
     alphas = [(0.25, 0.9), (1.0, 0.5)]
     pts = gw.region_sweep(np.array([0.5]), 0.2, 0.2, alphas=alphas)
     assert [(p.alpha1, p.alpha2) for p in pts] == alphas
+
+
+# ---------------------------------------------------------------- oracles
+# Written from the formulas alone: the rates below share no code with the
+# sweep's solver or with the library's water-fill.
+
+CORNERS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+
+
+def _waterfill_rate_le2(v, delta):
+    """Reverse water-fill rate of at most two variances, case by case;
+    ``v`` has shape (n, ...) with n in {1, 2}."""
+    if v.shape[0] == 1:
+        return np.where(v[0] > delta, 0.5 * np.log(np.maximum(v[0], delta) / delta), 0.0)
+    lo, hi = np.minimum(v[0], v[1]), np.maximum(v[0], v[1])
+    both = delta / 2.0 <= lo
+    level = np.where(both, delta / 2.0, delta - lo)
+    level = np.where(level > 0.0, level, 1.0)
+    r_both = 0.5 * np.log(lo / level) + 0.5 * np.log(hi / level)
+    r_one = 0.5 * np.log(np.maximum(hi, level) / level)
+    return np.where(lo + hi <= delta, 0.0, np.where(both, r_both, r_one))
+
+
+def _weighted_rate(d, q, delta1, delta2, a1, a2):
+    """``R0 + a1 R1 + a2 R2`` at diagonal states ``q`` of shape (n, ...)."""
+    d = d.reshape((-1,) + (1,) * (q.ndim - 1))
+    v1, v2 = 1.0 - d / q, 1.0 - d * q
+    r0 = 0.5 * np.sum(np.log1p(-d * d) - np.log(v1) - np.log(v2), axis=0)
+    return r0 + a1 * _waterfill_rate_le2(v1, delta1) + a2 * _waterfill_rate_le2(v2, delta2)
+
+
+def _grid_min(d, delta1, delta2, a1, a2, points=201, levels=4):
+    """Minimum over a log grid on the open box prod [d_j, 1/d_j], refined
+    ``levels`` times around its best point."""
+    lo, hi = np.log(d), -np.log(d)
+    best = math.inf
+    for _ in range(levels):
+        axes = [np.linspace(a, b, points) for a, b in zip(lo, hi)]
+        u = np.stack(np.meshgrid(*axes, indexing="ij"))
+        inside = np.all((u > np.log(d).reshape((-1,) + (1,) * d.size))
+                        & (u < -np.log(d).reshape((-1,) + (1,) * d.size)), axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(inside, _weighted_rate(d, np.exp(u), delta1, delta2, a1, a2), np.inf)
+        k = np.unravel_index(np.argmin(t), t.shape)
+        best = min(best, float(t[k]))
+        step = (hi - lo) / (points - 1)
+        centre = np.array([axes[j][k[j]] for j in range(d.size)])
+        lo = np.maximum(np.log(d), centre - 2.0 * step)
+        hi = np.minimum(-np.log(d), centre + 2.0 * step)
+    return best
+
+
+def test_region_sweep_reaches_brute_force_grid_minimum():
+    rng = np.random.default_rng(7)
+    for trial in range(36):
+        n = 1 + trial % 2
+        d = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+        scale = n * (1.0 - d[0]) if trial % 3 else float(np.sum(1.0 - d))
+        delta1, delta2 = rng.uniform(0.1, 1.5, 2) * scale
+        alphas = CORNERS + [tuple(rng.uniform(0.0, 1.0, 2))]
+        for pt in gw.region_sweep(d, delta1, delta2, alphas=alphas):
+            a1, a2 = pt.alpha1, pt.alpha2
+            t_grid = _grid_min(d, delta1, delta2, a1, a2)
+            t_at_q = float(_weighted_rate(d, pt.q, delta1, delta2, a1, a2))
+            assert abs(pt.objective - t_at_q) <= 1e-12 * (1.0 + abs(t_at_q))
+            assert pt.objective <= t_grid + 1e-9 * (1.0 + abs(t_grid)), (d, delta1, delta2, a1, a2)
+
+
+def test_region_sweep_pinned_kink_case():
+    # the minimum sits on the kink of R1: at q = 15/17 both branch-1
+    # variances 1 - d/q are 0.15 and sum to delta1, so a search along one
+    # coordinate at a time stops short of it (at T = 2.16897)
+    (pt,) = gw.region_sweep(np.array([0.75, 0.75]), 0.3, 0.2, alphas=[(1.0, 0.0)])
+    assert abs(pt.objective - 2.1544549009483700) < 1e-8
+    np.testing.assert_allclose(pt.q, [15.0 / 17.0] * 2, rtol=0, atol=1e-6)
+    assert pt.converged and 0.0 < pt.gap <= 1e-10
+    assert pt.iterations > 0
+
+
+def test_region_sweep_rejects_coefficients_outside_unit_interval():
+    for d in ([1.0], [0.0], [0.5, 1.2], [-0.1]):
+        with pytest.raises(gw.QWOutOfFamily):
+            gw.region_sweep(np.array(d), 0.1, 0.1)
+    with pytest.raises(gw.NonpositiveDistortion):
+        gw.region_sweep(np.array([0.5]), 0.0, 0.1)
+    with pytest.raises(ValueError):
+        gw.region_sweep(np.array([0.5]), 0.1, 0.1, alphas=[(1.5, 0.5)])
+
+
+def test_region_sweep_empty_coefficients():
+    pts = gw.region_sweep(np.zeros(0), 0.2, 0.3, alphas=CORNERS)
+    assert [(p.alpha1, p.alpha2) for p in pts] == CORNERS
+    for p in pts:
+        assert p.q.shape == (0,)
+        assert p.objective == p.triple.r0 == p.triple.r1 == p.triple.r2 == 0.0
+        assert (p.iterations, p.converged, p.gap) == (0, True, 0.0)
+
+
+@pytest.mark.parametrize("d", [(0.999,), (1e-3,), (0.999, 1e-3)])
+def test_region_sweep_extreme_coefficients(d):
+    d = np.array(d)
+    b = gw.dw_bound(d)
+    delta1, delta2 = 0.5 * b, 0.8 * b
+    for pt in gw.region_sweep(d, delta1, delta2, alphas=CORNERS):
+        a1, a2 = pt.alpha1, pt.alpha2
+        assert gw.in_state_family(pt.q, d)
+        assert pt.converged and pt.gap <= 1e-10
+        ident = gw.pangloss_triple(d, delta1, delta2)
+        t_ident = ident.r0 + a1 * ident.r1 + a2 * ident.r2
+        assert pt.objective <= t_ident + 1e-12 * (1.0 + abs(t_ident))
+        if (a1, a2) == (1.0, 1.0):
+            joint = gw.joint_rdf(d, delta1, delta2).rate
+            assert abs(pt.objective - joint) <= 1e-9 * (1.0 + abs(joint))
+
+
+def test_region_sweep_certificates():
+    pts = gw.region_sweep(D3, 0.3, 0.3)
+    assert len(pts) == 66
+    for p in pts:
+        assert p.converged
+        assert 0.0 < p.gap <= 1e-10
+        assert 0 < p.iterations < 200
+    # at unit weights on D_W the family minimum is the joint rate, and
+    # the gap bounds how far above it the returned objective may sit
+    (unit,) = [p for p in pts if (p.alpha1, p.alpha2) == (1.0, 1.0)]
+    joint = gw.joint_rdf(D3, 0.3, 0.3).rate
+    assert unit.objective - joint <= unit.gap + 1e-12

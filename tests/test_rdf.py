@@ -223,3 +223,33 @@ def test_switch_point_continuity():
         lo = gw.marginal_rdf(v, delta - 1e-8).rate
         hi = gw.marginal_rdf(v, delta + 1e-8).rate
         assert abs(lo - hi) < 1e-6
+
+
+def test_waterfill_ties_stay_saturated():
+    # level 0.5 equals the two smaller variances: they stay saturated
+    res = gw.marginal_rdf([0.5, 2.0, 0.5], 1.5)
+    assert res.water_level == 0.5
+    assert list(res.active_set) == [1]
+    np.testing.assert_array_equal(res.alloc, [0.5, 0.5, 0.5])
+    assert math.isclose(res.rate, 0.5 * math.log(4.0), rel_tol=1e-15)
+
+
+def test_waterfill_budget_is_exact(rng):
+    for _ in range(200):
+        v = rng.uniform(0.0, 3.0, int(rng.integers(1, 40))) ** 2
+        delta = rng.uniform(1e-6, 1.0) * float(v.sum())
+        res = gw.marginal_rdf(v, delta)
+        assert abs(res.alloc.sum() - delta) <= 1e-13 * delta
+        # the rate is the sum over active components of 0.5 log(v / level)
+        act = v > res.water_level
+        np.testing.assert_array_equal(np.flatnonzero(act), res.active_set)
+        assert math.isclose(
+            res.rate, float(np.sum(0.5 * np.log(v[act] / res.water_level))), rel_tol=1e-13
+        )
+
+
+def test_waterfill_empty_spectrum():
+    res = gw.marginal_rdf(np.zeros(0), 0.3)
+    assert res.rate == 0.0
+    assert res.alloc.shape == (0,) and res.active_set.shape == (0,)
+    assert gw.conditional_rdf(np.zeros(0), np.zeros(0), 1, 0.3).rate == 0.0

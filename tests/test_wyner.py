@@ -155,3 +155,66 @@ def test_family_tolerance_scales_with_conditioning():
     loose = state_family_tolerance(np.array([0.9]))
     tight = state_family_tolerance(np.array([0.01]))
     assert tight > loose
+
+
+def _dense_mi(d, q):
+    """``0.5 sum log(1 - d^2) - 0.5 logdet(M1 M2)`` on full matrices."""
+    rd = np.diag(np.sqrt(d))
+    qw = np.diag(q)
+    m1 = np.eye(d.size) - rd @ np.linalg.inv(qw) @ rd
+    m2 = np.eye(d.size) - rd @ qw @ rd
+    return 0.5 * np.sum(np.log1p(-d * d)) - 0.5 * (
+        np.linalg.slogdet(m1)[1] + np.linalg.slogdet(m2)[1]
+    )
+
+
+def test_mi_given_state_diagonal_matches_dense(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        d = rng.uniform(0.02, 0.98, n)
+        q = np.exp(rng.uniform(0.02, 0.98, n) * np.log(d) * rng.choice([-1.0, 1.0], n))
+        dense = _dense_mi(d, q)
+        for form in (q, np.diag(q), gw.QWParameter(np.diag(q))):
+            assert abs(gw.mi_given_state(d, form) - dense) <= 1e-12 * (1.0 + abs(dense))
+
+
+def test_mi_given_state_diagonal_family_check():
+    d = np.array([0.5, 0.2])
+    tol = state_family_tolerance(d)
+    # on the boundary, either side, within tolerance: infinite information
+    assert gw.mi_given_state(d, np.array([0.5, 1.0])) == math.inf
+    assert gw.mi_given_state(d, np.array([1.0, 5.0 + 0.5 * tol])) == math.inf
+    with pytest.raises(gw.QWOutOfFamily):
+        gw.mi_given_state(d, np.array([0.5 - 2.0 * tol, 1.0]))
+    with pytest.raises(gw.QWOutOfFamily):
+        gw.mi_given_state(d, np.array([1.0, 1.0, 1.0]))
+    assert gw.in_state_family(np.array([2.0, 5.0 + 0.5 * tol]), d)
+    assert not gw.in_state_family(np.array([2.0, 5.0 + 2.0 * tol]), d)
+
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-11, 2e-11, 1e-10, 1e-9, 1e-8])
+def test_mi_given_state_diagonal_boundary_rule_matches_dense(gap):
+    # each factor's top eigenvalue is 0.5, so the dense path's relative floor
+    # turns a state singular once the small eigenvalue (~gap) is <= 5e-11
+    d = np.array([0.5, 0.5])
+    for q in (np.array([0.5 * (1.0 + gap), 1.0]), np.array([1.0, 2.0 * (1.0 - gap)])):
+        near = np.diag(q)
+        near[0, 1] = near[1, 0] = 1e-300  # not exactly diagonal: dense path
+        dense = gw.mi_given_state(d, near)
+        for form in (q, np.diag(q)):
+            value = gw.mi_given_state(d, form)
+            assert (value == math.inf) == (dense == math.inf) == (gap < 5e-11)
+            if math.isfinite(dense):
+                # the dense eigensolver resolves an eigenvalue ~gap to ~1e-16 absolute
+                assert abs(value - dense) <= 1e-5 * abs(dense)
+
+
+def test_family_tolerance_ignores_zero_coefficients():
+    assert state_family_tolerance(np.array([0.0, 0.5])) == state_family_tolerance(np.array([0.5]))
+    assert state_family_tolerance(np.zeros(1)) == 1e-10
+    assert state_family_tolerance(np.zeros(0)) == 1e-10
+    # a zero coefficient leaves its state entry free above, and conditional
+    # rates accept it
+    res = gw.conditional_rdf(np.array([0.0, 0.5]), np.array([7.0, 1.0]), 2, 0.2)
+    assert math.isfinite(res.rate)
