@@ -22,14 +22,13 @@ the joint rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonpositiveDistortion, OutsideDW, QWOutOfFamily
 from .rdf import conditional_rdf, dw_bound, in_dw
-from .wyner import mi_given_state
+from .wyner import common_information_terms, mi_given_state
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,11 @@ class DWRegion:
 
     @property
     def bound(self) -> float:
-        return self.n * (1.0 - self.d_max) if self.n else math.inf
+        return dw_bound(np.full(self.n, self.d_max))
 
     def contains(self, delta1: float, delta2: float) -> bool:
-        b = self.bound
-        if not math.isfinite(b):
-            return delta1 >= 0.0 and delta2 >= 0.0
-        # n (1 - d_max) itself rounds, so classify the boundary at ulp scale
-        tol = 8.0 * np.finfo(float).eps * max(1.0, b)
-        return 0.0 <= delta1 <= b + tol and 0.0 <= delta2 <= b + tol
+        # the bound and its ulp tolerance depend on n and d_max alone
+        return in_dw(np.full(self.n, self.d_max), delta1, delta2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +97,7 @@ def lossy_common_information(d, delta1: float, delta2: float) -> float:
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     _check_region(d, delta1, delta2)
-    return float(np.sum(0.5 * np.log((1.0 + d) / (1.0 - d))))
+    return float(np.sum(common_information_terms(d)))
 
 
 def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
@@ -117,7 +112,7 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
         raise NonpositiveDistortion("branch rates need positive distortions")
     ones = np.ones(d.size)
     return RateTriple(
-        r0=float(np.sum(0.5 * np.log((1.0 + d) / (1.0 - d)))),
+        r0=float(np.sum(common_information_terms(d))),
         r1=conditional_rdf(d, ones, 1, delta1).rate,
         r2=conditional_rdf(d, ones, 2, delta2).rate,
         delta1=float(delta1),

@@ -17,9 +17,12 @@ split delta_i / n.  Outside that region the same convex program
 is solved through its Lagrangian dual: the two budget multipliers are
 found by alternating exact line searches (the dual is convex), with a
 nested bisection fallback for instances where the cap couples the
-multipliers so tightly that alternation stalls, and each component's
-allocation follows in closed form, either at the common water levels or
-on its feasibility cap.
+multipliers so tightly that alternation stalls.  Each component's
+allocation sits either at the common water levels, in closed form, or on
+its feasibility cap, at the one stationary point of the Lagrangian along
+the cap curve (:func:`_capped_pairs`).  Each line search is a bracketed root of the
+budget equation, found by the in-house Brent search :func:`_brentq`
+(Brent 1973, ch. 4), so the package needs no solver library.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.optimize import brentq
-
 from .errors import NonpositiveDistortion, OutsideDW, QWNotDiagonal, QWOutOfFamily
-from .wyner import as_state_covariance, in_state_family
+from .wyner import as_state_covariance, common_information_terms, in_state_family
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,93 +215,132 @@ def _kkt_residual(
 
 
 _LAM_TINY = 1e-12
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def _polyval_batch(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Horner over rows: coeffs is (m, k+1) descending, x is (m, r)
-    out = np.broadcast_to(coeffs[:, :1], x.shape).copy()
-    for i in range(1, coeffs.shape[1]):
-        out = out * x + coeffs[:, i : i + 1]
-    return out
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int) -> float:
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
+
+    Step for step the classic C routine ``brentq`` (``Zeros/brentq.c``;
+    Brent, Algorithms for Minimization Without Derivatives, 1973, ch. 4):
+    inverse quadratic or secant steps, accepted only when short enough,
+    otherwise bisection; it stops once half the bracket is below
+    ``(xtol + 4 eps |x|) / 2``.  Python floats are C doubles, so the iterates
+    are those of the C code.  Raises ValueError on a bracket without a sign
+    change and RuntimeError when ``maxiter`` iterations do not converge.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre))
+    fcur = float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent search did not converge in {maxiter} iterations, value is {xcur!r}")
+
+
+_CAP_STEPS = 100
 
 
 def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
     """Boundary optima of the per-component Lagrangian.
 
-    On the cap curve (1-a1)(1-a2) = c, with u = 1 - a1, the stationarity
-    condition of
+    On the cap curve (1-a1)(1-a2) = c, with u = 1 - a1, the Lagrangian is
 
-        phi(u) = ln(1-u) + ln(1-c/u) - lam1 (1-u) - lam2 (1-c/u)
+        phi(u) = ln(1-u) + ln(1-c/u) - lam1 (1-u) - lam2 (1-c/u).
 
-    clears denominators to a polynomial in u.  phi falls to -inf at both
-    ends of (c, 1), so the boundary maximum is the best stationary point;
-    we take all real roots in the interval and keep the argmax.
+    A component is capped only when its free optimum (1/lam1, 1/lam2)
+    violates the cap.  Then at any stationary point of phi on (c, 1) the
+    gradient of the Lagrangian is a positive multiple of the cap's outward
+    normal (a negative one would put the free optimum inside the cap set),
+    so the point satisfies the KKT conditions of a concave program over a
+    convex set: phi' has exactly one zero on (c, 1), the boundary maximum.
+    It is the zero of
+
+        chi(u) = (1-u)(u-c) phi'(u)
+               = (1-u)(u-c)(lam1 - lam2 c/u^2) - (u-c) + c(1-u)/u,
+
+    which keeps the sign of phi', has no poles, and runs from
+    chi(c) = 1-c > 0 to chi(1) = -(1-c).  The solve is a safeguarded Newton
+    iteration on chi, batched over components: the bracket starts at
+    (c, 1) and shrinks on the sign of chi, and a step that leaves it or
+    meets chi' >= 0 bisects instead.  It starts from the root of the
+    quadratic obtained by freezing c/u at sqrt(c), which is exact as the
+    interval narrows (d near 1).  All arithmetic uses 1 - u and u - c,
+    which are exact near 1, and an iterate is final once chi is zero to the
+    rounding of its terms.
     """
-    m = c.size
+    r = np.sqrt(c)
     if lam1 <= _LAM_TINY and lam2 <= _LAM_TINY:
-        u = np.sqrt(c)  # free product maximizer, a1 = a2 = 1 - d
-        return 1.0 - u, 1.0 - c / u
-    ones = np.ones(m)
-    if lam1 <= _LAM_TINY:
-        coeffs = np.stack(
-            [-ones, lam2 * c, c * (1.0 - lam2 * (1.0 + c)), lam2 * c * c], axis=1
-        )
-    elif lam2 <= _LAM_TINY:
-        # the quartic's constant term vanishes; drop the u = 0 root
-        coeffs = np.stack(
-            [-lam1 * ones, (lam1 * (1.0 + c) - 1.0), -lam1 * c, c], axis=1
-        )
-    else:
-        coeffs = np.stack(
-            [
-                -lam1 * ones,
-                (lam1 * (1.0 + c) - 1.0) * ones,
-                c * (lam2 - lam1),
-                c * (1.0 - lam2 * (1.0 + c)),
-                lam2 * c * c,
-            ],
-            axis=1,
-        )
-    k = coeffs.shape[1] - 1
-    comp = np.zeros((m, k, k))
-    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    comp[:, np.arange(1, k), np.arange(0, k - 1)] = 1.0
-    roots = np.linalg.eigvals(comp)
-    u = roots.real.copy()
-    # two Newton steps repair companion-eigenvalue conditioning
-    dcoeffs = coeffs[:, :-1] * np.arange(k, 0, -1)[None, :]
-    for _ in range(2):
-        pv = _polyval_batch(coeffs, u)
-        dv = _polyval_batch(dcoeffs, u)
-        step = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0.0, 1.0, dv), 0.0)
-        u = u - step
-    cgrid = c[:, None]
-    ok = (np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real)))
-    ok &= (u > cgrid * (1.0 + 1e-14)) & (u < 1.0 - 1e-15)
+        return 1.0 - r, 1.0 - c / r  # free product maximizer, a1 = a2 = 1 - d
+    # start: the root in (c, 1) of k u^2 + b u + (k c - c - r), which is chi
+    # with c/u frozen at sqrt(c); q is the cancellation-free form.  A NaN or
+    # an infinity from a degenerate quadratic or a zero slope fails the
+    # range and bracket tests below and falls back to sqrt(c) or bisection.
+    k = lam1 - lam2
+    b = 1.0 + r - k * (1.0 + c)
+    lo, hi = c, np.ones_like(c)
+    tol = 4.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = (
-            np.log(1.0 - u)
-            + np.log(1.0 - cgrid / u)
-            - lam1 * (1.0 - u)
-            - lam2 * (1.0 - cgrid / u)
-        )
-    phi = np.where(ok, phi, -np.inf)
-    missing = ~np.isfinite(phi).any(axis=1)
-    if missing.any():
-        # conditioning fallback: dense argmax on the interval
-        for j in np.flatnonzero(missing):
-            grid = np.linspace(c[j] * (1 + 1e-12) + 1e-15, 1.0 - 1e-12, 4096)
-            vals = (
-                np.log(1.0 - grid)
-                + np.log(1.0 - c[j] / grid)
-                - lam1 * (1.0 - grid)
-                - lam2 * (1.0 - c[j] / grid)
-            )
-            u[j, 0] = grid[np.argmax(vals)]
-            phi[j, 0] = 0.0
-    pick = np.argmax(phi, axis=1)
-    ustar = u[np.arange(m), pick]
-    return 1.0 - ustar, 1.0 - c / ustar
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * k * (c + r - k * c)), b))
+        u = (k * c - c - r) / q
+        u = np.where((u > c) & (u < 1.0), u, q / k)
+        u = np.where((u > c) & (u < 1.0), u, r)
+        for _ in range(_CAP_STEPS):
+            w1 = 1.0 - u
+            wc = u - c
+            cu = c / u
+            m2 = lam2 * cu / u
+            lead = w1 * wc * (lam1 - m2)
+            tail = cu * w1
+            chi = lead - wc + tail
+            slope = (w1 - wc) * (lam1 - m2) + 2.0 * m2 * w1 * wc / u - 1.0 - cu / u
+            lo = np.where(chi > 0.0, u, lo)
+            hi = np.where(chi < 0.0, u, hi)
+            nxt = u - chi / slope
+            nxt = np.where((slope < 0.0) & (nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            done = np.abs(chi) <= tol * (np.abs(lead) + wc + tail)
+            done |= np.abs(nxt - u) <= tol * u
+            u = np.where(done, u, nxt)
+            if done.all():
+                break
+    return 1.0 - u, 1.0 - c / u
 
 
 def _lagrangian_alloc(d: np.ndarray, lam1: float, lam2: float):
@@ -347,9 +387,7 @@ def _solve_branch_level(d: np.ndarray, delta: float, lam_other: float, branch: i
         if total(hi) < delta:
             break
         hi *= 2.0
-    return float(
-        brentq(lambda lam: total(lam) - delta, 0.0, hi, xtol=1e-15, maxiter=300)
-    )
+    return _brentq(lambda lam: total(lam) - delta, 0.0, hi, xtol=1e-15, maxiter=300)
 
 
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
@@ -368,7 +406,8 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
         drift = float(a1.sum()) - delta1
         if lam1 <= _LAM_TINY:
             drift = max(0.0, drift)
-        if abs(drift) < 1e-12 * (1.0 + delta1):
+        # relative: with d_max near 1 a budget can be ~1e-6
+        if abs(drift) < 1e-12 * delta1:
             break
         if abs(drift) > 0.5 * prev_drift:
             # cap-coupled components can move both multipliers in lockstep,
@@ -394,7 +433,7 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
                 if budget_gap(hi) < 0.0:
                     break
                 hi *= 2.0
-            lam1 = float(brentq(budget_gap, 0.0, hi, xtol=1e-14, maxiter=300))
+            lam1 = _brentq(budget_gap, 0.0, hi, xtol=1e-14, maxiter=300)
         lam2 = _solve_branch_level(d, delta2, lam1, 2)
         a1, a2 = _lagrangian_alloc(d, lam1, lam2)
     rate = float(0.5 * (np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2))))
@@ -468,5 +507,5 @@ def sum_rate_identity_check(d, delta1: float, delta2: float) -> float:
     joint = joint_rdf(d, delta1, delta2).rate
     r1 = conditional_rdf(d, ones, 1, delta1).rate
     r2 = conditional_rdf(d, ones, 2, delta2).rate
-    c = float(np.sum(0.5 * np.log((1.0 + d) / (1.0 - d))))
+    c = float(np.sum(common_information_terms(d)))
     return abs(joint - (r1 + r2 + c))

@@ -141,6 +141,11 @@ def assert_in_state_family(q, d) -> np.ndarray:
     return qw
 
 
+def common_information_terms(d: np.ndarray) -> np.ndarray:
+    """Per-component common information ``0.5 log((1 + d_j) / (1 - d_j))``, nats."""
+    return 0.5 * np.log((1.0 + d) / (1.0 - d))
+
+
 def common_information(idx: IndexSextuple, d) -> CommonInfoResult:
     """Common information in nats from the canonical indices and coefficients."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -148,7 +153,7 @@ def common_information(idx: IndexSextuple, d) -> CommonInfoResult:
         raise InconsistentIndices(f"p12 = {idx.p12} but {d.size} coefficients")
     if d.size and (np.any(d <= 0.0) or np.any(d >= 1.0)):
         raise InconsistentIndices("canonical correlations must lie strictly in (0, 1)")
-    terms = 0.5 * np.log((1.0 + d) / (1.0 - d)) if d.size else np.zeros(0)
+    terms = common_information_terms(d)
     if idx.p11 > 0:
         return CommonInfoResult(math.inf, "identical-present", terms)
     if idx.p12 > 0:

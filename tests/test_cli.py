@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +239,27 @@ def test_error_exit_codes(runner, cvf_file, tmp_path):
     res = runner.invoke(main, ["cvf", "--in", str(notpd), "--out",
                                str(tmp_path / "y.json")])
     assert res.exit_code == 5
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "prelude",
+    [
+        "",
+        # an environment without scipy: any import of it raises
+        "sys.modules['scipy'] = None",
+    ],
+)
+def test_cli_import_needs_no_scipy(prelude):
+    code = "\n".join([
+        "import sys",
+        prelude,
+        "import gwgauss.cli",
+        "loaded = [m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None]",
+        "assert not loaded, loaded",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

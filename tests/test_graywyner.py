@@ -67,6 +67,14 @@ def test_region_gate_reports_bound():
     assert reg.contains(0.6, 0.6)
     assert not reg.contains(0.6, 0.601)
     assert not reg.contains(-0.1, 0.1)
+    # one ulp-scale boundary rule, shared with in_dw
+    b = reg.bound
+    for x in (b, np.nextafter(b, 1.0), b + 4e-15, b * (1 + 1e-9)):
+        assert reg.contains(x, 0.5 * b) == gw.in_dw(D3, x, 0.5 * b)
+    assert reg.contains(np.nextafter(b, 1.0), b) and not reg.contains(b + 4e-15, b)
+    empty = gw.DWRegion.from_correlations([])
+    assert empty.bound == math.inf
+    assert empty.contains(1e300, 0.0) and not empty.contains(-1.0, 0.0)
 
 
 def test_region_sweep_alpha_filter_and_membership():

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gwgauss as gw
-from gwgauss.rdf import _kkt_residual
+from gwgauss import rdf
+from gwgauss.rdf import _brentq, _kkt_residual
 
 D3 = np.array([0.8, 0.5, 0.1])
 
@@ -253,3 +254,141 @@ def test_waterfill_empty_spectrum():
     assert res.rate == 0.0
     assert res.alloc.shape == (0,) and res.active_set.shape == (0,)
     assert gw.conditional_rdf(np.zeros(0), np.zeros(0), 1, 0.3).rate == 0.0
+
+
+# ---------------------------------------------------------------- Brent search
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+BRENT_CASES = {
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 2e-12),
+    "tanh": (lambda x: math.tanh(40.0 * (x - 0.123)), -3.0, 5.0, 1e-15),
+    "flat": (lambda x: (x - 1.0 / 3.0) ** 7, 0.0, 1.0, 1e-15),
+    "offset": (lambda x: math.exp(x) - 1e-3, -20.0, 3.0, 1e-14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_CASES))
+def test_brentq_matches_scipy_bit_for_bit(name):
+    optimize = pytest.importorskip("scipy.optimize")
+    f, a, b, xtol = BRENT_CASES[name]
+    ours, our_calls = _counted(f)
+    theirs, their_calls = _counted(f)
+    root = _brentq(ours, a, b, xtol=xtol, maxiter=300)
+    ref = optimize.brentq(theirs, a, b, xtol=xtol, maxiter=300)
+    assert root == ref
+    assert our_calls == their_calls
+
+
+@pytest.mark.parametrize(
+    "d, share1, share2, nested",
+    [
+        ((0.8, 0.5, 0.1), 2.0, 0.5, False),
+        ((0.95, 0.9, 0.3), 0.3, 4.0, False),
+        ((0.99, 0.2), 10.0, 10.0, False),
+        # cap-coupled: alternation stalls and the nested search runs
+        ((0.84, 0.79, 0.64), 1.5, 1.5, True),
+    ],
+)
+def test_brentq_matches_scipy_on_budget_equations(monkeypatch, d, share1, share2, nested):
+    optimize = pytest.importorskip("scipy.optimize")
+    port = rdf._brentq
+    xtols = []
+
+    def both(f, a, b, xtol, maxiter):
+        ours, our_calls = _counted(f)
+        theirs, their_calls = _counted(f)
+        root = port(ours, a, b, xtol=xtol, maxiter=maxiter)
+        assert root == optimize.brentq(theirs, a, b, xtol=xtol, maxiter=maxiter)
+        assert our_calls == their_calls
+        xtols.append(xtol)
+        return root
+
+    monkeypatch.setattr(rdf, "_brentq", both)
+    d = np.array(d)
+    b = gw.dw_bound(d)
+    gw.joint_rdf(d, share1 * b, share2 * b)
+    assert xtols
+    assert (1e-14 in xtols) == nested
+
+
+def test_brentq_root_at_either_endpoint():
+    f, calls = _counted(lambda x: x - 1.0)
+    assert _brentq(f, 1.0, 2.0, xtol=1e-12, maxiter=50) == 1.0
+    assert _brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=50) == 1.0
+    assert len(calls) == 4
+
+
+def test_brentq_rejects_same_sign_bracket():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, maxiter=50)
+
+
+def test_brentq_reports_exhausted_iterations():
+    with pytest.raises(RuntimeError, match="did not converge in 3 iterations"):
+        _brentq(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, xtol=1e-15, maxiter=3)
+
+
+# ---------------------------------------------------------------- cap solve
+
+
+def test_capped_pairs_beat_a_dense_grid(rng):
+    # each capped component maximizes phi on its cap curve; a log-spaced
+    # grid over the whole interval (c, 1) never does better
+    s = np.concatenate(
+        [np.logspace(-16, -1, 3000), np.linspace(0.1, 0.9, 3000), 1.0 - np.logspace(-1, -16, 3000)]
+    )
+    checked = 0
+    while checked < 60:
+        c = np.array([1.0 - 10.0 ** rng.uniform(-7, -0.01)])
+        lam1, lam2 = 10.0 ** rng.uniform(-3, 7, size=2)
+        f1, f2 = 1.0 / lam1, 1.0 / lam2
+        if f1 < 1.0 and f2 < 1.0 and (1.0 - f1) * (1.0 - f2) >= c[0]:
+            continue  # free optimum inside the cap set
+        a1, a2 = rdf._capped_pairs(c, lam1, lam2)
+        assert math.isclose((1.0 - a1[0]) * (1.0 - a2[0]), c[0], rel_tol=1e-13)
+        g1 = (1.0 - c[0]) * (1.0 - s)
+        g2 = (1.0 - c[0]) * s / (c[0] + (1.0 - c[0]) * s)
+        grid = np.log(g1) + np.log(g2) - lam1 * g1 - lam2 * g2
+        best = math.log(a1[0]) + math.log(a2[0]) - lam1 * a1[0] - lam2 * a2[0]
+        assert best >= grid.max() - 1e-12 * (1.0 + abs(best))
+        checked += 1
+
+
+def _demo_random_d(p: int, seed: int) -> np.ndarray:
+    # canonical coefficients of `gwgauss demo-random --p1 p --p2 p --seed seed`
+    factor = np.random.default_rng(seed).standard_normal((2 * p, 2 * p))
+    q = factor @ factor.T + 1e-9 * np.eye(2 * p)
+    return gw.decompose(gw.JointGaussianPair.from_joint(q, p)).d
+
+
+@pytest.mark.parametrize(
+    "p, seed, share1, share2", [(8, 810850621, 0.2, 3.0), (32, 1190804277, 3.0, 0.2)]
+)
+def test_joint_keeps_budgets_with_a_near_unit_coefficient(p, seed, share1, share2):
+    # d_max is within ~1.1e-6 of 1, so the cap interval of that component
+    # is ~2e-6 wide; companion-matrix roots once jittered there and the
+    # budgets were overshot by 1.6e-5 and 3.9e-6 relative
+    d = _demo_random_d(p, seed)
+    assert 1.0 - d.max() < 2e-6
+    b = gw.dw_bound(d)
+    delta1, delta2 = share1 * b, share2 * b
+    res = gw.joint_rdf(d, delta1, delta2)
+    a1, a2 = res.alloc1, res.alloc2
+    assert res.regime == "numerical"
+    assert a1.sum() <= delta1 * (1.0 + 1e-9)
+    assert a2.sum() <= delta2 * (1.0 + 1e-9)
+    assert np.all((1.0 - a1) * (1.0 - a2) >= d * d - 1e-12)
+    assert res.rate >= gw.gray_lower_bound(d, delta1, delta2)
+    # stationarity to ~1e-9 of the water levels 0.5 / a (~2.4e6 here)
+    scale = 0.5 / min(a1.min(), a2.min())
+    assert _kkt_residual(d, a1, a2, delta1, delta2) <= 1e-8 * scale
