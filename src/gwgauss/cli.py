@@ -323,6 +323,7 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
             "alloc1": res.alloc1.tolist(),
             "alloc2": res.alloc2.tolist(),
             "regime": res.regime,
+            "iterations": res.iterations,
         }
     else:
         if delta2 is None:

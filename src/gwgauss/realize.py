@@ -300,22 +300,16 @@ def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
 
 
 def _sample_channel(ch: TestChannel, n_samples: int, seed: int) -> SampleBlock:
-    rd = np.sqrt(ch.d)
-    c1 = np.linalg.solve(ch.qw, np.diag(rd)).T
-    c2 = np.diag(rd)
-    w = _draw(_rng(seed, "w"), n_samples, ch.qw)
-    z1 = _draw(_rng(seed, "z1"), n_samples, ch.qz1)
-    z2 = _draw(_rng(seed, "z2"), n_samples, ch.qz2)
+    real = family_realization(ch.d, ch.qw)
+    base = sample(real, n_samples, seed)
     v1 = _draw(_rng(seed, "v1"), n_samples, ch.qv1)
     v2 = _draw(_rng(seed, "v2"), n_samples, ch.qv2)
-    mean1 = w @ c1.T
-    mean2 = w @ c2.T
     return SampleBlock(
         n_samples=n_samples,
-        y1=mean1 + z1,
-        y2=mean2 + z2,
-        w=w, z1=z1, z2=z2,
+        y1=base.y1,
+        y2=base.y2,
+        w=base.w, z1=base.z1, z2=base.z2,
         v=np.hstack([v1, v2]),
-        yhat1=mean1 + z1 @ ch.a1.T + v1,
-        yhat2=mean2 + z2 @ ch.a2.T + v2,
+        yhat1=base.w @ real.c1.T + base.z1 @ ch.a1.T + v1,
+        yhat2=base.w @ real.c2.T + base.z2 @ ch.a2.T + v2,
     )

@@ -163,6 +163,15 @@ def test_rdf_values_and_units(runner, cvf_file):
     body = json.loads(res.stdout)
     assert math.isclose(body["rate"], 6.248063451063505 / math.log(2), rel_tol=1e-12)
     assert body["regime"] == "closed-form-DW"
+    assert body["iterations"] == 0
+
+    res = runner.invoke(main, ["rdf", "joint", "--in", cvf_file, "--delta1", "1.2",
+                               "--delta2", "0.3"])
+    body = json.loads(res.stdout)
+    assert list(body) == ["rate", "alloc1", "alloc2", "regime", "iterations", "units"]
+    assert body["regime"] == "numerical" and body["iterations"] > 0
+    assert math.isclose(body["rate"], gw.joint_rdf([0.8, 0.5, 0.1], 1.2, 0.3).rate,
+                        rel_tol=1e-12)
 
     res = runner.invoke(main, ["rdf", "gray-bound", "--in", cvf_file,
                                "--delta1", "0.3", "--delta2", "0.3"])

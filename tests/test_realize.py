@@ -149,6 +149,17 @@ def test_sample_shapes_per_kind():
     assert blk.yhat1.shape == (1500, 2) and blk.yhat2.shape == (1500, 2)
 
 
+def test_channel_draws_its_family_realization():
+    # the channel adds reconstruction streams on top of the same source
+    # draws, for a dense family state too
+    d = np.array([0.8, 0.5])
+    qw = np.array([[1.0, 0.1], [0.1, 1.1]])
+    ch = gw.sample(gw.test_channel(d, qw, [0.05, 0.05], [0.05, 0.05]), 500, seed=21)
+    real = gw.sample(gw.family_realization(d, qw), 500, seed=21)
+    for name in ("y1", "y2", "w", "z1", "z2"):
+        np.testing.assert_array_equal(getattr(ch, name), getattr(real, name))
+
+
 def test_family_samples_match_target_moments():
     d = np.array([0.8, 0.3])
     qw = np.diag([1.2, 0.8])
