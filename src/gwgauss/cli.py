@@ -25,7 +25,7 @@ from .gaussmodel import (
     pair_to_dict,
 )
 from .cvf import CanonicalForm, IndexSextuple, Thresholds, decompose
-from .graywyner import lossy_common_information, region_sweep
+from .graywyner import lossy_common_information, region_csv, region_sweep
 from .mc_oracle import validate_realization
 from .rdf import conditional_rdf, gray_lower_bound, joint_rdf, marginal_rdf
 from .realize import (
@@ -49,7 +49,7 @@ EXIT_CODES = {
     err.NonpositiveDistortion: 11,
     err.QWNotDiagonal: 12,
     err.AllocationOutOfRange: 13,
-    err.InfeasibleRegion: 14,
+    # 14 is unassigned: no error maps to it
     err.OutsideDW: 15,
     err.TooFewSamples: 16,
     err.MissingReconstruction: 17,
@@ -324,6 +324,8 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
             "alloc2": res.alloc2.tolist(),
             "regime": res.regime,
             "iterations": res.iterations,
+            "budget_residual": res.budget_residual,
+            "dual_gap": nats_to(res.dual_gap, units),
         }
     else:
         if delta2 is None:
@@ -348,15 +350,7 @@ def region_cmd(in_path, delta1, delta2, alpha_grid, out):
     ticks = [i / (alpha_grid - 1) for i in range(alpha_grid)] if alpha_grid > 1 else [1.0]
     alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
     points = region_sweep(d, delta1, delta2, alphas=alphas)
-    header = ["alpha1", "alpha2", "T", "R0", "R1", "R2"] + [
-        f"q_{j + 1}" for j in range(d.size)
-    ]
-    lines = [",".join(header)]
-    for p in points:
-        row = [p.alpha1, p.alpha2, p.objective, p.triple.r0, p.triple.r1, p.triple.r2]
-        row += list(p.q)
-        lines.append(",".join(format(x, ".17g") for x in row))
-    Path(out).write_text("\n".join(lines) + "\n")
+    Path(out).write_text(region_csv(points))
     click.echo(json.dumps({"points": len(points), "out": out}))
 
 

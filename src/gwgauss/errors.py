@@ -49,10 +49,6 @@ class AllocationOutOfRange(GwgaussError):
     """Per-component distortion allocation outside (0, conditional variance]."""
 
 
-class InfeasibleRegion(GwgaussError):
-    """No distortion allocation satisfies the feasibility constraints."""
-
-
 class OutsideDW(GwgaussError):
     """Distortion pair falls outside the region where the closed forms hold.
 

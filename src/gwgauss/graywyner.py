@@ -43,27 +43,6 @@ class RateTriple:
     tag: str  # "pangloss" | "sweep-point"
 
 
-@dataclass(frozen=True)
-class DWRegion:
-    """Square distortion region on which the equal-split closed forms hold."""
-
-    n: int
-    d_max: float
-
-    @classmethod
-    def from_correlations(cls, d) -> "DWRegion":
-        d = np.atleast_1d(np.asarray(d, dtype=float))
-        return cls(n=d.size, d_max=float(np.max(d)) if d.size else 0.0)
-
-    @property
-    def bound(self) -> float:
-        return dw_bound(np.full(self.n, self.d_max))
-
-    def contains(self, delta1: float, delta2: float) -> bool:
-        # the bound and its ulp tolerance depend on n and d_max alone
-        return in_dw(np.full(self.n, self.d_max), delta1, delta2)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepPoint:
     """One optimized point of the weighted-rate surface."""
@@ -291,3 +270,15 @@ def region_sweep(
             )
         )
     return points
+
+
+def region_csv(points: list[SweepPoint]) -> str:
+    """The sweep as CSV text: header ``alpha1,alpha2,T,R0,R1,R2,q_1,..,q_n``,
+    then one row per point at 17 significant digits, which round-trip."""
+    n = points[0].q.size if points else 0
+    header = ["alpha1", "alpha2", "T", "R0", "R1", "R2"] + [f"q_{j + 1}" for j in range(n)]
+    lines = [",".join(header)]
+    for p in points:
+        row = [p.alpha1, p.alpha2, p.objective, p.triple.r0, p.triple.r1, p.triple.r2, *p.q]
+        lines.append(",".join(format(x, ".17g") for x in row))
+    return "\n".join(lines) + "\n"

@@ -16,13 +16,14 @@ restricted convex program
     s.t.     sum_j a_ij <= delta_i,   (1 - a_1j)(1 - a_2j) >= d_j^2
 
 which is an upper bound on the Gaussian joint rate-distortion function,
-not that function itself.  It is solved through its Lagrangian dual by one
-damped Newton iteration on the two budget multipliers, projected onto
-lam >= 0: the dual's gradient is the budget residual and its Hessian comes
-in closed form with the allocation.  Each component's allocation sits
-either at the common water levels, in closed form, or on its feasibility
-cap, at the one stationary point of the Lagrangian along the cap curve
-(:func:`_capped_pairs`).
+not that function itself.  It is solved through its Lagrangian dual g by
+one damped Newton iteration on the two budget multipliers, projected onto
+lam >= 0 and backtracking on the value of g: the dual's gradient is the
+budget residual and its Hessian comes in closed form with the allocation.
+Each component's allocation sits either at the common water levels, in
+closed form, or on its feasibility cap, at the one stationary point of the
+Lagrangian along the cap curve (:func:`_capped_pairs`).  The result's
+duality gap certifies the rate against the restricted optimum only.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ class JointRdfResult:
     alloc2: np.ndarray
     regime: str  # "closed-form-DW" | "numerical" | "infeasible-region"
     iterations: int  # Newton steps on the dual, 0 on the closed form
+    multipliers: np.ndarray  # final budget multipliers (lam1, lam2), n / delta on the closed form
+    budget_residual: float  # max_i (sum(alloc_i) - delta_i) / delta_i; > 0 breaks a budget
+    dual_gap: float  # rate minus the dual bound at the multipliers
 
 
 def _waterfill(variances: np.ndarray, delta: float):
@@ -149,79 +153,13 @@ def in_dw(d, delta1: float, delta2: float) -> bool:
     return 0.0 <= delta1 <= b + tol and 0.0 <= delta2 <= b + tol
 
 
-def _kkt_residual(
-    d: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    delta1: float,
-    delta2: float,
-) -> float:
-    """Stationarity residual of an allocation pair for the joint program.
-
-    Components off their cap must share one water level per branch; for
-    capped components the cap multiplier recovered from one branch must
-    close the other branch's stationarity equation with nonnegative sign.
-    A sum constraint left slack forces that branch's level to zero.  When
-    a branch has no free component its level is recovered from the capped
-    equations instead; if neither branch has one the multiplier split is
-    a one-parameter family and the check degenerates to 0.
-    """
-    capped = (1.0 - a1) * (1.0 - a2) <= d * d + 1e-9
-    free = ~capped
-    inv1 = 0.5 / a1
-    inv2 = 0.5 / a2
-    res = 0.0
-
-    def _level(inv, slack_big):
-        if slack_big:
-            return 0.0
-        if free.any():
-            return float(np.median(inv[free]))
-        return None
-
-    slack1 = delta1 - float(a1.sum()) > 1e-9 * (1.0 + delta1)
-    slack2 = delta2 - float(a2.sum()) > 1e-9 * (1.0 + delta2)
-    lam1 = _level(inv1, slack1)
-    lam2 = _level(inv2, slack2)
-    if lam1 is None and lam2 is None:
-        return 0.0
-    if lam1 is None or lam2 is None:
-        # recover the unknown level from the capped equations; it must be
-        # consistent across components and nonnegative
-        known_inv, known_lam, known_a, unk_inv, unk_a = (
-            (inv1, lam1, a2, inv2, a1) if lam2 is None else (inv2, lam2, a1, inv1, a2)
-        )
-        implied = []
-        for j in np.flatnonzero(capped):
-            mu = (known_inv[j] - known_lam) / max(1.0 - known_a[j], 1e-300)
-            if mu < -1e-8:
-                res = max(res, -mu)
-            implied.append(unk_inv[j] - mu * (1.0 - unk_a[j]))
-        if implied:
-            arr = np.asarray(implied)
-            res = max(res, float(arr.max() - arr.min()))
-            res = max(res, max(0.0, -float(arr.min())))
-        if free.any():
-            res = max(res, float(np.max(np.abs(known_inv[free] - known_lam))))
-        return res
-    if free.any():
-        res = max(res, float(np.max(np.abs(inv1[free] - lam1))))
-        res = max(res, float(np.max(np.abs(inv2[free] - lam2))))
-    for j in np.flatnonzero(capped):
-        mu = (inv1[j] - lam1) / max(1.0 - a2[j], 1e-300)
-        if mu < -1e-8:
-            res = max(res, -mu)
-        res = max(res, abs(-inv2[j] + lam2 + mu * (1.0 - a1[j])))
-    return res
-
-
 _LAM_TINY = 1e-12
 _CAP_STEPS = 100
 
 
 def _chi(u, w1, wc, c, lam1, lam2):
     """chi(u) of :func:`_capped_pairs`, its derivative in u, and the size of
-    its terms, from u, w1 = 1 - u and wc = u - c."""
+    its terms, from u, w1 = 1 - u = a1 and wc = u - c."""
     cu = c / u
     m2 = lam2 * cu / u
     lead = w1 * wc * (lam1 - m2)
@@ -249,43 +187,54 @@ def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
                = (1-u)(u-c)(lam1 - lam2 c/u^2) - (u-c) + c(1-u)/u,
 
     which keeps the sign of phi', has no poles, and runs from
-    chi(c) = 1-c > 0 to chi(1) = -(1-c).  The solve is a safeguarded Newton
-    iteration on chi, batched over components: the bracket starts at
-    (c, 1) and shrinks on the sign of chi, and a step that leaves it or
-    meets chi' >= 0 bisects instead.  It starts from the root of the
-    quadratic obtained by freezing c/u at sqrt(c), which is exact as the
-    interval narrows (d near 1).  All arithmetic uses 1 - u and u - c,
-    which are exact near 1, and an iterate is final once chi is zero to the
-    rounding of its terms.
+    chi(c) = 1-c > 0 to chi(1) = -(1-c).  The solve iterates on a1 itself,
+    with the cap written as a1 + a2 - a1 a2 = s = 1 - c, so that
+    u - c = s - a1 and a2 = (s - a1) / (1 - a1) keep their relative
+    precision when s is tiny (d near 1); for c >= 1/2, 1 - c is exact.
+    With lam1 >= lam2 the iterate a1 is the smaller allocation, so s - a1
+    does not cancel either; otherwise the branches swap roles.
+    It is a safeguarded Newton iteration on chi, batched over components:
+    the bracket starts at (0, s) and shrinks on the sign of chi, and a step
+    that leaves it or meets chi' >= 0 bisects instead.  It starts from the
+    root of the quadratic obtained by freezing c/u at sqrt(c), which is
+    exact as the interval narrows, and an iterate is final once chi is zero
+    to the rounding of its terms.
     """
+    if lam2 > lam1:
+        b2, b1 = _capped_pairs(c, lam2, lam1)
+        return b1, b2
     r = np.sqrt(c)
+    s = 1.0 - c
     if lam1 <= _LAM_TINY and lam2 <= _LAM_TINY:
-        return 1.0 - r, 1.0 - c / r  # free product maximizer, a1 = a2 = 1 - d
-    # start: the root in (c, 1) of k u^2 + b u + (k c - c - r), which is chi
-    # with c/u frozen at sqrt(c); q is the cancellation-free form.  A NaN or
-    # an infinity from a degenerate quadratic or a zero slope fails the
-    # range and bracket tests below and falls back to sqrt(c) or bisection.
+        a = s / (1.0 + r)  # free product maximizer, a1 = a2 = 1 - d
+        return a, a.copy()
+    # start: the root in (0, s) of k x^2 - (k s + 1 + r) x + s, which is
+    # chi with c/u frozen at sqrt(c) and x = a1; q is the cancellation-free
+    # form.  A NaN or an infinity from a degenerate quadratic or a zero
+    # slope fails the range and bracket tests below and falls back to the
+    # symmetric point 1 - d or to bisection.
     k = lam1 - lam2
-    b = 1.0 + r - k * (1.0 + c)
-    lo, hi = c, np.ones_like(c)
+    b = k * s + 1.0 + r
+    lo, hi = np.zeros_like(c), s
     tol = 4.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * k * (c + r - k * c)), b))
-        u = (k * c - c - r) / q
-        u = np.where((u > c) & (u < 1.0), u, q / k)
-        u = np.where((u > c) & (u < 1.0), u, r)
+        q = 0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * k * s), b))
+        x = s / q
+        x = np.where((x > 0.0) & (x < s), x, q / k)
+        x = np.where((x > 0.0) & (x < s), x, s / (1.0 + r))
         for _ in range(_CAP_STEPS):
-            chi, slope, size = _chi(u, 1.0 - u, u - c, c, lam1, lam2)
-            lo = np.where(chi > 0.0, u, lo)
-            hi = np.where(chi < 0.0, u, hi)
-            nxt = u - chi / slope
+            u = 1.0 - x
+            chi, slope, size = _chi(u, x, s - x, c, lam1, lam2)
+            lo = np.where(chi < 0.0, x, lo)
+            hi = np.where(chi > 0.0, x, hi)
+            nxt = x + chi / slope  # chi' in x is -slope
             nxt = np.where((slope < 0.0) & (nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
             done = np.abs(chi) <= tol * size
-            done |= np.abs(nxt - u) <= tol * u
-            u = np.where(done, u, nxt)
+            done |= np.abs(nxt - x) <= tol * x
+            x = np.where(done, x, nxt)
             if done.all():
                 break
-    return 1.0 - u, 1.0 - c / u
+    return x, (s - x) / (1.0 - x)
 
 
 def _lagrangian_alloc(d: np.ndarray, lam1: float, lam2: float):
@@ -340,27 +289,40 @@ def _lagrangian_alloc(d: np.ndarray, lam1: float, lam2: float):
 
 _BUDGET_RTOL = 1e-12
 _NEWTON_STEPS = 100
-# a line search that lowers nothing in this many halvings marks the rounding
-# floor of sum(a); away from that floor none needed more than 7 on 1000
-# random instances with 1 - d down to 1e-6 and budgets from 1e-3 to 1e3 b
+# a line search whose residual-norm test fails this many halvings marks the
+# rounding floor of sum(a); away from that floor none needed more than 7 on
+# 1000 random instances with 1 - d down to 1e-6 and budgets from 1e-3 to 1e3 b
 _HALVINGS = 10
+# a predicted decrease of the dual value below this share of 1 + |g| is
+# lost in the rounding of g
+_G_ROUND = 1e-10
 
 
-def _budget_residual(lam: np.ndarray, a1: np.ndarray, a2: np.ndarray, delta: np.ndarray):
-    """Relative budget residuals; a slack budget whose multiplier is 0 is met."""
-    r = (delta - [a1.sum(), a2.sum()]) / delta
-    return np.where(lam > 0.0, r, np.minimum(r, 0.0))
+def _dual(d: np.ndarray, lam: np.ndarray, delta: np.ndarray):
+    """Allocation, Hessian and value g = sum(log(a1 a2)) + lam . (delta - sum(a))
+    of the dual at lam, and the relative budget residuals, where a slack
+    budget whose multiplier is 0 counts as met."""
+    a1, a2, hess = _lagrangian_alloc(d, *lam)
+    slack = delta - [a1.sum(), a2.sum()]
+    g = float(np.sum(np.log(a1 * a2)) + lam @ slack)
+    r = slack / delta
+    return a1, a2, hess, g, np.where(lam > 0.0, r, np.minimum(r, 0.0))
+
+
+def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
+    slack = delta - [a1.sum(), a2.sum()]
+    residual, gap = float(np.max(-slack / delta)), float(0.5 * lam @ slack)
+    return JointRdfResult(rate, a1, a2, regime, iterations, lam, residual, gap)
 
 
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
-    # damped Newton on the convex dual over lam >= 0 (Boyd & Vandenberghe,
+    # damped Newton on the convex dual g over lam >= 0 (Boyd & Vandenberghe,
     # Convex Optimization, 9.5 and 10.2): the gradient is the budget
     # residual delta - sum(a), the Hessian comes with the allocation.  Inside
     # D_W the start n / delta is already the equal-split solution.
     delta = np.array([delta1, delta2])
     start = lam = d.size / delta
-    a1, a2, hess = _lagrangian_alloc(d, *lam)
-    res = _budget_residual(lam, a1, a2, delta)
+    a1, a2, hess, g, res = _dual(d, lam, delta)
     steps = 0
     while steps < _NEWTON_STEPS and np.abs(res).max() > _BUDGET_RTOL:
         # a zero multiplier whose budget is slack stays at 0
@@ -371,35 +333,42 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
         # cap-coupled components can leave hess near-singular along a
         # valley of the dual; the ridge keeps the step finite there
         h = hess[np.ix_(move, move)] + ridge * np.eye(np.count_nonzero(move))
+        grad = res * delta
         step = np.zeros(2)
-        step[move] = np.linalg.solve(h, (res * delta)[move])
+        step[move] = np.linalg.solve(h, grad[move])
         # a positive multiplier stops at 0 when the step reaches it, and
         # none grows by more than its value plus its start, which bounds
-        # the long steps the ridge allows along a valley.  Then backtrack on
-        # the residual norm, not on the dual value, which is flat to
-        # rounding near the optimum.
+        # the long steps the ridge allows along a valley
         with np.errstate(divide="ignore", invalid="ignore"):
             reach = np.where(step > 0.0, lam, lam + start) / np.abs(step)
         t = min(1.0, reach[(lam > 0.0) | (step < 0.0)].min(initial=np.inf))
         norm = np.linalg.norm(res)
-        for _ in range(_HALVINGS + 1):
+        stalls = 0
+        while stalls <= _HALVINGS:
             trial = np.where((step > 0.0) & (t >= reach), 0.0, np.maximum(lam - t * step, 0.0))
-            b1, b2, bhess = _lagrangian_alloc(d, *trial)
-            bres = _budget_residual(trial, b1, b2, delta)
-            if np.linalg.norm(bres) <= (1.0 - 1e-4 * t) * norm:
+            b1, b2, bhess, bg, bres = _dual(d, trial, delta)
+            # Armijo on the dual value while its predicted decrease is above
+            # the rounding of g: on a flat stretch of the dual the residual
+            # norm can stall while g still falls.  Below that rounding only
+            # the residual norm can tell progress, and halvings that lower
+            # nothing mark the rounding floor of sum(a).
+            drop = float(grad @ (lam - trial))
+            if drop > _G_ROUND * (1.0 + abs(g)):
+                if bg <= g - 1e-4 * drop:
+                    break
+            elif np.linalg.norm(bres) <= (1.0 - 1e-4 * t) * norm:
                 break
+            else:
+                stalls += 1
             t *= 0.5
         else:
             break  # no trial lowers the residual: it is at the rounding floor of sum(a)
-        lam, a1, a2, hess, res = trial, b1, b2, bhess, bres
+        lam, a1, a2, hess, g, res = trial, b1, b2, bhess, bg, bres
         steps += 1
     rate = float(0.5 * (np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2))))
-    slack1 = delta1 - float(a1.sum())
-    slack2 = delta2 - float(a2.sum())
-    regime = "numerical"
-    if slack1 > 1e-9 * (1.0 + delta1) or slack2 > 1e-9 * (1.0 + delta2):
-        regime = "infeasible-region"
-    return JointRdfResult(rate=rate, alloc1=a1, alloc2=a2, regime=regime, iterations=steps)
+    slack = delta - [a1.sum(), a2.sum()]
+    regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"
+    return _certified(rate, a1, a2, lam, delta, regime, steps)
 
 
 def joint_rdf(d, delta1: float, delta2: float, force_numerical: bool = False) -> JointRdfResult:
@@ -410,11 +379,18 @@ def joint_rdf(d, delta1: float, delta2: float, force_numerical: bool = False) ->
     it the result is the optimum of the restricted program (errors
     independent across branches and diagonal per component), an upper
     bound on the Gaussian joint rate-distortion function, found by a
-    projected Newton solve of the two-multiplier dual.  ``regime`` records
-    which path produced the result; ``infeasible-region`` means a budget is
-    left slack because every component sits at its cap in the restricted
-    program, not that the pair is unreachable.  ``iterations`` counts the
-    Newton steps, 0 on the closed form.
+    projected Newton solve of the two-multiplier dual whose line search
+    backtracks on the dual value.  ``regime`` records which path produced
+    the result; ``infeasible-region`` means a budget is left slack because
+    every component sits at its cap in the restricted program, not that
+    the pair is unreachable.  ``iterations`` counts the Newton steps, 0 on
+    the closed form.
+
+    The result certifies itself: ``dual_gap`` is the rate minus the dual
+    bound ``0.5 (sum log(1 - d^2) - g)`` at ``multipliers``, which equals
+    ``0.5 lam . (delta - sum(alloc))``.  With ``budget_residual <= 0`` the
+    rate lies within ``dual_gap`` of the restricted optimum; the gap says
+    nothing about the distance to the Gaussian joint RDF.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if np.any(d < 0.0) or np.any(d >= 1.0):
@@ -422,19 +398,11 @@ def joint_rdf(d, delta1: float, delta2: float, force_numerical: bool = False) ->
     if delta1 <= 0.0 or delta2 <= 0.0:
         raise NonpositiveDistortion("both distortions must be positive")
     n = d.size
-    if n == 0:
-        return JointRdfResult(0.0, np.zeros(0), np.zeros(0), "closed-form-DW", 0)
-    if not force_numerical and in_dw(d, delta1, delta2):
-        rate = float(
-            0.5 * np.sum(np.log((1.0 - d * d) * n * n / (delta1 * delta2)))
-        )
-        return JointRdfResult(
-            rate=rate,
-            alloc1=np.full(n, delta1 / n),
-            alloc2=np.full(n, delta2 / n),
-            regime="closed-form-DW",
-            iterations=0,
-        )
+    if n == 0 or not force_numerical and in_dw(d, delta1, delta2):
+        delta = np.array([delta1, delta2], dtype=float)
+        rate = float(0.5 * np.sum(np.log((1.0 - d * d) * n * n / (delta1 * delta2))))
+        a1, a2 = np.full(n, delta1) / n, np.full(n, delta2) / n
+        return _certified(rate, a1, a2, n / delta, delta, "closed-form-DW", 0)
     return _joint_numerical(d, float(delta1), float(delta2))
 
 

@@ -168,10 +168,13 @@ def test_rdf_values_and_units(runner, cvf_file):
     res = runner.invoke(main, ["rdf", "joint", "--in", cvf_file, "--delta1", "1.2",
                                "--delta2", "0.3"])
     body = json.loads(res.stdout)
-    assert list(body) == ["rate", "alloc1", "alloc2", "regime", "iterations", "units"]
+    assert list(body) == ["rate", "alloc1", "alloc2", "regime", "iterations",
+                          "budget_residual", "dual_gap", "units"]
     assert body["regime"] == "numerical" and body["iterations"] > 0
-    assert math.isclose(body["rate"], gw.joint_rdf([0.8, 0.5, 0.1], 1.2, 0.3).rate,
-                        rel_tol=1e-12)
+    res = gw.joint_rdf([0.8, 0.5, 0.1], 1.2, 0.3)
+    assert math.isclose(body["rate"], res.rate, rel_tol=1e-12)
+    assert body["budget_residual"] == res.budget_residual <= 1e-12
+    assert body["dual_gap"] == res.dual_gap
 
     res = runner.invoke(main, ["rdf", "gray-bound", "--in", cvf_file,
                                "--delta1", "0.3", "--delta2", "0.3"])
@@ -194,6 +197,17 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     for row in rows:
         assert len(row) == 9
         assert row[0] + row[1] >= 1.0 - 1e-12
+    # the bytes are the library's CSV: every value at 17 significant digits
+    alphas = [(a1, a2) for a1 in (0.0, 0.5, 1.0) for a2 in (0.0, 0.5, 1.0) if a1 + a2 >= 1.0]
+    points = gw.region_sweep([0.8, 0.5, 0.1], 0.3, 0.3, alphas=alphas)
+    want = "\n".join([lines[0]] + [
+        ",".join("%.17g" % x for x in [p.alpha1, p.alpha2, p.objective, p.triple.r0,
+                                        p.triple.r1, p.triple.r2, *p.q])
+        for p in points
+    ]) + "\n"
+    assert open(out, "rb").read() == want.encode()
+    assert gw.region_csv(points) == want
+    assert lines[-1].startswith("1,1,6.2480634510635")
 
 
 def test_demo_random_roundtrip_and_determinism(runner):
@@ -212,6 +226,28 @@ def test_missing_input_file_exit_code(runner, tmp_path):
                                "--out", str(tmp_path / "x.json")])
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"] == "FileNotFoundError"
+
+
+def test_exit_code_table_is_stable():
+    from gwgauss.cli import EXIT_CODES, EXIT_FILE_NOT_FOUND, EXIT_OTHER
+
+    assert {cls.__name__: code for cls, code in EXIT_CODES.items()} == {
+        "AsymmetricMatrix": 4,
+        "NotPositiveDefinite": 5,
+        "DimensionMismatch": 6,
+        "InconsistentIndices": 7,
+        "SingularValueOutOfRange": 8,
+        "QWOutOfFamily": 9,
+        "SingularFactor": 10,
+        "NonpositiveDistortion": 11,
+        "QWNotDiagonal": 12,
+        "AllocationOutOfRange": 13,
+        "OutsideDW": 15,
+        "TooFewSamples": 16,
+        "MissingReconstruction": 17,
+    }
+    assert (EXIT_FILE_NOT_FOUND, EXIT_OTHER) == (3, 18)
+    assert not hasattr(gw, "InfeasibleRegion")  # 14 stays unassigned
 
 
 def test_error_exit_codes(runner, cvf_file, tmp_path):

@@ -62,19 +62,20 @@ def test_pangloss_outside_region_raises():
 
 
 def test_region_gate_reports_bound():
-    reg = gw.DWRegion.from_correlations(D3)
-    assert math.isclose(reg.bound, 0.6, rel_tol=1e-12)
-    assert reg.contains(0.6, 0.6)
-    assert not reg.contains(0.6, 0.601)
-    assert not reg.contains(-0.1, 0.1)
-    # one ulp-scale boundary rule, shared with in_dw
-    b = reg.bound
+    b = gw.dw_bound(D3)
+    assert math.isclose(b, 0.6, rel_tol=1e-12)
+    assert gw.in_dw(D3, 0.6, 0.6)
+    assert not gw.in_dw(D3, 0.6, 0.601)
+    assert not gw.in_dw(D3, -0.1, 0.1)
+    # one ulp-scale boundary rule, the same on either branch
     for x in (b, np.nextafter(b, 1.0), b + 4e-15, b * (1 + 1e-9)):
-        assert reg.contains(x, 0.5 * b) == gw.in_dw(D3, x, 0.5 * b)
-    assert reg.contains(np.nextafter(b, 1.0), b) and not reg.contains(b + 4e-15, b)
-    empty = gw.DWRegion.from_correlations([])
-    assert empty.bound == math.inf
-    assert empty.contains(1e300, 0.0) and not empty.contains(-1.0, 0.0)
+        assert gw.in_dw(D3, x, 0.5 * b) == gw.in_dw(D3, 0.5 * b, x)
+    assert gw.in_dw(D3, np.nextafter(b, 1.0), b) and not gw.in_dw(D3, b + 4e-15, b)
+    assert not gw.in_dw(D3, b * (1 + 1e-9), 0.5 * b)
+    # only n and d_max enter the bound
+    assert gw.dw_bound([0.8, 0.8, 0.8]) == b
+    assert gw.dw_bound([]) == math.inf
+    assert gw.in_dw([], 1e300, 0.0) and not gw.in_dw([], -1.0, 0.0)
 
 
 def test_region_sweep_alpha_filter_and_membership():
