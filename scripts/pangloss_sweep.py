@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Trace the weighted-rate surface T(alpha1, alpha2) over diagonal states.
+"""Trace the CI-family weighted rate T(alpha1, alpha2) over diagonal states.
 
 For each weight pair the sweep minimizes R0 + a1*R1 + a2*R2 over the
-diagonal conditional-independence family and reports the optimizing
-state.  Inside the equal-split region D_W, at unit weights the minimum
+conditional-independence family, which its diagonal states attain, and
+reports the optimizing state; T is an upper bound on the Gray-Wyner
+surface.  Inside the equal-split region D_W, at unit weights the minimum
 closes the joint-rate bound, so the last line printed there is a
 consistency check of the whole chain.
 """

@@ -344,14 +344,18 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
 @click.option("--out", required=True, help="output CSV")
 @_guarded
 def region_cmd(in_path, delta1, delta2, alpha_grid, out):
-    """Sweep the weighted-rate surface over diagonal states, write CSV."""
+    """Sweep the CI-family weighted rate min R0 + a1 R1 + a2 R2 (an upper
+    bound on the Gray-Wyner surface), one dual solve per weight pair, to CSV;
+    the summary adds the largest certified gap and the dual evaluations."""
     cf = _load_cvf(in_path)
     d = cf["d_array"]
     ticks = [i / (alpha_grid - 1) for i in range(alpha_grid)] if alpha_grid > 1 else [1.0]
     alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
     points = region_sweep(d, delta1, delta2, alphas=alphas)
     Path(out).write_text(region_csv(points))
-    click.echo(json.dumps({"points": len(points), "out": out}))
+    click.echo(json.dumps({"points": len(points), "out": out,
+                           "max_gap": max((p.gap for p in points), default=0.0),
+                           "iterations": sum(p.iterations for p in points)}))
 
 
 @main.command("demo-random")

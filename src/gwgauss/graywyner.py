@@ -9,15 +9,16 @@ equal-split distortion region the identity state closes that bound
 exactly, so the shared rate needed on the minimum-sum-rate surface equals
 the common information; :func:`pangloss_triple` returns that point.
 
-:func:`region_sweep` traces the weighted surface
-``T(alpha1, alpha2) = min_W [ R0 + alpha1 R1 + alpha2 R2 ]`` with W
-restricted to diagonal family states ``d_j <= q_j <= 1/d_j``.  For weights
-in [0, 1] the weighted rate is convex in ``log q`` jointly with the branch
-allocations, so each weight pair is one convex solve and the sweep returns
-the diagonal-family minimum, certified by a duality-gap bound.  The
-diagonal restriction keeps that minimum an upper bound on the unrestricted
-surface; it is exact at (1, 1) on the equal-split region, where it equals
-the joint rate.
+:func:`region_sweep` traces the CI-family weighted rate
+``T(alpha1, alpha2) = min_W [ R0 + alpha1 R1 + alpha2 R2 ]`` over the
+Gaussian states W that make Y1 and Y2 conditionally independent.  For
+weights in [0, 1] the weighted rate is convex in the state, and
+per-component sign flips map the family to itself, so the diagonal states
+``d_j <= q_j <= 1/d_j`` attain the minimum: T is exact over Gaussian CI
+states and an upper bound on the Gray-Wyner surface, which allows any W.
+Each weight pair is one solve of the dual over the two budget multipliers,
+and each point certifies itself by the dual bound.  At (1, 1) on the
+equal-split region T equals the joint rate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveDistortion, OutsideDW, QWOutOfFamily
-from .rdf import conditional_rdf, dw_bound, in_dw
+from .rdf import _NEWTON_STEPS, _dual_newton, conditional_rdf, dw_bound, in_dw
 from .wyner import common_information_terms, mi_given_state
 
 
@@ -45,16 +46,17 @@ class RateTriple:
 
 @dataclass(frozen=True, eq=False)
 class SweepPoint:
-    """One optimized point of the weighted-rate surface."""
+    """One point of the CI-family weighted rate, with its dual certificate."""
 
     alpha1: float
     alpha2: float
     objective: float
     triple: RateTriple
     q: np.ndarray
-    iterations: int  # Newton steps of the barrier solve
-    converged: bool  # the gap bound reached its tolerance within the step cap
-    gap: float  # barrier bound m/t on objective - (diagonal-family minimum)
+    iterations: int  # dual evaluations, >= 1 when n >= 1
+    converged: bool  # the dual solve stopped before its step cap
+    gap: float  # objective - dual bound + rounding allowance, >= objective - family minimum
+    multipliers: np.ndarray  # budget multipliers (mu1, mu2) of the dual bound
 
 
 def _check_region(d: np.ndarray, delta1: float, delta2: float) -> None:
@@ -100,135 +102,120 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
     )
 
 
-# Barrier schedule: each centring multiplies t by _BARRIER_GROWTH until the
-# duality-gap bound m/t falls below _GAP_TOL nats; a centring stops when
-# half the squared Newton decrement is below _CENTRE_TOL.
-_GAP_TOL = 1e-11
-_BARRIER_GROWTH = 16.0
-_CENTRE_TOL = 1e-12
-_MAX_NEWTON = 400
+# per-coordinate Newton steps on h'; bisection alone reaches rounding on
+# the bracket (log d, -log d) in under 60 halvings
+_INNER_STEPS = 80
+# gap rounding allowance, in eps per unit of |T| and of each 1 / v >= 1:
+# the sums behind T round like eps per term and each log v (v = 1 - d/q
+# or 1 - d q) like eps / v; raw gaps were seen down to -0.67 of that unit
+_GAP_ROUNDING = 4.0
+_EPS = np.finfo(float).eps
 
 
-def _barrier_min(d, delta, alpha):
+def _sweep_dual(d, delta, alpha):
     """Minimize ``R0 + alpha1 R1 + alpha2 R2`` over diagonal family states.
 
     With ``u = log q`` and the branch allocations ``x_ij`` as variables the
     weighted rate is, up to the constant ``0.5 sum log(1 - d^2)``, the
-    smooth jointly convex program
+    jointly convex program
 
         minimize  sum_j sum_i [ -(1 - alpha_i)/2 log v_ij(u_j) - alpha_i/2 log x_ij ]
         s.t.      x_ij <= v_ij(u_j),   sum_j x_ij <= delta_i,
 
-    with ``v_1 = 1 - d e^{-u}`` and ``v_2 = 1 - d e^{u}`` concave in u (the
-    inner minimum over x is the water-fill, so the program's value at u is
-    the weighted rate at ``q = e^u``).  A branch with zero weight drops its
-    allocations.  It is solved by the log-barrier method (Boyd &
-    Vandenberghe, Convex Optimization, ch. 11).  The Newton system is
-    block-arrowhead per coordinate plus one rank-one term per budget row,
-    solved in O(n) by the Schur complement and Woodbury.
+    with ``v_1 = 1 - d e^{-u}`` and ``v_2 = 1 - d e^{u}`` concave in u; a
+    branch with zero weight has no allocation.  Multipliers mu on the
+    budgets split the Lagrangian per coordinate: ``x_ij = min(v_ij, c_i)``
+    with ``c_i = alpha_i / (2 mu_i)``, and u_j minimizes
+    ``h_j(u) = sum_i phi_i(v_ij(u))``, convex and C^1 on (log d_j, -log d_j),
+    with ``phi_i' = -(1 - alpha_i) / (2 v)`` on an active branch (v > c_i)
+    and ``mu_i - 1 / (2 v)`` on a saturated one.  h' runs from -inf to +inf;
+    safeguarded Newton steps inside a bisection bracket find its root,
+    batched over coordinates and warm-started from the previous evaluation.
+    At unit weights h is flat where both branches are active, between
+    ``v_1 = c_1`` and ``v_2 = c_2``, and u nearest 0, the least R0, is taken.
+    The dual over mu >= 0 is solved by :func:`rdf._dual_newton`: its
+    gradient is ``delta - sum_j x_ij`` and its Hessian
+    ``diag(sum_active c_i / mu_i) + sum_j s s^T / h_j''``, with s the
+    saturated slopes ``dv_i/du``.
 
-    Returns ``(q, newton_steps, converged, gap)`` with ``gap = m/t`` the
-    barrier's bound on the distance of the returned objective from the
-    family minimum.
+    Returns ``(q, mu, bound, evals, converged)``: the state, the
+    multipliers, the dual bound on the objective, the dual evaluations and
+    whether the solve stopped before its step cap.
     """
-    n = d.size
     ld = np.log(d)
+    sgn = np.array([[1.0], [-1.0]])  # dv_i/du = sgn_i w_i, w_i = 1 - v_i
+    k = (1.0 - alpha)[:, None]
     on = alpha > 0.0
-    k = int(on.sum())
-    m = k * (n + 1)
-    flip = np.array([[-1.0], [1.0]])  # v = 1 - exp(log d + flip u), dv/du = -flip w
-    coef = 0.5 * (1.0 - alpha)[:, None]
-    half_a = 0.5 * alpha[on][:, None]
-    sign_on = -flip[on]
-    budget = delta[on]
-    unit_rows = np.repeat(np.eye(k)[:, :, None], n, axis=2)
+    unit = bool(np.all(alpha == 1.0))
+    const = 0.5 * float(np.sum(np.log1p(-d * d)))
+    u = np.zeros(d.size)
 
-    def state(u):
-        e = ld + flip * u
-        return np.exp(e), -np.expm1(e)  # w = d e^{-+u} = 1 - v, and v
+    def oracle(mu):
+        nonlocal u
+        m = mu[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(on, alpha / (2.0 * mu), 0.0)  # inf on a weighted branch with mu = 0
+            # -alpha/2 log c + mu c, the value of a weighted active piece
+            pinned = np.where(on & (mu > 0.0), 0.5 * alpha * (1.0 - np.log(c)), 0.0)[:, None]
+            if unit:
+                # both branches are active on [lo, hi], where h is flat:
+                # take the least R0
+                lo = np.where(c[0] < 1.0, ld - np.log1p(-c[0]), np.inf)
+                hi = np.where(c[1] < 1.0, np.log1p(-c[1]) - ld, -np.inf)
+                u = np.where(lo <= hi, np.clip(0.0, lo, hi), u)
+            c = c[:, None]
+            lo, hi = ld, -ld
+            for it in range(_INNER_STEPS):
+                e = ld - sgn * u
+                w, v = np.exp(e), -np.expm1(e)
+                iv = 0.5 / v
+                active = v > c
+                psi = np.where(active, -k * iv, m - iv)
+                pw = psi * w
+                grad = pw[0] - pw[1]
+                curv = (np.where(active, k, 1.0) * 2.0 * iv * iv * w * w - pw).sum(0)
+                lo = np.where(grad < 0.0, u, lo)
+                hi = np.where(grad > 0.0, u, hi)
+                nxt = u - grad / curv
+                nxt = np.where((curv > 0.0) & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+                # the size of the terms of h', for its rounding
+                size = (w * (iv + np.where(active, 0.0, m))).sum(0)
+                done = (abs(grad) <= 8.0 * _EPS * size) | (abs(nxt - u) <= 2.0 * _EPS * abs(u))
+                if done.all() or it == _INNER_STEPS - 1:
+                    break
+                u = np.where(done, u, nxt)
+            sat = ~active & on[:, None]
+            s = np.where(sat, sgn * w, 0.0) / np.sqrt(np.where(sat.any(0), curv, 1.0))
+            drift = np.where(on & (mu > 0.0), active.sum(1) * c[:, 0] / mu, 0.0)
+        value = np.where(active, pinned - 0.5 * k * np.log(v), m * v - 0.5 * np.log(v))
+        g = float(mu @ delta - value.sum())
+        r = 1.0 - np.where(active, c, v).sum(1) / delta
+        hess = np.diag(drift) + s @ s.T
+        return hess, g, np.where(mu > 0.0, r, np.minimum(r, 0.0)), (u, g)
 
-    u = np.zeros(n)
-    w, v = state(u)
-    x = 0.5 * np.minimum(v[on], (budget / n)[:, None])
-    # the slacks are carried, not recomputed as v - x, so that they keep
-    # their relative precision once they shrink like 1/t
-    s = v[on] - x
-    r = budget - x.sum(1)
-    t = 1.0
-    steps = 0
-    while True:
-        while True:
-            wv = coef * w / v
-            ws = w[on] / s
-            g_u = t * (flip * wv).sum(0) - (sign_on * ws).sum(0)
-            g_x = (1.0 / s - t * half_a / x) + (1.0 / r)[:, None]
-            # per coordinate the Hessian is an arrowhead (u couples to each
-            # x_i, the x_i do not couple); eliminate u by its Schur complement
-            a = t * half_a / (x * x)
-            h_xx = a + 1.0 / (s * s)
-            h_ux = -sign_on * ws / s
-            schur = t * (wv / v).sum(0) + (ws + ws * ws * a * s * s / (1.0 + a * s * s)).sum(0)
-            ratio = h_ux / h_xx
-
-            def arrow_solve(b_u, b_x):
-                du = (b_u - (ratio * b_x).sum(-2)) / schur
-                return du, b_x / h_xx - ratio * du[..., None, :]
-
-            du, dx = arrow_solve(-g_u, -g_x)
-            if k:
-                # Woodbury over the budget rows, each adding (1/r_i^2) 1 1^T
-                zu, zx = arrow_solve(0.0, unit_rows)
-                c = np.linalg.solve(np.diag(r * r) + zx.sum(2).T, dx.sum(1))
-                du = du - c @ zu
-                dx = dx - (c[:, None, None] * zx).sum(0)
-            dec = -(g_u @ du + (g_x * dx).sum())
-            if 0.5 * dec <= _CENTRE_TOL or steps >= _MAX_NEWTON:
-                break
-            # backtracking on the change of the barrier function, summed
-            # from relative changes so it stays exact while the function
-            # itself grows like t
-            step = 1.0
-            for _ in range(64):
-                dv = -w * np.expm1(flip * (step * du))
-                ddx = step * dx
-                ds = dv[on] - ddx
-                dr = -ddx.sum(1)
-                rv, rx, rs, rr = dv / v, ddx / x, ds / s, dr / r
-                if min(rv.min(), rx.min(initial=0.0), rs.min(initial=0.0), rr.min(initial=0.0)) > -1.0:
-                    change = -t * ((coef * np.log1p(rv)).sum() + (half_a * np.log1p(rx)).sum())
-                    change -= np.log1p(rs).sum() + np.log1p(rr).sum()
-                    if change <= -0.25 * step * dec:
-                        break
-                step *= 0.5
-            else:
-                return np.exp(u), steps, False, m / t
-            u = u + step * du
-            x, s, r = x + ddx, s + ds, r + dr
-            w, v = state(u)
-            steps += 1
-        if steps >= _MAX_NEWTON:
-            return np.exp(u), steps, False, m / t
-        if m / t <= _GAP_TOL:
-            return np.exp(u), steps, True, m / t
-        t *= _BARRIER_GROWTH
+    start = alpha * d.size / (2.0 * delta)  # q = 1 with the equal split
+    mu, (u_opt, g), steps, evals = _dual_newton(oracle, delta, start)
+    return np.exp(u_opt), mu, const - g, evals, steps < _NEWTON_STEPS
 
 
-def region_sweep(
-    d,
-    delta1: float,
-    delta2: float,
-    alphas=None,
-) -> list[SweepPoint]:
-    """Minimize the weighted rate over diagonal states per weight pair.
+def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoint]:
+    """The CI-family weighted rate T per weight pair, with its certificate.
 
     ``alphas`` defaults to the 11 x 11 grid over [0, 1]^2 restricted to
     ``alpha1 + alpha2 >= 1``; every weight must lie in [0, 1], where the
-    weighted rate is convex in ``log q``.  Each pair is one convex solve
-    (see :func:`_barrier_min`), so the point returned is the minimum over
-    the diagonal family up to the reported ``gap``; the diagonal
-    restriction makes it an upper bound on the unrestricted surface.  The
-    triple is evaluated at the returned state by :func:`mi_given_state`
-    and :func:`conditional_rdf`, and the objective is built from it.
+    weighted rate is convex in ``log q``.  Each pair is solved by its
+    two-multiplier dual (:func:`_sweep_dual`); the triple is evaluated at
+    the returned state by :func:`mi_given_state` and :func:`conditional_rdf`,
+    and the objective is built from it.  ``gap`` is the objective minus the
+    dual bound at ``multipliers``, plus an allowance for the rounding of
+    both, so it is a positive upper bound on the objective minus the family
+    minimum.  ``iterations`` counts the dual evaluations.
+
+    Where the minimum is not unique the state of least R0 is returned.  At
+    unit weights T is flat in ``q_j`` wherever both branch allocations of
+    component j sit below their variances, and the ``q_j`` nearest 1 on
+    that stretch is taken.  On the equal-split region that is the identity
+    state, whose R0 is the common information.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if np.any(d <= 0.0) or np.any(d >= 1.0):
@@ -246,9 +233,9 @@ def region_sweep(
         if np.any(alpha < 0.0) or np.any(alpha > 1.0):
             raise ValueError(f"weights must lie in [0, 1], got ({a1}, {a2})")
         if d.size:
-            q, steps, converged, gap = _barrier_min(d, delta, alpha)
+            q, mu, bound, evals, converged = _sweep_dual(d, delta, alpha)
         else:
-            q, steps, converged, gap = np.zeros(0), 0, True, 0.0
+            q, mu, bound, evals, converged = np.zeros(0), np.zeros(2), 0.0, 0, True
         triple = RateTriple(
             r0=mi_given_state(d, q),
             r1=conditional_rdf(d, q, 1, delta1).rate,
@@ -257,18 +244,11 @@ def region_sweep(
             delta2=float(delta2),
             tag="sweep-point",
         )
-        points.append(
-            SweepPoint(
-                alpha1=a1,
-                alpha2=a2,
-                objective=triple.r0 + a1 * triple.r1 + a2 * triple.r2,
-                triple=triple,
-                q=q,
-                iterations=steps,
-                converged=converged,
-                gap=gap,
-            )
-        )
+        objective = triple.r0 + a1 * triple.r1 + a2 * triple.r2
+        spread = abs(objective) + np.sum(1.0 / (1.0 - d / q)) + np.sum(1.0 / (1.0 - d * q))
+        gap = float(objective - bound + _GAP_ROUNDING * _EPS * spread)
+        points.append(SweepPoint(alpha1=a1, alpha2=a2, objective=objective, triple=triple, q=q,
+                                 iterations=evals, converged=converged, gap=gap, multipliers=mu))
     return points
 
 

@@ -299,14 +299,14 @@ _G_ROUND = 1e-10
 
 
 def _dual(d: np.ndarray, lam: np.ndarray, delta: np.ndarray):
-    """Allocation, Hessian and value g = sum(log(a1 a2)) + lam . (delta - sum(a))
-    of the dual at lam, and the relative budget residuals, where a slack
-    budget whose multiplier is 0 counts as met."""
+    """Hessian and value g = sum(log(a1 a2)) + lam . (delta - sum(a)) of the
+    dual at lam, the relative budget residuals, where a slack budget whose
+    multiplier is 0 counts as met, and the allocation."""
     a1, a2, hess = _lagrangian_alloc(d, *lam)
     slack = delta - [a1.sum(), a2.sum()]
     g = float(np.sum(np.log(a1 * a2)) + lam @ slack)
     r = slack / delta
-    return a1, a2, hess, g, np.where(lam > 0.0, r, np.minimum(r, 0.0))
+    return hess, g, np.where(lam > 0.0, r, np.minimum(r, 0.0)), (a1, a2)
 
 
 def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
@@ -315,23 +315,28 @@ def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
     return JointRdfResult(rate, a1, a2, regime, iterations, lam, residual, gap)
 
 
-def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
-    # damped Newton on the convex dual g over lam >= 0 (Boyd & Vandenberghe,
-    # Convex Optimization, 9.5 and 10.2): the gradient is the budget
-    # residual delta - sum(a), the Hessian comes with the allocation.  Inside
-    # D_W the start n / delta is already the equal-split solution.
-    delta = np.array([delta1, delta2])
-    start = lam = d.size / delta
-    a1, a2, hess, g, res = _dual(d, lam, delta)
-    steps = 0
+def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
+    """Minimize a convex dual over its two budget multipliers by damped
+    Newton steps projected onto lam >= 0 (Boyd & Vandenberghe, Convex
+    Optimization, 9.5 and 10.2).
+
+    ``oracle(lam)`` returns the dual's Hessian and value, the relative
+    budget residuals ``res`` (a slack budget whose multiplier is 0 counts as
+    met; the gradient is ``res * delta``) and the primal state at lam.
+    Returns the last accepted lam and state, the Newton steps taken and the
+    oracle calls made.
+    """
+    lam = start
+    hess, g, res, state = oracle(lam)
+    steps, evals = 0, 1
     while steps < _NEWTON_STEPS and np.abs(res).max() > _BUDGET_RTOL:
         # a zero multiplier whose budget is slack stays at 0
         move = (lam > 0.0) | (res < 0.0)
         ridge = 1e-14 * np.trace(hess)
         if ridge == 0.0:
-            break  # every component has d = 0 and a = 1: no multiplier moves a
-        # cap-coupled components can leave hess near-singular along a
-        # valley of the dual; the ridge keeps the step finite there
+            break  # no multiplier moves the budget sums
+        # a near-singular Hessian along a valley of the dual would make the
+        # step infinite; the ridge keeps it finite there
         h = hess[np.ix_(move, move)] + ridge * np.eye(np.count_nonzero(move))
         grad = res * delta
         step = np.zeros(2)
@@ -346,12 +351,13 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
         stalls = 0
         while stalls <= _HALVINGS:
             trial = np.where((step > 0.0) & (t >= reach), 0.0, np.maximum(lam - t * step, 0.0))
-            b1, b2, bhess, bg, bres = _dual(d, trial, delta)
+            bhess, bg, bres, bstate = oracle(trial)
+            evals += 1
             # Armijo on the dual value while its predicted decrease is above
             # the rounding of g: on a flat stretch of the dual the residual
             # norm can stall while g still falls.  Below that rounding only
             # the residual norm can tell progress, and halvings that lower
-            # nothing mark the rounding floor of sum(a).
+            # nothing mark the rounding floor of the budget sums.
             drop = float(grad @ (lam - trial))
             if drop > _G_ROUND * (1.0 + abs(g)):
                 if bg <= g - 1e-4 * drop:
@@ -362,9 +368,18 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
                 stalls += 1
             t *= 0.5
         else:
-            break  # no trial lowers the residual: it is at the rounding floor of sum(a)
-        lam, a1, a2, hess, g, res = trial, b1, b2, bhess, bg, bres
+            break  # no trial lowers the residual: it is at the rounding floor
+        lam, hess, g, res, state = trial, bhess, bg, bres, bstate
         steps += 1
+    return lam, state, steps, evals
+
+
+def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
+    # inside D_W the start n / delta is already the equal-split solution
+    delta = np.array([delta1, delta2])
+    lam, (a1, a2), steps, _ = _dual_newton(
+        lambda lam: _dual(d, lam, delta), delta, d.size / delta
+    )
     rate = float(0.5 * (np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2))))
     slack = delta - [a1.sum(), a2.sum()]
     regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"

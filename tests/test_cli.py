@@ -193,7 +193,9 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "alpha1,alpha2,T,R0,R1,R2,q_1,q_2,q_3"
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
-    assert len(rows) == json.loads(res.stdout)["points"]
+    summary = json.loads(res.stdout)
+    assert list(summary) == ["points", "out", "max_gap", "iterations"]
+    assert len(rows) == summary["points"] and summary["out"] == out
     for row in rows:
         assert len(row) == 9
         assert row[0] + row[1] >= 1.0 - 1e-12
@@ -208,6 +210,11 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     assert open(out, "rb").read() == want.encode()
     assert gw.region_csv(points) == want
     assert lines[-1].startswith("1,1,6.2480634510635")
+    # the summary certifies the sweep: the largest gap and the total dual
+    # evaluations of the points written
+    assert summary["max_gap"] == max(p.gap for p in points)
+    assert 0.0 < summary["max_gap"] <= 1e-10
+    assert summary["iterations"] == sum(p.iterations for p in points) >= len(points)
 
 
 def test_demo_random_roundtrip_and_determinism(runner):

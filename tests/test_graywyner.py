@@ -92,15 +92,15 @@ def test_region_sweep_equal_weights_closes_sum_rate_bound():
     (pt,) = pts
     joint = gw.joint_rdf(D3, 0.3, 0.3).rate
     # at unit weights the whole optimal state family attains the same sum,
-    # so the minimum is a plateau: the sweep must reach the joint rate,
-    # but which family member it reports is tie-broken by rounding
-    assert abs(pt.objective - joint) < 1e-6
+    # so the minimum is a plateau: the sweep must reach the joint rate and
+    # report the member of least shared rate, the identity state, whose
+    # R0 is the common information
+    assert abs(pt.objective - joint) < 1e-12
     assert abs(pt.triple.r0 + pt.triple.r1 + pt.triple.r2 - pt.objective) < 1e-12
     assert gw.in_state_family(np.diag(pt.q), D3)
-    # along the plateau the shared rate trades against the private rates
-    # and is floored by the common information, attained at the identity
+    assert np.all(pt.q == 1.0)
     c = gw.lossy_common_information(D3, 0.3, 0.3)
-    assert pt.triple.r0 >= c - 1e-9
+    assert abs(pt.triple.r0 - c) < 1e-12
     ident = gw.pangloss_triple(D3, 0.3, 0.3)
     assert abs(ident.r0 + ident.r1 + ident.r2 - joint) < 1e-10
 
@@ -244,3 +244,86 @@ def test_region_sweep_certificates():
     (unit,) = [p for p in pts if (p.alpha1, p.alpha2) == (1.0, 1.0)]
     joint = gw.joint_rdf(D3, 0.3, 0.3).rate
     assert unit.objective - joint <= unit.gap + 1e-12
+
+
+def _lagrangian_inf(d, delta, alpha, mu):
+    """Dual bound ``0.5 sum log(1 - d^2) + inf L - mu . delta`` at ``mu``, by
+    brute force and independent of graywyner.
+
+    Per component L is ``sum_i [-(1 - a_i)/2 log v_i - a_i/2 log x_i + mu_i x_i]``
+    over u in (log d, -log d) and 0 < x_i <= v_i(u), with
+    ``v_1 = 1 - d e^{-u}``, ``v_2 = 1 - d e^u``; a branch of zero weight has
+    no x.  Both x_i are gridded as ``v_i t`` with t log-spaced in (0, 1], u
+    linearly, and each grid is refined around its best point.
+    """
+    total = 0.5 * float(np.sum(np.log1p(-d * d))) - float(mu @ delta)
+    for dj in d:
+        lo, hi = math.log(dj), -math.log(dj)
+        u = np.linspace(lo, hi, 403)[1:-1]
+        for _ in range(8):
+            v = np.stack([1.0 - dj * np.exp(-u), 1.0 - dj * np.exp(u)])  # (2, U)
+            value = np.zeros(u.size)
+            for i in range(2):
+                value -= 0.5 * (1.0 - alpha[i]) * np.log(v[i])
+                if alpha[i] == 0.0:
+                    continue
+                s = np.broadcast_to(np.linspace(-40.0, 0.0, 401), (u.size, 401))
+                for _ in range(8):
+                    x = v[i][:, None] * np.exp(s)
+                    f = -0.5 * alpha[i] * np.log(x) + mu[i] * x
+                    k = np.argmin(f, axis=1)
+                    rows = np.arange(u.size)
+                    best = f[rows, k]
+                    s = np.linspace(s[rows, np.maximum(k - 1, 0)], s[rows, np.minimum(k + 1, 400)],
+                                    401, axis=1)
+                value += best
+            k = int(np.argmin(value))
+            least = float(value[k])
+            grid = np.linspace(max(lo, u[k] - (u[1] - u[0])), min(hi, u[k] + (u[1] - u[0])), 41)
+            u = grid[(grid > lo) & (grid < hi)]
+        total += least
+    return total
+
+
+SWEEP_DUAL_CASES = [
+    (D3, 0.3, 0.3, (0.5, 1.0)),
+    (D3, 0.3, 0.3, (1.0, 0.0)),
+    (D3, 1.2, 0.3, (0.7, 0.6)),
+    (np.array([0.75, 0.75]), 0.3, 0.2, (1.0, 0.0)),
+    (np.array([0.9, 0.2]), 0.05, 1.4, (1.0, 1.0)),
+    (np.array([0.6]), 0.1, 0.5, (0.3, 0.9)),
+    (np.array([0.999, 1e-3]), 0.4, 0.01, (0.0, 1.0)),
+    (np.array([0.5, 0.4]), 2.5, 0.3, (1.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("case", SWEEP_DUAL_CASES, ids=lambda case: f"{case[0]}-{case[3]}")
+def test_region_sweep_certificates_match_a_brute_force_dual(case):
+    d, delta1, delta2, alpha = case
+    (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[alpha])
+    assert pt.multipliers.shape == (2,) and np.all(pt.multipliers >= 0.0)
+    assert pt.converged and 0.0 < pt.gap <= 1e-10 and pt.iterations >= 1
+    # the grid bound lies above the dual's infimum and near it; the gap the
+    # point reports covers the objective's distance to it (the bound is not
+    # above the infimum beyond rounding) and is not vacuous
+    bound = _lagrangian_inf(d, np.array([delta1, delta2]), alpha, pt.multipliers)
+    assert pt.objective - bound <= pt.gap
+    assert pt.gap - (pt.objective - bound) <= 1e-11 * (1.0 + abs(pt.objective))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", CORNERS + [(0.5, 1.0)])
+def test_region_sweep_slack_budget(n, alpha):
+    # a budget of n or more covers every branch variance, so its multiplier
+    # projects to 0 and its branch rate is 0 at any state
+    d = np.array([0.7, 0.3][:n])
+    for delta1, delta2 in ((float(n), 0.1), (0.15, 1.5 * n), (1.5 * n, float(n))):
+        (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[alpha])
+        for i, delta in enumerate((delta1, delta2)):
+            if delta >= n:
+                assert pt.multipliers[i] == 0.0
+                assert (pt.triple.r1, pt.triple.r2)[i] == 0.0
+        # the grid brackets the minimum with the certified bound
+        t_grid = _grid_min(d, delta1, delta2, *alpha)
+        assert pt.objective <= t_grid + 1e-9 * (1.0 + abs(t_grid)), (delta1, delta2)
+        assert pt.objective - pt.gap <= t_grid, (delta1, delta2)
