@@ -276,6 +276,8 @@ def simulate_cmd(real_path, n_samples, seed, report_path):
         "mi_plugin": rep.mi_plugin,
         "distortion_errs": rep.distortion_errs,
         "seed": seed,
+        "cov_err_sigmas": rep.cov_err_sigmas,
+        "ci_residual_sigmas": rep.ci_residual_sigmas,
     }
     Path(report_path).write_text(json.dumps(body))
     click.echo(json.dumps(body))

@@ -5,11 +5,17 @@ drawn rows are compared with the analytic target, the conditional
 independence of the two branches given the state is measured through the
 plug-in residual ``Q12 - Q1W QW^{-1} QW2``, and the plug-in mutual
 information of the empirical pair covariance gives a consistency estimate
-whose error shrinks like N^{-1/2}.
+whose error shrinks like N^{-1/2}.  Both errors are also reported in
+units of their own standard deviation at N rows.
+
+Blocks from :func:`gwgauss.sample` are component-major: Y1, Y2 and W are
+consecutive (p, N) rows of one buffer, and the empirical covariance is one
+product of those rows with their transpose.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +33,31 @@ class ValidationReport:
     cov_rel_err: float
     ci_residual: float
     mi_plugin: float
+    cov_err_sigmas: float
+    ci_residual_sigmas: float
     distortion_errs: tuple[float, float] | None = None
 
 
-def _empirical_cov(x: np.ndarray) -> np.ndarray:
-    # sources are zero mean by construction, so use raw second moments
-    return symmetrize(x.T @ x / x.shape[0])
+def moment_variance(target: np.ndarray, n: int) -> np.ndarray:
+    """Variance of each entry of the raw second-moment matrix of ``n``
+    zero-mean Gaussian rows with covariance ``target``:
+    ``(T_ii T_jj + T_ij^2) / n``."""
+    diag = np.diag(target)
+    return (np.outer(diag, diag) + target * target) / n
+
+
+def _component_rows(samples: SampleBlock, widths: list[int]) -> np.ndarray:
+    """The (p1 + p2 + nw, N) rows of Y1, Y2 and W: the sampler's buffer
+    when the fields are its consecutive rows, else a stacked copy."""
+    fields = [samples.y1, samples.y2, samples.w][: len(widths)]
+    x = fields[0].base
+    edges = np.cumsum([0, *widths])
+    if isinstance(x, np.ndarray) and x.shape[0] == edges[-1] and all(
+        f.__array_interface__ == x[a:b].T.__array_interface__
+        for f, a, b in zip(fields, edges, edges[1:])
+    ):
+        return x
+    return np.vstack([f.T for f in fields])
 
 
 def validate_realization(
@@ -59,11 +84,14 @@ def validate_realization(
         raise DimensionMismatch(
             f"target has shape {t.shape}, samples imply {(p1 + p2 + nw,) * 2}"
         )
-    blocks = [samples.y1, samples.y2] + ([samples.w] if nw else [])
-    emp = _empirical_cov(np.hstack(blocks))
+    x = _component_rows(samples, [p1, p2] + ([nw] if nw else []))
+    # sources are zero mean by construction, so use raw second moments
+    emp = symmetrize(x @ x.T / x.shape[1])
     diff = float(np.linalg.norm(emp - t))
     denom = float(np.linalg.norm(t))
     cov_rel_err = diff / denom if denom > 0.0 else diff
+    # cov_rel_err has standard deviation sqrt(var_sum) / ||T||_F
+    var_sum = float(np.sum(moment_variance(t, n)))
 
     e12 = emp[:p1, p1 : p1 + p2]
     if nw:
@@ -86,6 +114,8 @@ def validate_realization(
         cov_rel_err=cov_rel_err,
         ci_residual=ci_residual,
         mi_plugin=mi_plugin,
+        cov_err_sigmas=cov_rel_err * denom / math.sqrt(var_sum) if var_sum > 0.0 else math.inf,
+        ci_residual_sigmas=ci_residual * math.sqrt(n),
         distortion_errs=errs,
     )
 
@@ -101,7 +131,8 @@ def validate_distortion(
         raise MissingReconstruction("sample block carries no reconstructions")
 
     def _err(y, yhat, target):
-        mse = float(np.mean(np.sum((y - yhat) ** 2, axis=1)))
+        # summed over the component rows of the (p, N) transposes
+        mse = float(np.mean(np.sum((y.T - yhat.T) ** 2, axis=0)))
         return abs(mse - target) / target if target > 0.0 else mse
 
     return (

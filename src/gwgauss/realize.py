@@ -13,8 +13,25 @@ their own.  The test channel attaches reconstruction noise so that each
 branch meets a per-component distortion allocation while the source stays
 conditionally centered on its reconstruction.
 
-Sampling uses one master seed with a fixed stream offset per component, so
-adding draws of one component never perturbs the others.
+Sampling derives one random stream per role from the master seed, by
+``SeedSequence(seed, spawn_key=(i,))`` with i the role's index in
+``_STREAMS``, and draws each as an (N, p) standard normal matrix, one row
+per sample.  The rows are therefore prefix-stable in N, and no role's draws
+depend on the dimensions of another.  With ``G(0, Q) = G Q^{1/2}`` for the
+symmetric square root:
+
+- a family realization draws W, Z1 and Z2 from ``w``, ``z1`` and ``z2``;
+- the optimal state draws the identical coordinates from ``w``,
+  ``Y12 = G1`` from ``z1``, ``Y22 = d G1 + sqrt(1 - d^2) G2`` with G2 from
+  ``z2``, V from ``v`` and the private parts of Y1 and Y2 from ``p1`` and
+  ``p2``; then ``Z_i2 = Y_i2 - sqrt(d) W2`` and the private parts are their
+  own noise;
+- a test channel reuses its family draws and adds V1, V2 from ``v1``,
+  ``v2``.
+
+Blocks are built component-major: Y1, Y2 and W are consecutive (p, N) rows
+of one buffer, and every field of a :class:`SampleBlock` is the transpose
+of such rows, a Fortran-ordered (N, p) view.
 """
 
 from __future__ import annotations
@@ -245,27 +262,28 @@ def test_channel(d, q, alloc1, alloc2) -> TestChannel:
     )
 
 
-def _draw(rng: np.random.Generator, n: int, cov: np.ndarray) -> np.ndarray:
-    if cov.shape[0] == 0:
-        return np.zeros((n, 0))
-    return rng.standard_normal((n, cov.shape[0])) @ sqrt_psd(cov).T
+def _draw(rng: np.random.Generator, cov: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (k, N) rows ``out`` with G(0, cov) draws.
+
+    The normals are drawn as an (N, k) matrix, so sample r takes draws
+    r k .. r k + k - 1 and the first rows of a longer draw are the same.
+    """
+    np.matmul(sqrt_psd(cov), rng.standard_normal(out.shape[::-1]).T, out=out)
+    return out
 
 
 def sample(obj, n_samples: int, seed: int) -> SampleBlock:
-    """Draw ``n_samples`` rows from a realization, state, or test channel."""
+    """Draw ``n_samples`` rows from a realization, state, or test channel.
+
+    Every field of the block is the transpose of component-major (p, N)
+    rows, and Y1, Y2 and W are consecutive rows of one buffer.
+    """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise DimensionMismatch("need at least one sample")
     if isinstance(obj, CIRealization):
-        w = _draw(_rng(seed, "w"), n_samples, obj.qw)
-        z1 = _draw(_rng(seed, "z1"), n_samples, obj.qz1)
-        z2 = _draw(_rng(seed, "z2"), n_samples, obj.qz2)
-        return SampleBlock(
-            n_samples=n_samples,
-            y1=w @ obj.c1.T + z1,
-            y2=w @ obj.c2.T + z2,
-            w=w, z1=z1, z2=z2,
-        )
+        x, z1, z2 = _family_rows(obj, n_samples, seed)
+        return _block(x, obj.c1.shape[0], obj.c2.shape[0], z1=z1, z2=z2)
     if isinstance(obj, OptimalState):
         return _sample_optimal(obj, n_samples, seed)
     if isinstance(obj, TestChannel):
@@ -273,43 +291,87 @@ def sample(obj, n_samples: int, seed: int) -> SampleBlock:
     raise TypeError(f"cannot sample object of type {type(obj).__name__}")
 
 
-def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
-    idx, d = st.idx, st.d
-    rd = np.sqrt(d)
-    w1 = _rng(seed, "w").standard_normal((n_samples, idx.p11))
-    g1 = _rng(seed, "z1").standard_normal((n_samples, d.size))
-    g2 = _rng(seed, "z2").standard_normal((n_samples, d.size))
-    v = _rng(seed, "v").standard_normal((n_samples, d.size))
-    y12 = g1
-    y22 = g1 * d + g2 * np.sqrt(1.0 - d * d)
-    w2 = y12 * st.l1 + y22 * st.l2 + v * st.l3
-    z12 = y12 - w2 * rd
-    z22 = y22 - w2 * rd
-    y13 = _rng(seed, "p1").standard_normal((n_samples, idx.p13))
-    y23 = _rng(seed, "p2").standard_normal((n_samples, idx.p23))
-    zero1 = np.zeros((n_samples, idx.p11))
+def _block(x: np.ndarray, p1: int, p2: int, **rows) -> SampleBlock:
+    """A block over the (Y1; Y2; W) buffer ``x`` and further (p, N) rows."""
     return SampleBlock(
-        n_samples=n_samples,
-        y1=np.hstack([w1, y12, y13]),
-        y2=np.hstack([w1, y22, y23]),
-        w=np.hstack([w1, w2]),
-        z1=np.hstack([zero1, z12, y13]),
-        z2=np.hstack([zero1, z22, y23]),
-        v=v,
+        n_samples=x.shape[1],
+        y1=x[:p1].T,
+        y2=x[p1 : p1 + p2].T,
+        w=x[p1 + p2 :].T,
+        **{k: v.T for k, v in rows.items()},
     )
+
+
+def _family_rows(real: CIRealization, n_samples: int, seed: int):
+    """The (Y1; Y2; W) buffer of a family realization, and Z1, Z2."""
+    p1, p2 = real.c1.shape[0], real.c2.shape[0]
+    x = np.empty((p1 + p2 + real.n, n_samples))
+    w = _draw(_rng(seed, "w"), real.qw, x[p1 + p2 :])
+    z1 = _draw(_rng(seed, "z1"), real.qz1, np.empty((p1, n_samples)))
+    z2 = _draw(_rng(seed, "z2"), real.qz2, np.empty((p2, n_samples)))
+    for y, c, z in ((x[:p1], real.c1, z1), (x[p1 : p1 + p2], real.c2, z2)):
+        np.matmul(c, w, out=y)
+        y += z
+    return x, z1, z2
+
+
+def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
+    idx = st.idx
+    p11, n, p1, p2 = idx.p11, st.d.size, idx.p1, idx.p2
+    d, rd = st.d[:, None], np.sqrt(st.d)[:, None]
+    x = np.empty((p1 + p2 + p11 + n, n_samples))
+    z = np.zeros((p1 + p2, n_samples))  # Z of the identical parts is 0
+    v = np.empty((n, n_samples))
+    # row blocks y_ij, z_ij of branch i; part j is identical (1),
+    # correlated (2) or private (3); W = (W1; W2)
+    y11, y12, y13 = x[:p11], x[p11 : p11 + n], x[p11 + n : p1]
+    y21, y22, y23 = x[p1 : p1 + p11], x[p1 + p11 : p1 + p11 + n], x[p1 + p11 + n : p1 + p2]
+    w1, w2 = x[p1 + p2 : p1 + p2 + p11], x[p1 + p2 + p11 :]
+    z12, z13 = z[p11 : p11 + n], z[p11 + n : p1]
+    z22, z23 = z[p1 + p11 : p1 + p11 + n], z[p1 + p11 + n :]
+
+    def normals(stream, out):
+        out[:] = _rng(seed, stream).standard_normal(out.shape[::-1]).T
+
+    normals("w", w1)
+    y11[:] = y21[:] = w1
+    normals("z1", y12)
+    normals("z2", z22)
+    normals("v", v)
+    # Y22 = d Y12 + sqrt(1 - d^2) G2, the Z rows serving as scratch
+    z22 *= np.sqrt(1.0 - d * d)
+    np.multiply(y12, d, out=y22)
+    y22 += z22
+    # W2 = L1 Y12 + L2 Y22 + L3 V
+    np.multiply(y12, st.l1[:, None], out=w2)
+    w2 += np.multiply(y22, st.l2[:, None], out=z12)
+    w2 += np.multiply(v, st.l3[:, None], out=z12)
+    # Z = Y - sqrt(d) W2
+    np.multiply(w2, rd, out=z22)
+    np.subtract(y12, z22, out=z12)
+    np.subtract(y22, z22, out=z22)
+    normals("p1", y13)
+    normals("p2", y23)
+    z13[:] = y13
+    z23[:] = y23
+    return _block(x, p1, p2, z1=z[:p1], z2=z[p1:], v=v)
 
 
 def _sample_channel(ch: TestChannel, n_samples: int, seed: int) -> SampleBlock:
     real = family_realization(ch.d, ch.qw)
-    base = sample(real, n_samples, seed)
-    v1 = _draw(_rng(seed, "v1"), n_samples, ch.qv1)
-    v2 = _draw(_rng(seed, "v2"), n_samples, ch.qv2)
-    return SampleBlock(
-        n_samples=n_samples,
-        y1=base.y1,
-        y2=base.y2,
-        w=base.w, z1=base.z1, z2=base.z2,
-        v=np.hstack([v1, v2]),
-        yhat1=base.w @ real.c1.T + base.z1 @ ch.a1.T + v1,
-        yhat2=base.w @ real.c2.T + base.z2 @ ch.a2.T + v2,
-    )
+    x, z1, z2 = _family_rows(real, n_samples, seed)
+    n = ch.d.size
+    w = x[2 * n :]
+    v = np.empty((2 * n, n_samples))
+    yhat = []
+    for c, a, z, qv, vi, stream in (
+        (real.c1, ch.a1, z1, ch.qv1, v[:n], "v1"),
+        (real.c2, ch.a2, z2, ch.qv2, v[n:], "v2"),
+    ):
+        # Yhat_i = C_i W + A_i Z_i + V_i
+        _draw(_rng(seed, stream), qv, vi)
+        yh = c @ w
+        yh += a @ z
+        yh += vi
+        yhat.append(yh)
+    return _block(x, n, n, z1=z1, z2=z2, v=v, yhat1=yhat[0], yhat2=yhat[1])

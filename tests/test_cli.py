@@ -128,8 +128,13 @@ def test_realize_and_simulate_identity_state(runner, cvf_file, tmp_path):
         assert res.exit_code == 0, res.output
     assert open(rep1, "rb").read() == open(rep2, "rb").read()
     body = json.loads(open(rep1).read())
+    assert list(body) == ["n_samples", "cov_rel_err", "ci_residual", "mi_plugin",
+                          "distortion_errs", "seed", "cov_err_sigmas", "ci_residual_sigmas"]
+    assert json.loads(res.stdout) == body
     assert body["n_samples"] == 5000
     assert body["cov_rel_err"] < 0.1
+    assert math.isclose(body["ci_residual_sigmas"], body["ci_residual"] * math.sqrt(5000),
+                        rel_tol=1e-12)
 
 
 def test_realize_and_simulate_family_state(runner, cvf_file, tmp_path):

@@ -85,3 +85,35 @@ def test_plugin_mi_tracks_truth_without_state():
     rep = gw.validate_realization(blk, target)
     assert abs(rep.mi_plugin - 0.14384103622589046) < 0.02
     assert rep.cov_rel_err < 0.05
+
+
+def test_sigma_units_follow_the_entry_variance():
+    blk, target = family_block(n_samples=20000, seed=5)
+    rep = gw.validate_realization(blk, target)
+    n = 20000
+    var_sum = sum(
+        target[i, i] * target[j, j] + target[i, j] ** 2
+        for i in range(target.shape[0]) for j in range(target.shape[0])
+    )
+    sd = math.sqrt(var_sum / n) / np.linalg.norm(target)
+    assert math.isclose(rep.cov_err_sigmas, rep.cov_rel_err / sd, rel_tol=1e-12)
+    assert math.isclose(rep.ci_residual_sigmas, rep.ci_residual * math.sqrt(n), rel_tol=1e-12)
+    # right law: both errors within a few of their standard deviations
+    assert rep.cov_err_sigmas < 6.0 and rep.ci_residual_sigmas < 6.0
+
+
+def test_hand_built_block_reports_like_the_sampler_views():
+    d = np.array([0.7, 0.4])
+    q = np.array([1.1, 0.9])
+    ch = gw.test_channel(d, q, [0.1, 0.2], [0.15, 0.1])
+    blk = gw.sample(ch, 3000, seed=6)
+    copied = gw.SampleBlock(
+        n_samples=blk.n_samples,
+        **{k: np.ascontiguousarray(getattr(blk, k))
+           for k in ("y1", "y2", "w", "z1", "z2", "v", "yhat1", "yhat2")},
+    )
+    assert copied.y1.flags.c_contiguous and not blk.y1.flags.c_contiguous
+    target = gw.state_triple(d, np.diag(q)).joint()
+    a = gw.validate_realization(blk, target, distortion_targets=(0.3, 0.25))
+    b = gw.validate_realization(copied, target, distortion_targets=(0.3, 0.25))
+    assert vars(a) == vars(b)

@@ -202,3 +202,110 @@ def test_sqrt_psd_squares_back(rng):
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(gw.NotPositiveDefinite):
         gw.sqrt_psd(np.diag([1.0, -0.5]))
+
+
+# stream indices of the roles, restated here so the oracle below shares
+# nothing with the sampler
+_ROLE = {"w": 0, "z1": 1, "z2": 2, "v": 3, "v1": 4, "v2": 5, "p1": 6, "p2": 7}
+_FIELDS = ("y1", "y2", "w", "z1", "z2", "v", "yhat1", "yhat2")
+
+
+def _normals(seed, role, n, k):
+    ss = np.random.SeedSequence(seed, spawn_key=(_ROLE[role],))
+    return np.random.default_rng(ss).standard_normal((n, k))
+
+
+def _gauss(seed, role, n, cov):
+    # G(0, cov) rows as G Q^{1/2}, Q^{1/2} the symmetric eigen square root
+    lam, u = np.linalg.eigh(cov)
+    return _normals(seed, role, n, cov.shape[0]) @ ((u * np.sqrt(lam)) @ u.T).T
+
+
+def _oracle_family(real, n, seed):
+    w = _gauss(seed, "w", n, real.qw)
+    z1 = _gauss(seed, "z1", n, real.qz1)
+    z2 = _gauss(seed, "z2", n, real.qz2)
+    return dict(y1=w @ real.c1.T + z1, y2=w @ real.c2.T + z2, w=w, z1=z1, z2=z2)
+
+
+def _kinds():
+    d = np.array([0.8, 0.5, 0.2])
+    qw = np.array([[1.05, 0.04, 0.0], [0.04, 0.95, 0.03], [0.0, 0.03, 1.1]])
+    idx = gw.IndexSextuple(2, 3, 1, 2, 3, 2)
+    ch = gw.test_channel(d, qw, [0.05, 0.1, 0.2], [0.1, 0.1, 0.1])
+    return d, qw, idx, ch
+
+
+def test_sampler_matches_plain_numpy_oracle():
+    d, qw, idx, ch = _kinds()
+    n, seed = 3000, 17
+
+    real = gw.family_realization(d, qw)
+    want = {k: _oracle_family(real, n, seed) for k in ("family", "channel")}
+
+    # optimal state: identical, correlated and private parts per branch
+    w1 = _normals(seed, "w", n, idx.p11)
+    g1 = _normals(seed, "z1", n, d.size)
+    g2 = _normals(seed, "z2", n, d.size)
+    v = _normals(seed, "v", n, d.size)
+    y13 = _normals(seed, "p1", n, idx.p13)
+    y23 = _normals(seed, "p2", n, idx.p23)
+    l1 = np.sqrt(d) / (1 + d)
+    l3 = np.sqrt((1 - d) / (1 + d))
+    y12, y22 = g1, g1 * d + g2 * np.sqrt(1 - d * d)
+    w2 = y12 * l1 + y22 * l1 + v * l3
+    zero = np.zeros((n, idx.p11))
+    want["optimal"] = dict(
+        y1=np.hstack([w1, y12, y13]), y2=np.hstack([w1, y22, y23]),
+        w=np.hstack([w1, w2]), v=v,
+        z1=np.hstack([zero, y12 - w2 * np.sqrt(d), y13]),
+        z2=np.hstack([zero, y22 - w2 * np.sqrt(d), y23]),
+    )
+
+    # test channel: Yhat_i = W C_i' + Z_i A_i' + V_i on the family draws
+    fam = want["channel"]
+    v1 = _gauss(seed, "v1", n, ch.qv1)
+    v2 = _gauss(seed, "v2", n, ch.qv2)
+    fam.update(
+        v=np.hstack([v1, v2]),
+        yhat1=fam["w"] @ real.c1.T + fam["z1"] @ ch.a1.T + v1,
+        yhat2=fam["w"] @ real.c2.T + fam["z2"] @ ch.a2.T + v2,
+    )
+
+    objs = {"family": real, "optimal": gw.optimal_state(idx, d), "channel": ch}
+    for kind, obj in objs.items():
+        blk = gw.sample(obj, n, seed)
+        for name in _FIELDS:
+            got = getattr(blk, name)
+            if name in want[kind]:
+                np.testing.assert_array_equal(got, want[kind][name], err_msg=f"{kind} {name}")
+            else:
+                assert got is None, f"{kind} {name}"
+
+
+def test_samples_are_prefix_stable_in_n():
+    d, qw, idx, ch = _kinds()
+    for obj in (gw.family_realization(d, qw), gw.optimal_state(idx, d), ch):
+        short = gw.sample(obj, 1000, seed=4)
+        long = gw.sample(obj, 5000, seed=4)
+        for name in _FIELDS:
+            a, b = getattr(short, name), getattr(long, name)
+            if a is None:
+                assert b is None
+            else:
+                np.testing.assert_array_equal(a, b[:1000], err_msg=name)
+
+
+def test_block_fields_are_views_of_one_component_major_buffer():
+    d, qw, idx, ch = _kinds()
+    for obj in (gw.family_realization(d, qw), gw.optimal_state(idx, d), ch):
+        blk = gw.sample(obj, 1200, seed=2)
+        for name in _FIELDS:
+            a = getattr(blk, name)
+            assert a is None or a.flags.f_contiguous, name
+        x = blk.y1.base
+        p1, p2 = blk.y1.shape[1], blk.y2.shape[1]
+        assert x.flags.c_contiguous
+        assert x.shape == (p1 + p2 + blk.w.shape[1], 1200)
+        np.testing.assert_array_equal(x, np.hstack([blk.y1, blk.y2, blk.w]).T)
+        assert blk.y2.base is x and blk.w.base is x
