@@ -46,6 +46,31 @@ def moment_variance(target: np.ndarray, n: int) -> np.ndarray:
     return (np.outer(diag, diag) + target * target) / n
 
 
+def _given_state(q: np.ndarray, a: slice, b: slice, p: int) -> np.ndarray:
+    """Block (a, b) of a (Y1, Y2, W) covariance given W, whose rows start
+    at ``p``: ``Q_ab - Q_aW Q_W^{-1} Q_Wb``, or ``Q_ab`` with no state."""
+    if q.shape[0] == p:
+        return q[a, b]
+    return q[a, b] - q[a, p:] @ np.linalg.solve(q[p:, p:], q[p:, b])
+
+
+def _residual_scale(target: np.ndarray, p1: int, p2: int, n: int) -> np.ndarray:
+    """Standard deviation of each entry of the plug-in conditional
+    independence residual at ``n`` rows, ``sqrt(Q_{Z1,ii} Q_{Z2,jj} / n)``.
+
+    Entry (i, j) of the residual is an empirical covariance of the
+    independent noises Z1_i and Z2_j, whose variances are the diagonals of
+    the target's conditional covariances ``Q_{Zk} = T_kk - T_kW T_W^{-1}
+    T_Wk``, or of ``T_kk`` when there is no state block.  Roundoff below 0
+    counts as 0.
+    """
+    y1, y2 = slice(0, p1), slice(p1, p1 + p2)
+    v1, v2 = (
+        np.clip(np.diag(_given_state(target, y, y, p1 + p2)), 0.0, None) for y in (y1, y2)
+    )
+    return np.sqrt(np.outer(v1, v2) / n)
+
+
 def _component_rows(samples: SampleBlock, widths: list[int]) -> np.ndarray:
     """The (p1 + p2 + nw, N) rows of Y1, Y2 and W: the sampler's buffer
     when the fields are its consecutive rows, else a stacked copy."""
@@ -93,16 +118,12 @@ def validate_realization(
     # cov_rel_err has standard deviation sqrt(var_sum) / ||T||_F
     var_sum = float(np.sum(moment_variance(t, n)))
 
-    e12 = emp[:p1, p1 : p1 + p2]
-    if nw:
-        e1w = emp[:p1, p1 + p2 :]
-        e2w = emp[p1 : p1 + p2, p1 + p2 :]
-        ew = emp[p1 + p2 :, p1 + p2 :]
-        ci_residual = float(
-            np.max(np.abs(e12 - e1w @ np.linalg.solve(ew, e2w.T)), initial=0.0)
-        )
-    else:
-        ci_residual = float(np.max(np.abs(e12), initial=0.0))
+    resid = np.abs(_given_state(emp, slice(0, p1), slice(p1, p1 + p2), p1 + p2))
+    ci_residual = float(np.max(resid, initial=0.0))
+    scale = _residual_scale(t, p1, p2, n)
+    # identical components have no noise: their entries have scale 0
+    kept = scale > 0.0
+    ci_residual_sigmas = float(np.max(resid[kept] / scale[kept], initial=0.0))
 
     mi_plugin = gaussian_mi(emp[: p1 + p2, : p1 + p2], (p1, p2))
 
@@ -115,7 +136,7 @@ def validate_realization(
         ci_residual=ci_residual,
         mi_plugin=mi_plugin,
         cov_err_sigmas=cov_rel_err * denom / math.sqrt(var_sum) if var_sum > 0.0 else math.inf,
-        ci_residual_sigmas=ci_residual * math.sqrt(n),
+        ci_residual_sigmas=ci_residual_sigmas,
         distortion_errs=errs,
     )
 
@@ -131,8 +152,10 @@ def validate_distortion(
         raise MissingReconstruction("sample block carries no reconstructions")
 
     def _err(y, yhat, target):
-        # summed over the component rows of the (p, N) transposes
-        mse = float(np.mean(np.sum((y.T - yhat.T) ** 2, axis=0)))
+        # one difference of the (p, N) component rows, summed without a
+        # squared copy in component-major order whatever the block's layout
+        diff = y.T - yhat.T
+        mse = float(np.vdot(diff, diff)) / diff.shape[1]
         return abs(mse - target) / target if target > 0.0 else mse
 
     return (

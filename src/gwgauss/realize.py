@@ -17,7 +17,11 @@ Sampling derives one random stream per role from the master seed, by
 ``SeedSequence(seed, spawn_key=(i,))`` with i the role's index in
 ``_STREAMS``, and draws each as an (N, p) standard normal matrix, one row
 per sample.  The rows are therefore prefix-stable in N, and no role's draws
-depend on the dimensions of another.  With ``G(0, Q) = G Q^{1/2}`` for the
+depend on the dimensions of another.  The role streams are drawn on
+parallel lanes, one thread per usable core, each stream in chunks of a
+fixed number of rows; the arithmetic that combines them then runs on the
+lanes over column chunks.  Neither changes the draw-to-entry map, the
+prefix stability or any output bit.  With ``G(0, Q) = G Q^{1/2}`` for the
 symmetric square root:
 
 - a family realization draws W, Z1 and Z2 from ``w``, ``z1`` and ``z2``;
@@ -36,6 +40,10 @@ of such rows, a Fortran-ordered (N, p) view.
 
 from __future__ import annotations
 
+import collections
+import functools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +54,11 @@ from .cvf import IndexSextuple, canonical_cross_pattern
 from .wyner import as_state_covariance, assert_in_state_family
 
 _STREAMS = {"w": 0, "z1": 1, "z2": 2, "v": 3, "v1": 4, "v2": 5, "p1": 6, "p2": 7}
+# rows of a stream drawn per chunk, and columns per chunk of the combine
+_CHUNK = 32768
+# (pid, executor) of the lane pool; a forked child makes its own
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 def _rng(seed: int, stream: str) -> np.random.Generator:
@@ -262,14 +275,91 @@ def test_channel(d, q, alloc1, alloc2) -> TestChannel:
     )
 
 
-def _draw(rng: np.random.Generator, cov: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (k, N) rows ``out`` with G(0, cov) draws.
+def _on_lanes(tasks) -> None:
+    """Run the callables ``tasks`` on the lane pool and wait for all of them.
 
-    The normals are drawn as an (N, k) matrix, so sample r takes draws
-    r k .. r k + k - 1 and the first rows of a longer draw are the same.
+    The pool is process-wide, made on first use in each process with one
+    lane per usable core, because numpy's generators and array kernels
+    release the interpreter lock while they fill.  Nothing traced runs on a
+    lane.
     """
-    np.matmul(sqrt_psd(cov), rng.standard_normal(out.shape[::-1]).T, out=out)
-    return out
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            lanes = (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1
+            )
+            _POOL = os.getpid(), ThreadPoolExecutor(lanes, thread_name_prefix="gwgauss-lane")
+        futures = [_POOL[1].submit(task) for task in tasks]
+    for f in futures:
+        f.exception()  # every lane is done before any failure is raised
+    for f in futures:
+        f.result()
+
+
+def _chunks(n: int):
+    """Consecutive (a, b) ranges over n rows or columns, ``_CHUNK`` long
+    except the last.  A lone trailing column joins the chunk before it:
+    numpy multiplies a single column by a matrix-vector product, which
+    rounds differently from the matrix product of the whole block."""
+    edges = [*range(0, n, _CHUNK), n]
+    if n > 1 and n % _CHUNK == 1:
+        del edges[-2]
+    return zip(edges, edges[1:])
+
+
+def _draw(seed: int, jobs) -> None:
+    """Fill the rows of every job ``(stream, root or None, out)`` from its
+    role stream: the (k, N) rows ``out`` become ``root @ G.T``, or ``G.T``
+    when ``root`` is None, for the stream's (N, k) standard normals G.
+
+    G is drawn chunk by chunk.  Each lane takes the next stream in turn,
+    draws one chunk of it and puts it back, so the lanes stay busy until
+    fewer streams than lanes have chunks left.  A stream is with one lane
+    at a time and its chunks are consecutive, so sample r takes draws
+    r k .. r k + k - 1 whatever N is, and the first rows of a longer draw
+    are the same.
+    """
+    n = jobs[0][2].shape[1]
+    width = max(out.shape[0] for _, _, out in jobs)
+    todo = collections.deque(
+        (_rng(seed, stream), root, out, _chunks(n))
+        for stream, root, out in jobs
+        if out.shape[0]
+    )
+    lock = threading.Lock()
+
+    def lane():
+        scratch = np.empty(min(n, _CHUNK + 1) * width)
+        while True:
+            with lock:
+                if not todo:
+                    return
+                job = todo.popleft()
+            rng, root, out, chunks = job
+            ab = next(chunks, None)
+            if ab is None:
+                continue
+            a, b = ab
+            gt = rng.standard_normal(out=scratch[: (b - a) * out.shape[0]].reshape(b - a, -1)).T
+            if root is None:
+                out[:, a:b] = gt
+            else:
+                np.matmul(root, gt, out=out[:, a:b])
+            with lock:
+                todo.append(job)
+
+    _on_lanes([lane] * len(todo))
+
+
+def _by_columns(n_samples: int, combine) -> None:
+    """Run ``combine(cols)`` over the column slices of :func:`_chunks` on
+    the lanes; the combine must be elementwise or per column."""
+    _on_lanes(functools.partial(combine, slice(a, b)) for a, b in _chunks(n_samples))
 
 
 def sample(obj, n_samples: int, seed: int) -> SampleBlock:
@@ -282,12 +372,11 @@ def sample(obj, n_samples: int, seed: int) -> SampleBlock:
     if n_samples < 1:
         raise DimensionMismatch("need at least one sample")
     if isinstance(obj, CIRealization):
-        x, z1, z2 = _family_rows(obj, n_samples, seed)
-        return _block(x, obj.c1.shape[0], obj.c2.shape[0], z1=z1, z2=z2)
+        return _sample_family(obj, n_samples, seed)
     if isinstance(obj, OptimalState):
         return _sample_optimal(obj, n_samples, seed)
     if isinstance(obj, TestChannel):
-        return _sample_channel(obj, n_samples, seed)
+        return _sample_family(family_realization(obj.d, obj.qw), n_samples, seed, obj)
     raise TypeError(f"cannot sample object of type {type(obj).__name__}")
 
 
@@ -302,23 +391,53 @@ def _block(x: np.ndarray, p1: int, p2: int, **rows) -> SampleBlock:
     )
 
 
-def _family_rows(real: CIRealization, n_samples: int, seed: int):
-    """The (Y1; Y2; W) buffer of a family realization, and Z1, Z2."""
+def _sample_family(
+    real: CIRealization, n_samples: int, seed: int, ch: TestChannel | None = None
+) -> SampleBlock:
+    """A family realization's block, or with ``ch`` the test channel's on
+    the same source draws."""
     p1, p2 = real.c1.shape[0], real.c2.shape[0]
     x = np.empty((p1 + p2 + real.n, n_samples))
-    w = _draw(_rng(seed, "w"), real.qw, x[p1 + p2 :])
-    z1 = _draw(_rng(seed, "z1"), real.qz1, np.empty((p1, n_samples)))
-    z2 = _draw(_rng(seed, "z2"), real.qz2, np.empty((p2, n_samples)))
-    for y, c, z in ((x[:p1], real.c1, z1), (x[p1 : p1 + p2], real.c2, z2)):
-        np.matmul(c, w, out=y)
-        y += z
-    return x, z1, z2
+    y1, y2, w = x[:p1], x[p1 : p1 + p2], x[p1 + p2 :]
+    z1, z2 = np.empty((p1, n_samples)), np.empty((p2, n_samples))
+    jobs = [
+        ("w", sqrt_psd(real.qw), w),
+        ("z1", sqrt_psd(real.qz1), z1),
+        ("z2", sqrt_psd(real.qz2), z2),
+    ]
+    rows = {"z1": z1, "z2": z2}
+    recon = []
+    if ch is not None:
+        v, yhat = np.empty((2, p1 + p2, n_samples))
+        jobs += [("v1", sqrt_psd(ch.qv1), v[:p1]), ("v2", sqrt_psd(ch.qv2), v[p1:])]
+        recon = [
+            (yhat[:p1], real.c1, ch.a1, z1, v[:p1]),
+            (yhat[p1:], real.c2, ch.a2, z2, v[p1:]),
+        ]
+        rows.update(v=v, yhat1=yhat[:p1], yhat2=yhat[p1:])
+    _draw(seed, jobs)
+
+    def combine(s):
+        for y, c, z in ((y1, real.c1, z1), (y2, real.c2, z2)):
+            # Y_i = C_i W + Z_i
+            np.matmul(c, w[:, s], out=y[:, s])
+            y[:, s] += z[:, s]
+        for yh, c, a, z, vi in recon:
+            # Yhat_i = C_i W + A_i Z_i + V_i
+            np.matmul(c, w[:, s], out=yh[:, s])
+            yh[:, s] += a @ z[:, s]
+            yh[:, s] += vi[:, s]
+
+    _by_columns(n_samples, combine)
+    return _block(x, p1, p2, **rows)
 
 
 def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
     idx = st.idx
     p11, n, p1, p2 = idx.p11, st.d.size, idx.p1, idx.p2
     d, rd = st.d[:, None], np.sqrt(st.d)[:, None]
+    g2_scale = np.sqrt(1.0 - d * d)
+    l1, l2, l3 = st.l1[:, None], st.l2[:, None], st.l3[:, None]
     x = np.empty((p1 + p2 + p11 + n, n_samples))
     z = np.zeros((p1 + p2, n_samples))  # Z of the identical parts is 0
     v = np.empty((n, n_samples))
@@ -329,49 +448,26 @@ def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
     w1, w2 = x[p1 + p2 : p1 + p2 + p11], x[p1 + p2 + p11 :]
     z12, z13 = z[p11 : p11 + n], z[p11 + n : p1]
     z22, z23 = z[p1 + p11 : p1 + p11 + n], z[p1 + p11 + n :]
+    _draw(seed, [("w", None, w1), ("z1", None, y12), ("z2", None, z22),
+                 ("v", None, v), ("p1", None, y13), ("p2", None, y23)])
 
-    def normals(stream, out):
-        out[:] = _rng(seed, stream).standard_normal(out.shape[::-1]).T
+    def combine(s):
+        y11[:, s] = y21[:, s] = w1[:, s]
+        # Y22 = d Y12 + sqrt(1 - d^2) G2, the Z rows serving as scratch
+        g2, t = z22[:, s], z12[:, s]
+        g2 *= g2_scale
+        np.multiply(y12[:, s], d, out=y22[:, s])
+        y22[:, s] += g2
+        # W2 = L1 Y12 + L2 Y22 + L3 V
+        np.multiply(y12[:, s], l1, out=w2[:, s])
+        w2[:, s] += np.multiply(y22[:, s], l2, out=t)
+        w2[:, s] += np.multiply(v[:, s], l3, out=t)
+        # Z = Y - sqrt(d) W2
+        np.multiply(w2[:, s], rd, out=g2)
+        np.subtract(y12[:, s], g2, out=t)
+        np.subtract(y22[:, s], g2, out=g2)
+        z13[:, s] = y13[:, s]
+        z23[:, s] = y23[:, s]
 
-    normals("w", w1)
-    y11[:] = y21[:] = w1
-    normals("z1", y12)
-    normals("z2", z22)
-    normals("v", v)
-    # Y22 = d Y12 + sqrt(1 - d^2) G2, the Z rows serving as scratch
-    z22 *= np.sqrt(1.0 - d * d)
-    np.multiply(y12, d, out=y22)
-    y22 += z22
-    # W2 = L1 Y12 + L2 Y22 + L3 V
-    np.multiply(y12, st.l1[:, None], out=w2)
-    w2 += np.multiply(y22, st.l2[:, None], out=z12)
-    w2 += np.multiply(v, st.l3[:, None], out=z12)
-    # Z = Y - sqrt(d) W2
-    np.multiply(w2, rd, out=z22)
-    np.subtract(y12, z22, out=z12)
-    np.subtract(y22, z22, out=z22)
-    normals("p1", y13)
-    normals("p2", y23)
-    z13[:] = y13
-    z23[:] = y23
+    _by_columns(n_samples, combine)
     return _block(x, p1, p2, z1=z[:p1], z2=z[p1:], v=v)
-
-
-def _sample_channel(ch: TestChannel, n_samples: int, seed: int) -> SampleBlock:
-    real = family_realization(ch.d, ch.qw)
-    x, z1, z2 = _family_rows(real, n_samples, seed)
-    n = ch.d.size
-    w = x[2 * n :]
-    v = np.empty((2 * n, n_samples))
-    yhat = []
-    for c, a, z, qv, vi, stream in (
-        (real.c1, ch.a1, z1, ch.qv1, v[:n], "v1"),
-        (real.c2, ch.a2, z2, ch.qv2, v[n:], "v2"),
-    ):
-        # Yhat_i = C_i W + A_i Z_i + V_i
-        _draw(_rng(seed, stream), qv, vi)
-        yh = c @ w
-        yh += a @ z
-        yh += vi
-        yhat.append(yh)
-    return _block(x, n, n, z1=z1, z2=z2, v=v, yhat1=yhat[0], yhat2=yhat[1])

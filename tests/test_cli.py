@@ -133,8 +133,13 @@ def test_realize_and_simulate_identity_state(runner, cvf_file, tmp_path):
     assert json.loads(res.stdout) == body
     assert body["n_samples"] == 5000
     assert body["cov_rel_err"] < 0.1
-    assert math.isclose(body["ci_residual_sigmas"], body["ci_residual"] * math.sqrt(5000),
-                        rel_tol=1e-12)
+    # every noise variance 1 - d is below 1, so each entry's sd is below 1/sqrt(N)
+    assert body["ci_residual_sigmas"] >= body["ci_residual"] * math.sqrt(5000)
+    cf = json.loads(Path(cvf_file).read_text())
+    idx = gw.IndexSextuple(**cf["idx"])
+    rep = gw.validate_realization(gw.sample(gw.optimal_state(idx, cf["d"]), 5000, 42),
+                                  gw.optimal_triple_cov(idx, cf["d"]))
+    assert body["ci_residual_sigmas"] == rep.ci_residual_sigmas
 
 
 def test_realize_and_simulate_family_state(runner, cvf_file, tmp_path):
@@ -319,4 +324,48 @@ def test_cli_import_needs_no_scipy(prelude):
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_simulate_in_a_subprocess_exits_with_the_in_process_report(runner, cvf_file, tmp_path):
+    # a real interpreter exit after the sampling lanes have run
+    real = str(tmp_path / "real.json")
+    assert runner.invoke(main, ["realize", "--in", cvf_file, "--out", real]).exit_code == 0
+    args = ["simulate", "--realization", real, "-N", "70000", "--seed", "5", "--report"]
+    here, there = tmp_path / "here.json", tmp_path / "there.json"
+    res = runner.invoke(main, [*args, str(here)])
+    assert res.exit_code == 0, res.output
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "gwgauss.cli", *args, str(there)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert there.read_bytes() == here.read_bytes()
+    assert json.loads(proc.stdout) == json.loads(here.read_text())
+
+
+def test_simulate_indefinite_noise_exit_code(runner, cvf_file, tmp_path):
+    qw = tmp_path / "qw.json"
+    qw.write_text(json.dumps({"Q": np.diag([1.1, 1.0, 0.9]).tolist()}))
+    real = tmp_path / "real.json"
+    res = runner.invoke(main, ["realize", "--in", cvf_file, "--qw", str(qw), "--out", str(real)])
+    assert res.exit_code == 0
+    body = json.loads(real.read_text())
+    body["qz1"][0][0] = -0.5
+    real.write_text(json.dumps(body))
+    res = runner.invoke(main, ["simulate", "--realization", str(real), "-N", "40000",
+                               "--seed", "1", "--report", str(tmp_path / "rep.json")])
+    assert res.exit_code == 5
+    assert json.loads(res.stderr)["error"] == "NotPositiveDefinite"
+
+
+def test_import_starts_no_sampling_lanes():
+    code = "\n".join([
+        "import sys, threading",
+        "import gwgauss.cli",
+        "assert 'concurrent.futures' not in sys.modules",
+        "assert threading.active_count() == 1, threading.enumerate()",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

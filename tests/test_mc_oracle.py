@@ -97,9 +97,33 @@ def test_sigma_units_follow_the_entry_variance():
     )
     sd = math.sqrt(var_sum / n) / np.linalg.norm(target)
     assert math.isclose(rep.cov_err_sigmas, rep.cov_rel_err / sd, rel_tol=1e-12)
-    assert math.isclose(rep.ci_residual_sigmas, rep.ci_residual * math.sqrt(n), rel_tol=1e-12)
+    # residual entry (i, j) has sd sqrt(Q_Z1,ii Q_Z2,jj / n), the noise
+    # covariances of the realization that drew the block
+    real = gw.family_realization([0.8, 0.3], np.diag([1.1, 0.9]))
+    x = np.hstack([blk.y1, blk.y2, blk.w])
+    e = x.T @ x / n
+    resid = e[:2, 2:4] - e[:2, 4:] @ np.linalg.inv(e[4:, 4:]) @ e[4:, 2:4]
+    ratios = [
+        abs(resid[i, j]) / math.sqrt(real.qz1[i, i] * real.qz2[j, j] / n)
+        for i in range(2) for j in range(2)
+    ]
+    assert math.isclose(rep.ci_residual_sigmas, max(ratios), rel_tol=1e-9)
     # right law: both errors within a few of their standard deviations
     assert rep.cov_err_sigmas < 6.0 and rep.ci_residual_sigmas < 6.0
+
+
+def test_ci_sigmas_do_not_move_when_the_branches_are_scaled():
+    # Y1 and Y2 scaled by 2 scale the residual and its sd alike
+    s = np.diag([2.0, 2.0, 2.0, 2.0, 1.0, 1.0])
+    plain, scaled = [], []
+    for seed in range(10):
+        blk, target = family_block(n_samples=20000, seed=seed)
+        big = gw.SampleBlock(n_samples=20000, y1=2.0 * blk.y1, y2=2.0 * blk.y2, w=blk.w)
+        plain.append(gw.validate_realization(blk, target).ci_residual_sigmas)
+        scaled.append(gw.validate_realization(big, s @ target @ s).ci_residual_sigmas)
+    np.testing.assert_allclose(scaled, plain, rtol=1e-9)
+    # the largest of four |N(0, 1)| entries has median ~1.6
+    assert 0.8 < float(np.median(plain)) < 3.0
 
 
 def test_hand_built_block_reports_like_the_sampler_views():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gwgauss as gw
+from gwgauss import realize
+from gwgauss.realize import _CHUNK
 
 d_vectors = st.lists(
     st.floats(0.05, 0.95, allow_nan=False), min_size=1, max_size=5
@@ -236,10 +240,8 @@ def _kinds():
     return d, qw, idx, ch
 
 
-def test_sampler_matches_plain_numpy_oracle():
-    d, qw, idx, ch = _kinds()
-    n, seed = 3000, 17
-
+def _assert_matches_oracle(n, seed, idx):
+    d, qw, _, ch = _kinds()
     real = gw.family_realization(d, qw)
     want = {k: _oracle_family(real, n, seed) for k in ("family", "channel")}
 
@@ -283,17 +285,98 @@ def test_sampler_matches_plain_numpy_oracle():
                 assert got is None, f"{kind} {name}"
 
 
+def test_sampler_matches_plain_numpy_oracle():
+    _assert_matches_oracle(3000, 17, _kinds()[2])
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_sampler_matches_oracle_at_chunk_boundaries(n):
+    _assert_matches_oracle(n, 23, _kinds()[2])
+
+
+def test_sampler_matches_oracle_with_zero_width_roles():
+    # no identical part and no private part on branch 1: the "w" and "p1"
+    # streams draw nothing
+    _assert_matches_oracle(_CHUNK + 5, 29, gw.IndexSextuple(0, 3, 0, 0, 3, 1))
+
+
 def test_samples_are_prefix_stable_in_n():
     d, qw, idx, ch = _kinds()
-    for obj in (gw.family_realization(d, qw), gw.optimal_state(idx, d), ch):
-        short = gw.sample(obj, 1000, seed=4)
-        long = gw.sample(obj, 5000, seed=4)
+    for n_short, n_long in ((1000, 5000), (_CHUNK + 1, 2 * _CHUNK + 3)):
+        for obj in (gw.family_realization(d, qw), gw.optimal_state(idx, d), ch):
+            short = gw.sample(obj, n_short, seed=4)
+            long = gw.sample(obj, n_long, seed=4)
+            for name in _FIELDS:
+                a, b = getattr(short, name), getattr(long, name)
+                if a is None:
+                    assert b is None
+                else:
+                    np.testing.assert_array_equal(a, b[:n_short], err_msg=name)
+
+
+def test_concurrent_callers_get_the_serial_blocks():
+    d, qw, idx, ch = _kinds()
+    objs = [gw.family_realization(d, qw), gw.optimal_state(idx, d), ch]
+    n = _CHUNK + 7
+    serial = {(k, seed): gw.sample(obj, n, seed) for k, obj in enumerate(objs) for seed in (1, 2)}
+    got, errors = {}, []
+
+    def caller(seed):
+        try:
+            for k, obj in enumerate(objs):
+                got[k, seed, threading.get_ident()] = gw.sample(obj, n, seed)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(1 + i % 2,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 4 * len(objs)
+    for (k, seed, _), blk in got.items():
         for name in _FIELDS:
-            a, b = getattr(short, name), getattr(long, name)
+            a, b = getattr(blk, name), getattr(serial[k, seed], name)
             if a is None:
                 assert b is None
             else:
-                np.testing.assert_array_equal(a, b[:1000], err_msg=name)
+                np.testing.assert_array_equal(a, b, err_msg=f"{k} {seed} {name}")
+
+
+def test_traced_functions_run_in_the_calling_thread(monkeypatch):
+    calls = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    d, qw, idx, ch = _kinds()
+    objs = (gw.family_realization(d, qw), gw.optimal_state(idx, d), ch)
+    for name in ("sqrt_psd", "family_realization"):
+        monkeypatch.setattr(realize, name, recorded(getattr(realize, name)))
+    for obj in objs:
+        gw.sample(obj, 2 * _CHUNK, seed=3)
+    assert [c[0] for c in calls].count("sqrt_psd") == 3 + 5
+    assert [c[0] for c in calls].count("family_realization") == 1
+    assert {c[1] for c in calls} == {threading.get_ident()}
+    assert any(t.name.startswith("gwgauss-lane") for t in threading.enumerate())
+
+
+def test_sampling_an_indefinite_noise_covariance_raises():
+    real = gw.family_realization([0.6, 0.2], np.eye(2))
+    bad = gw.CIRealization(n=2, c1=real.c1, c2=real.c2, qz1=np.diag([0.5, -0.5]),
+                           qz2=real.qz2, qw=real.qw)
+    with pytest.raises(gw.NotPositiveDefinite):
+        gw.sample(bad, 2 * _CHUNK, seed=1)
 
 
 def test_block_fields_are_views_of_one_component_major_buffer():
