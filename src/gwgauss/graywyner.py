@@ -136,7 +136,11 @@ def _sweep_dual(d, delta, alpha):
     The dual over mu >= 0 is solved by :func:`rdf._dual_newton`: its
     gradient is ``delta - sum_j x_ij`` and its Hessian
     ``diag(sum_active c_i / mu_i) + sum_j s s^T / h_j''``, with s the
-    saturated slopes ``dv_i/du``.
+    saturated slopes ``dv_i/du``.  A saturated x_ij = v_ij(u_j) inherits
+    the inner roots' stopping error 2 eps |u_j|, so the budget sums round
+    by ``sum_saturated w_ij 2 eps |u_j|``, and the solve stops within a few
+    of that rounding (it exceeds 1e-12 of delta_i only where delta_i is
+    tiny and |u| large).
 
     Returns ``(q, mu, bound, evals, converged)``: the state, the
     multipliers, the dual bound on the objective, the dual evaluations and
@@ -190,8 +194,9 @@ def _sweep_dual(d, delta, alpha):
         value = np.where(active, pinned - 0.5 * k * np.log(v), m * v - 0.5 * np.log(v))
         g = float(mu @ delta - value.sum())
         r = 1.0 - np.where(active, c, v).sum(1) / delta
+        rounding = np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u)) / delta
         hess = np.diag(drift) + s @ s.T
-        return hess, g, np.where(mu > 0.0, r, np.minimum(r, 0.0)), (u, g)
+        return hess, g, np.where(mu > 0.0, r, np.minimum(r, 0.0)), rounding, (u, g)
 
     start = alpha * d.size / (2.0 * delta)  # q = 1 with the equal split
     mu, (u_opt, g), steps, evals = _dual_newton(oracle, delta, start)

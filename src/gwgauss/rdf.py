@@ -22,8 +22,13 @@ lam >= 0 and backtracking on the value of g: the dual's gradient is the
 budget residual and its Hessian comes in closed form with the allocation.
 Each component's allocation sits either at the common water levels, in
 closed form, or on its feasibility cap, at the one stationary point of the
-Lagrangian along the cap curve (:func:`_capped_pairs`).  The result's
-duality gap certifies the rate against the restricted optimum only.
+Lagrangian along the cap curve (:func:`_capped_pairs`).  The iteration
+starts at 1 / the water level of each budget over per-component ceilings
+from the cap curve.  With delta1 = delta2 the program is symmetric and
+strictly concave, so its optimum is symmetric, and on the diagonal the cap
+reads a <= 1 - d: both branches water-fill delta over 1 - d, in closed
+form, and the start is the optimum.  The result's duality gap certifies
+the rate against the restricted optimum only.
 """
 
 from __future__ import annotations
@@ -246,7 +251,9 @@ def _lagrangian_alloc(d: np.ndarray, lam1: float, lam2: float):
     A free component adds diag(a1^2, a2^2), and one with d = 0 adds a^2 on
     each branch where a < 1.  A capped one moves along its cap: with
     u = 1 - a1 and chi' < 0 at its root, it adds s v v^T with
-    v = (1, -c/u^2) and s = (1-u)(u-c) / -chi'(u).
+    v = (1, -c/u^2) and s = (1-u)(u-c) / -chi'(u).  When lam2 > lam1 the
+    branches swap roles, as in :func:`_capped_pairs`: u = 1 - a2 stays away
+    from 0 where a1 runs to 1.
     """
     n = d.size
     c = d * d
@@ -279,11 +286,16 @@ def _lagrangian_alloc(d: np.ndarray, lam1: float, lam2: float):
             b1, b2 = _capped_pairs(cc, lam1, lam2)
             a1[capped] = b1
             a2[capped] = b2
-            u = 1.0 - b1
-            wc = u * b2
-            s = b1 * wc / -_chi(u, b1, wc, cc, lam1, lam2)[1]
-            v2 = -cc / (u * u)
-            hess += [[s.sum(), (s * v2).sum()], [(s * v2).sum(), (s * v2 * v2).sum()]]
+            # in the cap solve's orientation: u is 1 minus the smaller
+            # allocation, the larger multiplier's, so it stays away from 0
+            swap = lam2 > lam1
+            x, y, l1, l2 = (b2, b1, lam2, lam1) if swap else (b1, b2, lam1, lam2)
+            u = 1.0 - x
+            wc = u * y
+            s = x * wc / -_chi(u, x, wc, cc, l1, l2)[1]
+            v = -cc / (u * u)
+            h = np.array([[s.sum(), (s * v).sum()], [(s * v).sum(), (s * v * v).sum()]])
+            hess += h[::-1, ::-1] if swap else h
     return a1, a2, hess
 
 
@@ -293,20 +305,28 @@ _NEWTON_STEPS = 100
 # rounding floor of sum(a); away from that floor none needed more than 7 on
 # 1000 random instances with 1 - d down to 1e-6 and budgets from 1e-3 to 1e3 b
 _HALVINGS = 10
+# halvings of one line search in all, those under the Armijo test included;
+# 2^-100 covers 30 decades between a multiplier and the reach of its step
+_LINE_STEPS = 100
 # a predicted decrease of the dual value below this share of 1 + |g| is
 # lost in the rounding of g
 _G_ROUND = 1e-10
+# a residual within this many of the rounding size its oracle reports is met
+_FLOOR = 4.0
+_EPS = np.finfo(float).eps
 
 
 def _dual(d: np.ndarray, lam: np.ndarray, delta: np.ndarray):
     """Hessian and value g = sum(log(a1 a2)) + lam . (delta - sum(a)) of the
     dual at lam, the relative budget residuals, where a slack budget whose
-    multiplier is 0 counts as met, and the allocation."""
+    multiplier is 0 counts as met, their rounding size (4 eps of each sum,
+    the cap roots' stopping tolerance) and the allocation."""
     a1, a2, hess = _lagrangian_alloc(d, *lam)
-    slack = delta - [a1.sum(), a2.sum()]
+    sums = np.array([a1.sum(), a2.sum()])
+    slack = delta - sums
     g = float(np.sum(np.log(a1 * a2)) + lam @ slack)
     r = slack / delta
-    return hess, g, np.where(lam > 0.0, r, np.minimum(r, 0.0)), (a1, a2)
+    return hess, g, np.where(lam > 0.0, r, np.minimum(r, 0.0)), 4.0 * _EPS * sums / delta, (a1, a2)
 
 
 def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
@@ -322,25 +342,37 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
 
     ``oracle(lam)`` returns the dual's Hessian and value, the relative
     budget residuals ``res`` (a slack budget whose multiplier is 0 counts as
-    met; the gradient is ``res * delta``) and the primal state at lam.
-    Returns the last accepted lam and state, the Newton steps taken and the
-    oracle calls made.
+    met; the gradient is ``res * delta``), the rounding size of each
+    residual and the primal state at lam.  The solve stops once every
+    ``|res_i|`` is within ``_BUDGET_RTOL`` or within ``_FLOOR`` times its
+    rounding size.  The Newton system gets a ridge of 1e-14 times each
+    diagonal entry (the trace where an entry is 0), so the step does not
+    depend on the scale of either multiplier.  Returns the last accepted
+    lam and state, the Newton steps taken and the oracle calls made.
     """
     lam = start
-    hess, g, res, state = oracle(lam)
+    hess, g, res, size, state = oracle(lam)
     steps, evals = 0, 1
-    while steps < _NEWTON_STEPS and np.abs(res).max() > _BUDGET_RTOL:
-        # a zero multiplier whose budget is slack stays at 0
-        move = (lam > 0.0) | (res < 0.0)
-        ridge = 1e-14 * np.trace(hess)
+    while steps < _NEWTON_STEPS and np.any(np.abs(res) > np.maximum(_BUDGET_RTOL, _FLOOR * size)):
+        (h11, h12), (_, h22) = hess.tolist()
+        ridge = 1e-14 * (h11 + h22)
         if ridge == 0.0:
             break  # no multiplier moves the budget sums
         # a near-singular Hessian along a valley of the dual would make the
-        # step infinite; the ridge keeps it finite there
-        h = hess[np.ix_(move, move)] + ridge * np.eye(np.count_nonzero(move))
+        # step infinite; a ridge of 1e-14 of each diagonal entry keeps it
+        # finite there without swamping the curvature of a multiplier
+        # decades below the other (a ridge of the trace did)
+        h11 += 1e-14 * h11 or ridge
+        h22 += 1e-14 * h22 or ridge
         grad = res * delta
-        step = np.zeros(2)
-        step[move] = np.linalg.solve(h, grad[move])
+        g1, g2 = grad.tolist()
+        # a zero multiplier whose budget is slack stays at 0
+        move1, move2 = (lam > 0.0) | (res < 0.0)
+        if move1 and move2:
+            det = h11 * h22 - h12 * h12
+            step = np.array([(h22 * g1 - h12 * g2) / det, (h11 * g2 - h12 * g1) / det])
+        else:
+            step = np.array([g1 / h11 if move1 else 0.0, g2 / h22 if move2 else 0.0])
         # a positive multiplier stops at 0 when the step reaches it, and
         # none grows by more than its value plus its start, which bounds
         # the long steps the ridge allows along a valley
@@ -348,10 +380,10 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
             reach = np.where(step > 0.0, lam, lam + start) / np.abs(step)
         t = min(1.0, reach[(lam > 0.0) | (step < 0.0)].min(initial=np.inf))
         norm = np.linalg.norm(res)
-        stalls = 0
-        while stalls <= _HALVINGS:
+        stalls = halvings = 0
+        while stalls <= _HALVINGS and halvings < _LINE_STEPS:
             trial = np.where((step > 0.0) & (t >= reach), 0.0, np.maximum(lam - t * step, 0.0))
-            bhess, bg, bres, bstate = oracle(trial)
+            bhess, bg, bres, bsize, bstate = oracle(trial)
             evals += 1
             # Armijo on the dual value while its predicted decrease is above
             # the rounding of g: on a flat stretch of the dual the residual
@@ -367,19 +399,31 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
             else:
                 stalls += 1
             t *= 0.5
+            halvings += 1
         else:
             break  # no trial lowers the residual: it is at the rounding floor
-        lam, hess, g, res, state = trial, bhess, bg, bres, bstate
+        lam, hess, g, res, size, state = trial, bhess, bg, bres, bsize, bstate
         steps += 1
     return lam, state, steps, evals
 
 
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
-    # inside D_W the start n / delta is already the equal-split solution
+    # start at 1 / the water level of each budget over the ceilings
+    # e_ij = max(p_ij, 1 - d_j), with p_j where the ray a2 = rho a1 meets
+    # the cap (1 - a1)(1 - a2) = d_j^2 (the root in cancellation-free form;
+    # rho as a ratio of roots, since delta2 / delta1 can overflow).
+    # At delta1 = delta2 below sum(1 - d) that is the restricted optimum,
+    # and inside D_W it is the equal split n / delta.  No allocation
+    # exceeds 1 - d^2, so a budget of sum(1 - d^2) or more is slack and
+    # its multiplier starts at its optimum, 0.
     delta = np.array([delta1, delta2])
-    lam, (a1, a2), steps, _ = _dual_newton(
-        lambda lam: _dual(d, lam, delta), delta, d.size / delta
-    )
+    rho = math.sqrt(delta2) / math.sqrt(delta1)
+    s = 1.0 - d * d
+    p1 = 2.0 * s / ((1.0 + rho) + np.sqrt((1.0 + rho) ** 2 - 4.0 * rho * s))
+    start = np.array([1.0 / _waterfill(np.maximum(p, 1.0 - d), x)[1]
+                      for p, x in ((p1, delta1), (rho * p1, delta2))])
+    start[delta >= s.sum()] = 0.0
+    lam, (a1, a2), steps, _ = _dual_newton(lambda lam: _dual(d, lam, delta), delta, start)
     rate = float(0.5 * (np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2))))
     slack = delta - [a1.sum(), a2.sum()]
     regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"
@@ -395,11 +439,15 @@ def joint_rdf(d, delta1: float, delta2: float, force_numerical: bool = False) ->
     independent across branches and diagonal per component), an upper
     bound on the Gaussian joint rate-distortion function, found by a
     projected Newton solve of the two-multiplier dual whose line search
-    backtracks on the dual value.  ``regime`` records which path produced
-    the result; ``infeasible-region`` means a budget is left slack because
-    every component sits at its cap in the restricted program, not that
-    the pair is unreachable.  ``iterations`` counts the Newton steps, 0 on
-    the closed form.
+    backtracks on the dual value.  The solve starts at 1 / the water level
+    of each budget over the ceilings ``max(p_ij, 1 - d_j)``, with p_j the
+    point of the cap curve on the ray ``a2 = sqrt(delta2 / delta1) a1``.
+    At ``delta1 = delta2`` that start is the optimum, a water-fill of delta
+    over ``1 - d`` on both branches, and takes 0 steps.  ``regime``
+    records which path produced the result; ``infeasible-region`` means a
+    budget is left slack because every component sits at its cap in the
+    restricted program, not that the pair is unreachable.  ``iterations``
+    counts the Newton steps, 0 on the closed form.
 
     The result certifies itself: ``dual_gap`` is the rate minus the dual
     bound ``0.5 (sum log(1 - d^2) - g)`` at ``multipliers``, which equals

@@ -41,7 +41,7 @@ def test_cvf_reports_indices_and_writes_file(runner, pair_file, tmp_path):
     assert res.exit_code == 0
     body = json.loads(res.stdout)
     assert body["idx"] == {"p11": 0, "p12": 3, "p13": 0, "p21": 0, "p22": 3, "p23": 0}
-    saved = json.loads(open(out).read())
+    saved = json.loads(Path(out).read_text())
     np.testing.assert_allclose(saved["d"], [0.8, 0.5, 0.1], atol=1e-12)
     assert np.asarray(saved["s1"]).shape == (3, 3)
 
@@ -53,14 +53,14 @@ def test_cvf_accepts_csv_input(runner, tmp_path):
     out = str(tmp_path / "cvf.json")
     res = runner.invoke(main, ["cvf", "--in", str(src), "--out", out])
     assert res.exit_code == 0
-    np.testing.assert_allclose(json.loads(open(out).read())["d"], [0.4, 0.2], atol=1e-12)
+    np.testing.assert_allclose(json.loads(Path(out).read_text())["d"], [0.4, 0.2], atol=1e-12)
 
 
 def test_cvf_output_is_byte_stable(runner, pair_file, tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     runner.invoke(main, ["cvf", "--in", pair_file, "--out", out1])
     runner.invoke(main, ["cvf", "--in", pair_file, "--out", out2])
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_common_info_units(runner, pair_file):
@@ -118,7 +118,7 @@ def test_realize_and_simulate_identity_state(runner, cvf_file, tmp_path):
     real = str(tmp_path / "real.json")
     res = runner.invoke(main, ["realize", "--in", cvf_file, "--out", real])
     assert res.exit_code == 0
-    assert json.loads(open(real).read())["kind"] == "optimal-state"
+    assert json.loads(Path(real).read_text())["kind"] == "optimal-state"
 
     rep1 = str(tmp_path / "r1.json")
     rep2 = str(tmp_path / "r2.json")
@@ -126,8 +126,8 @@ def test_realize_and_simulate_identity_state(runner, cvf_file, tmp_path):
         res = runner.invoke(main, ["simulate", "--realization", real, "-N", "5000",
                                    "--seed", "42", "--report", rep])
         assert res.exit_code == 0, res.output
-    assert open(rep1, "rb").read() == open(rep2, "rb").read()
-    body = json.loads(open(rep1).read())
+    assert Path(rep1).read_bytes() == Path(rep2).read_bytes()
+    body = json.loads(Path(rep1).read_text())
     assert list(body) == ["n_samples", "cov_rel_err", "ci_residual", "mi_plugin",
                           "distortion_errs", "seed", "cov_err_sigmas", "ci_residual_sigmas"]
     assert json.loads(res.stdout) == body
@@ -149,13 +149,13 @@ def test_realize_and_simulate_family_state(runner, cvf_file, tmp_path):
     res = runner.invoke(main, ["realize", "--in", cvf_file, "--qw", str(qw),
                                "--out", real])
     assert res.exit_code == 0
-    body = json.loads(open(real).read())
+    body = json.loads(Path(real).read_text())
     assert body["kind"] == "ci-family"
     rep = str(tmp_path / "rep.json")
     res = runner.invoke(main, ["simulate", "--realization", real, "-N", "4000",
                                "--seed", "1", "--report", rep])
     assert res.exit_code == 0
-    assert json.loads(open(rep).read())["ci_residual"] < 0.1
+    assert json.loads(Path(rep).read_text())["ci_residual"] < 0.1
 
 
 def test_rdf_values_and_units(runner, cvf_file):
@@ -200,7 +200,7 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     res = runner.invoke(main, ["region", "--in", cvf_file, "--delta1", "0.3",
                                "--delta2", "0.3", "--alpha-grid", "3", "--out", out])
     assert res.exit_code == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "alpha1,alpha2,T,R0,R1,R2,q_1,q_2,q_3"
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
     summary = json.loads(res.stdout)
@@ -217,7 +217,7 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
                                         p.triple.r1, p.triple.r2, *p.q])
         for p in points
     ]) + "\n"
-    assert open(out, "rb").read() == want.encode()
+    assert Path(out).read_bytes() == want.encode()
     assert gw.region_csv(points) == want
     assert lines[-1].startswith("1,1,6.2480634510635")
     # the summary certifies the sweep: the largest gap and the total dual

@@ -311,6 +311,24 @@ def test_region_sweep_certificates_match_a_brute_force_dual(case):
     assert pt.gap - (pt.objective - bound) <= 1e-11 * (1.0 + abs(pt.objective))
 
 
+def test_region_sweep_stops_at_the_rounding_floor_of_its_budget():
+    # delta1 = 0.37 n (1 - d_max), 4.8e-5: from the 6th evaluation on, the branch-1 residual
+    # wanders within +-9e-12, the rounding the inner roots' stopping error
+    # 2 eps |u| leaves in the sums; the solve took 61 evaluations when only
+    # 1e-12 ended it
+    d = np.array([0.9999742998110388, 0.9999345418338131, 0.9984658064780574,
+                  0.9915278929613666, 0.7671858927777988])
+    delta = np.array([4.7663641630791746e-05, 3.01372850183702])
+    (pt,) = gw.region_sweep(d, *delta, alphas=[(1.0, 1.0)])
+    assert pt.converged and pt.iterations <= 10
+    assert math.isclose(pt.objective, 29.035332339457543, rel_tol=1e-12)
+    # the dual bound closes the objective; the reported gap adds ~5e-10 of
+    # rounding allowance on these near-unit coefficients
+    with np.errstate(divide="ignore", invalid="ignore"):  # grid ends at v = 0
+        bound = _lagrangian_inf(d, delta, (1.0, 1.0), pt.multipliers)
+    assert pt.objective - bound <= min(pt.gap, 1e-10)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("alpha", CORNERS + [(0.5, 1.0)])
 def test_region_sweep_slack_budget(n, alpha):

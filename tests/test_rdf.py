@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -171,11 +172,18 @@ def test_joint_rate_monotone_in_distortion(d, f1, f2, grow):
 
 def test_joint_with_independent_components_splits():
     # zero correlation: the two branches decouple into marginal problems;
-    # beyond D_W a budget of 2 or more leaves both components at a = 1
-    for delta1, delta2 in [(0.7, 1.1), (0.7, 3.0), (2.5, 3.0)]:
+    # beyond D_W a budget of 2 or more leaves both components at a = 1.  At
+    # budget ratios of 2e7 a start that capped a d = 0 component at the cap
+    # point of the ray a2 = rho a1 instead of at 1 ended at rate 0, with a
+    # budget broken 39-fold
+    for delta1, delta2 in [(0.7, 1.1), (0.7, 3.0), (2.5, 3.0), (0.05, 1e6), (1e6, 0.05)]:
         res = gw.joint_rdf(np.zeros(2), delta1, delta2)
         want = sum(gw.marginal_rdf(np.ones(2), delta).rate for delta in (delta1, delta2))
         assert math.isclose(res.rate, want, rel_tol=1e-10, abs_tol=1e-15)
+        # (2.5, 3.0): both budgets slack, where the dual is flat and a solve
+        # that does not start at 0 stays with a gap of 0.5 lam . slack
+        assert res.budget_residual <= 1e-12
+        assert abs(res.dual_gap) <= 1e-12 * (1.0 + res.rate)
 
 
 def test_joint_empty_is_zero():
@@ -369,12 +377,24 @@ def test_brentq_matches_scipy_on_budget_equations(d, share1, share2, lam2_outer)
     np.testing.assert_allclose(res.alloc2, a2, rtol=0, atol=1e-12)
 
 
-def test_dual_hessian_matches_finite_differences(rng):
-    # the Hessian is minus the Jacobian of the allocation sums in (lam1, lam2)
+def _hessian_cases(rng):
     for _ in range(100):
         d = np.append(rng.uniform(0.05, 0.99, int(rng.integers(1, 5))), 0.0)
-        lam = 10.0 ** rng.uniform(0.2, 2.0, 2)
+        yield d, 10.0 ** rng.uniform(0.2, 2.0, 2)
+    # lam2 > lam1 with lam1 below 1 and a tiny d: the capped a1 runs to 1, so
+    # a Hessian built from 1 - a1 instead of 1 - a2 came out NaN
+    for _ in range(100):
+        tiny = 10.0 ** rng.uniform(-9.0, -2.0, int(rng.integers(1, 4)))
+        d = np.append(tiny, rng.uniform(0.05, 0.99))
+        lam1 = 10.0 ** rng.uniform(-1.0, -0.1)
+        yield d, np.array([lam1, lam1 * 10.0 ** rng.uniform(0.5, 3.0)])
+
+
+def test_dual_hessian_matches_finite_differences(rng):
+    # the Hessian is minus the Jacobian of the allocation sums in (lam1, lam2)
+    for d, lam in _hessian_cases(rng):
         hess = rdf._lagrangian_alloc(d, *lam)[2]
+        assert np.all(np.isfinite(hess))
         jac = np.empty((2, 2))
         for k in range(2):
             step = np.zeros(2)
@@ -385,12 +405,13 @@ def test_dual_hessian_matches_finite_differences(rng):
         np.testing.assert_allclose(hess, -jac, rtol=0, atol=1e-4 * np.abs(hess).max())
 
 
-def _count_dual_evaluations(monkeypatch):
+def _count_dual_evaluations(monkeypatch, limit=None):
     calls = []
     inner = rdf._lagrangian_alloc
 
     def counted(*args):
         calls.append(args)
+        assert limit is None or len(calls) <= limit, "the dual solve does not end"
         return inner(*args)
 
     monkeypatch.setattr(rdf, "_lagrangian_alloc", counted)
@@ -406,16 +427,86 @@ def test_joint_dual_solve_takes_few_evaluations(monkeypatch, d, share1, share2):
     b = gw.dw_bound(d)
     res = gw.joint_rdf(d, share1 * b, share2 * b)
     assert res.regime == "numerical"
-    assert 0 < res.iterations < len(calls) <= 40
+    if share1 == share2:
+        # equal budgets: the water-fill start is the optimum
+        assert res.iterations == 0 and len(calls) == 1
+    else:
+        assert 0 < res.iterations < len(calls) <= 8
+
+
+def _waterfill_level(ceilings, delta):
+    # the level x with sum(min(x, ceilings)) = delta, by bisection
+    lo, hi = 0.0, float(np.max(ceilings))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.minimum(mid, ceilings).sum() < delta else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "d, share",
+    [((0.9, 0.4, 0.0), 0.5), ((0.7, 0.0, 0.0, 0.2), 0.9), ((1.0 - 1e-9, 0.999, 0.5), 0.3)],
+)
+def test_joint_equal_budgets_outside_region_water_fill_one_minus_d(d, share):
+    # at delta1 = delta2 the restricted optimum is symmetric, and on the
+    # diagonal the cap reads a <= 1 - d: both branches water-fill delta
+    # over 1 - d
+    d = np.array(d)
+    b, top = gw.dw_bound(d), float(np.sum(1.0 - d))
+    delta = b + share * (top - b)
+    # 1 - d on the cap of the rounded d^2, which sets 1 - d = 1e-9 apart
+    # from the true one by 5e-10 relative
+    ceil = (1.0 - d * d) / (1.0 + d)
+    level = _waterfill_level(ceil, delta)
+    want = np.minimum(level, ceil)
+    res = gw.joint_rdf(d, delta, delta)
+    assert res.regime == "numerical"
+    np.testing.assert_allclose(res.alloc1, want, rtol=1e-12)
+    np.testing.assert_allclose(res.alloc2, want, rtol=1e-12)
+    rate = 0.5 * float(np.sum(np.log1p(-d * d) - 2.0 * np.log(want)))
+    assert math.isclose(res.rate, rate, rel_tol=1e-12)
+    assert res.budget_residual <= 1e-12
+    assert abs(res.dual_gap) <= 1e-12 * (1.0 + res.rate)
 
 
 def test_joint_reports_newton_iterations():
     assert gw.joint_rdf(D3, 0.3, 0.3).iterations == 0
     assert gw.joint_rdf(np.zeros(0), 1.0, 1.0).iterations == 0
-    # the dual solve starts at the equal-split multipliers n / delta, which
-    # are already optimal inside D_W
+    # the dual solve starts at 1 / the water levels of the budgets, which
+    # inside D_W are the equal-split multipliers n / delta, already optimal
     assert gw.joint_rdf(D3, 0.3, 0.3, force_numerical=True).iterations == 0
     assert gw.joint_rdf(D3, 1.2, 0.3).iterations > 0
+
+
+def test_joint_returns_at_extreme_budget_ratios(monkeypatch):
+    # the line search once halved t = 0 without bound under its Armijo test
+    # and ran 636 350 dual evaluations in 60 s here without returning
+    _count_dual_evaluations(monkeypatch, limit=1000)
+    start = time.perf_counter()
+    res = gw.joint_rdf(D3, 1e-150, 1e150)
+    assert time.perf_counter() - start < 1.0
+    assert res.budget_residual <= 1e-11
+    assert abs(res.dual_gap) <= 1e-9 * (1.0 + res.rate)
+
+
+def test_dual_line_search_halvings_are_bounded():
+    # a step so long that its reach underflows to t = 0: every trial clamps
+    # both multipliers at 0, and the dual value there never passes the
+    # Armijo test; halving t = 0 once went on without end
+    delta = np.array([1e150, 1e150])
+    start = np.array([1e-100, 1e-100])
+    calls = []
+
+    def oracle(lam):
+        calls.append(lam)
+        assert len(calls) <= 1000, "the line search does not end"
+        g = 0.0 if np.array_equal(lam, start) else 1.0
+        return 1e-100 * np.eye(2), g, np.ones(2), np.zeros(2), lam
+
+    lam, state, steps, evals = rdf._dual_newton(oracle, delta, start)
+    assert all(np.array_equal(trial, [0.0, 0.0]) for trial in calls[1:])
+    assert evals == len(calls) == 1 + rdf._LINE_STEPS
+    assert steps == 0 and lam is start
 
 
 # ---------------------------------------------------------------- cap solve
@@ -553,28 +644,29 @@ def _lagrangian_sup(d, lam, delta):
     Per component (d > 0) the supremum is at the free point (1/lam1, 1/lam2)
     when that point keeps the cap, and otherwise on the cap curve
     (1 - a1)(1 - a2) = d^2.  The curve is gridded by s in (0, 1) as
-    a1 = (1 - c)(1 - s), a2 = (1 - c) s / (c + (1 - c) s), log-spaced at both
-    ends, and the grid is refined five times around its best point.
+    a1 = (1 - c)(1 - s), a2 = (1 - c) s / (c + (1 - c) s), with s and 1 - s
+    taken from a uniform grid of x = log(s / (1 - s)) on [-740, 740], so
+    both allocations reach down to ~1e-320; the grid is refined five times
+    around its best point.
     """
     c = (d * d)[:, None]
-    s = np.concatenate(
-        [np.logspace(-16, -1, 3000), np.linspace(0.1, 0.9, 3000), 1.0 - np.logspace(-1, -16, 3000)]
-    )
 
-    def value(s):
-        a1 = (1.0 - c) * (1.0 - s)
-        a2 = (1.0 - c) * s / (c + (1.0 - c) * s)
-        return np.log(a1) + np.log(a2) - lam[0] * a1 - lam[1] * a2
+    def value(x):
+        with np.errstate(over="ignore", divide="ignore"):
+            s, r = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
+            a1 = (1.0 - c) * r
+            a2 = (1.0 - c) * s / (c + (1.0 - c) * s)
+            return np.log(a1) + np.log(a2) - lam[0] * a1 - lam[1] * a2
 
-    s = np.broadcast_to(s, (d.size, s.size))
+    x = np.broadcast_to(np.linspace(-740.0, 740.0, 9001), (d.size, 9001))
     for _ in range(6):
-        v = value(s)
+        v = value(x)
         i = np.argmax(v, axis=1)
         rows = np.arange(d.size)
-        lo = s[rows, np.maximum(i - 1, 0)]
-        hi = s[rows, np.minimum(i + 1, s.shape[1] - 1)]
+        lo = x[rows, np.maximum(i - 1, 0)]
+        hi = x[rows, np.minimum(i + 1, x.shape[1] - 1)]
         best = v[rows, i]
-        s = np.linspace(lo, hi, 201, axis=1)
+        x = np.linspace(lo, hi, 201, axis=1)
     if np.all(lam > 0.0):
         f1, f2 = 1.0 / lam
         if f1 < 1.0 and f2 < 1.0:
@@ -596,6 +688,15 @@ def _certificate_cases():
     for d in NEAR_UNIT_CASES:
         b = gw.dw_bound(d)
         yield f"unit-{d}", np.array(d), 93.45 * b, 1.78e-3 * b
+    # multipliers ~1e9 apart, where a ridge of 1e-14 x trace swamped the
+    # smaller one's curvature: the rate came out 1.25e-4 above its dual bound
+    yield "ridge", np.array([0.999999999, 0.3]), 1e-12, 1e-3
+    # lam2 > lam1 with a capped a1 near 1: the Hessian was NaN at the start,
+    # and the solve stopped there with 20 % of a budget unspent and gap 1.44
+    d = np.array([0.9962424033099652, 0.001333318731158828, 0.00037128869308300505,
+                  3.615692523162295e-09])
+    yield "orient", d, 6.240502262052035, 0.06782071059064179
+    yield "extreme", D3, 1e-150, 1e150
 
 
 @pytest.mark.parametrize("case", list(_certificate_cases()), ids=lambda case: case[0])
