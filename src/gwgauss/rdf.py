@@ -16,19 +16,11 @@ restricted convex program
     s.t.     sum_j a_ij <= delta_i,   (1 - a_1j)(1 - a_2j) >= d_j^2
 
 which is an upper bound on the Gaussian joint rate-distortion function,
-not that function itself.  It is solved through its Lagrangian dual g by
-one damped Newton iteration on the two budget multipliers, projected onto
-lam >= 0 and backtracking on the value of g: the dual's gradient is the
-budget residual and its Hessian comes in closed form with the allocation.
-Each component's allocation sits either at the common water levels, in
-closed form, or on its feasibility cap, at the one stationary point of the
-Lagrangian along the cap curve (:func:`_capped_pairs`).  The iteration
-starts at 1 / the water level of each budget over per-component ceilings
-from the cap curve.  With delta1 = delta2 the program is symmetric and
-strictly concave, so its optimum is symmetric, and on the diagonal the cap
-reads a <= 1 - d: both branches water-fill delta over 1 - d, in closed
-form, and the start is the optimum.  The result's duality gap certifies
-the rate against the restricted optimum only.
+not that function itself.  Its cap is the set of allocation pairs that
+some diagonal conditional-independence state admits, so the program is the
+CI-family weighted rate of :mod:`graywyner` at unit weights: one
+two-multiplier dual (:func:`ci_dual`) solves both, and its duality gap
+certifies the rate against the restricted optimum only.
 """
 
 from __future__ import annotations
@@ -158,19 +150,15 @@ def in_dw(d, delta1: float, delta2: float) -> bool:
     return 0.0 <= delta1 <= b + tol and 0.0 <= delta2 <= b + tol
 
 
-_LAM_TINY = 1e-12
+def require_dw(d, delta1: float, delta2: float) -> None:
+    """Raise :class:`OutsideDW`, with the bound attached, outside ``D_W``."""
+    if not in_dw(d, delta1, delta2):
+        b = dw_bound(d)
+        raise OutsideDW(f"(delta1, delta2) = ({delta1}, {delta2}) outside the "
+                        f"equal-split region [0, {b}]^2", bound=b)
+
+
 _CAP_STEPS = 100
-
-
-def _chi(u, w1, wc, c, lam1, lam2):
-    """chi(u) of :func:`_capped_pairs`, its derivative in u, and the size of
-    its terms, from u, w1 = 1 - u = a1 and wc = u - c."""
-    cu = c / u
-    m2 = lam2 * cu / u
-    lead = w1 * wc * (lam1 - m2)
-    tail = cu * w1
-    slope = (w1 - wc) * (lam1 - m2) + 2.0 * m2 * w1 * wc / u - 1.0 - cu / u
-    return lead - wc + tail, slope, np.abs(lead) + wc + tail
 
 
 def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
@@ -197,7 +185,9 @@ def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
     u - c = s - a1 and a2 = (s - a1) / (1 - a1) keep their relative
     precision when s is tiny (d near 1); for c >= 1/2, 1 - c is exact.
     With lam1 >= lam2 the iterate a1 is the smaller allocation, so s - a1
-    does not cancel either; otherwise the branches swap roles.
+    does not cancel either; otherwise the branches swap roles.  With
+    lam1 = lam2 (both 0 on slack budgets) the root is the symmetric point
+    a1 = a2 = 1 - d, taken in closed form, since s - a1 cancels there.
     It is a safeguarded Newton iteration on chi, batched over components:
     the bracket starts at (0, s) and shrinks on the sign of chi, and a step
     that leaves it or meets chi' >= 0 bisects instead.  It starts from the
@@ -210,26 +200,32 @@ def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
         return b1, b2
     r = np.sqrt(c)
     s = 1.0 - c
-    if lam1 <= _LAM_TINY and lam2 <= _LAM_TINY:
-        a = s / (1.0 + r)  # free product maximizer, a1 = a2 = 1 - d
+    if lam1 == lam2:
+        a = s / (1.0 + r)  # the symmetric point a1 = a2 = 1 - d, exact
         return a, a.copy()
     # start: the root in (0, s) of k x^2 - (k s + 1 + r) x + s, which is
     # chi with c/u frozen at sqrt(c) and x = a1; q is the cancellation-free
-    # form.  A NaN or an infinity from a degenerate quadratic or a zero
-    # slope fails the range and bracket tests below and falls back to the
+    # form (k > 0, so the linear coefficient is negative).  A NaN or an
+    # infinity from a rounded or overflowing discriminant, or a zero slope,
+    # fails the range and bracket tests below and falls back to the
     # symmetric point 1 - d or to bisection.
     k = lam1 - lam2
     b = k * s + 1.0 + r
     lo, hi = np.zeros_like(c), s
     tol = 4.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = 0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * k * s), b))
-        x = s / q
-        x = np.where((x > 0.0) & (x < s), x, q / k)
+        x = s / (0.5 * (b + np.sqrt(b * b - 4.0 * k * s)))
         x = np.where((x > 0.0) & (x < s), x, s / (1.0 + r))
         for _ in range(_CAP_STEPS):
-            u = 1.0 - x
-            chi, slope, size = _chi(u, x, s - x, c, lam1, lam2)
+            # chi, its derivative in u and the size of its terms, from
+            # u = 1 - x, a1 = x and u - c = s - x
+            u, wc = 1.0 - x, s - x
+            cu = c / u
+            m2 = lam2 * cu / u
+            lead = x * wc * (lam1 - m2)
+            tail = cu * x
+            chi, size = lead - wc + tail, np.abs(lead) + wc + tail
+            slope = (x - wc) * (lam1 - m2) + 2.0 * m2 * x * wc / u - 1.0 - cu / u
             lo = np.where(chi < 0.0, x, lo)
             hi = np.where(chi > 0.0, x, hi)
             nxt = x + chi / slope  # chi' in x is -slope
@@ -240,63 +236,6 @@ def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
             if done.all():
                 break
     return x, (s - x) / (1.0 - x)
-
-
-def _lagrangian_alloc(d: np.ndarray, lam1: float, lam2: float):
-    """Per-component argmax of sum(log a1 + log a2) - lam1 a1 - lam2 a2
-    subject to the cap constraints, unique by strict concavity, and the
-    Hessian of the dual at (lam1, lam2), which is minus the Jacobian of the
-    allocation sums.
-
-    A free component adds diag(a1^2, a2^2), and one with d = 0 adds a^2 on
-    each branch where a < 1.  A capped one moves along its cap: with
-    u = 1 - a1 and chi' < 0 at its root, it adds s v v^T with
-    v = (1, -c/u^2) and s = (1-u)(u-c) / -chi'(u).  When lam2 > lam1 the
-    branches swap roles, as in :func:`_capped_pairs`: u = 1 - a2 stays away
-    from 0 where a1 runs to 1.
-    """
-    n = d.size
-    c = d * d
-    a1 = np.empty(n)
-    a2 = np.empty(n)
-    hess = np.zeros((2, 2))
-    f1 = 1.0 / lam1 if lam1 > _LAM_TINY else math.inf
-    f2 = 1.0 / lam2 if lam2 > _LAM_TINY else math.inf
-    zero = d == 0.0
-    if zero.any():
-        a1[zero] = min(f1, 1.0)
-        a2[zero] = min(f2, 1.0)
-        k = np.count_nonzero(zero)
-        hess[0, 0] += k * f1 * f1 if f1 < 1.0 else 0.0
-        hess[1, 1] += k * f2 * f2 if f2 < 1.0 else 0.0
-    pos = ~zero
-    if pos.any():
-        if f1 < 1.0 and f2 < 1.0:
-            free = pos & (c <= (1.0 - f1) * (1.0 - f2))
-            k = np.count_nonzero(free)
-            hess[0, 0] += k * f1 * f1
-            hess[1, 1] += k * f2 * f2
-        else:
-            free = np.zeros(n, dtype=bool)
-        a1[free] = f1
-        a2[free] = f2
-        capped = pos & ~free
-        if capped.any():
-            cc = c[capped]
-            b1, b2 = _capped_pairs(cc, lam1, lam2)
-            a1[capped] = b1
-            a2[capped] = b2
-            # in the cap solve's orientation: u is 1 minus the smaller
-            # allocation, the larger multiplier's, so it stays away from 0
-            swap = lam2 > lam1
-            x, y, l1, l2 = (b2, b1, lam2, lam1) if swap else (b1, b2, lam1, lam2)
-            u = 1.0 - x
-            wc = u * y
-            s = x * wc / -_chi(u, x, wc, cc, l1, l2)[1]
-            v = -cc / (u * u)
-            h = np.array([[s.sum(), (s * v).sum()], [(s * v).sum(), (s * v * v).sum()]])
-            hess += h[::-1, ::-1] if swap else h
-    return a1, a2, hess
 
 
 _BUDGET_RTOL = 1e-12
@@ -314,19 +253,7 @@ _G_ROUND = 1e-10
 # a residual within this many of the rounding size its oracle reports is met
 _FLOOR = 4.0
 _EPS = np.finfo(float).eps
-
-
-def _dual(d: np.ndarray, lam: np.ndarray, delta: np.ndarray):
-    """Hessian and value g = sum(log(a1 a2)) + lam . (delta - sum(a)) of the
-    dual at lam, the relative budget residuals, where a slack budget whose
-    multiplier is 0 counts as met, their rounding size (4 eps of each sum,
-    the cap roots' stopping tolerance) and the allocation."""
-    a1, a2, hess = _lagrangian_alloc(d, *lam)
-    sums = np.array([a1.sum(), a2.sum()])
-    slack = delta - sums
-    g = float(np.sum(np.log(a1 * a2)) + lam @ slack)
-    r = slack / delta
-    return hess, g, np.where(lam > 0.0, r, np.minimum(r, 0.0)), 4.0 * _EPS * sums / delta, (a1, a2)
+_SGN = np.array([[1.0], [-1.0]])  # dv_i/du = sgn_i w_i in ci_dual, w_i = 1 - v_i
 
 
 def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
@@ -407,6 +334,147 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
     return lam, state, steps, evals
 
 
+# per-coordinate Newton steps on h' in ci_dual; bisection alone reaches
+# rounding on the bracket (log d, -log d) in under 60 halvings
+_INNER_STEPS = 80
+
+
+def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarray):
+    """Minimize ``R0 + alpha1 R1 + alpha2 R2`` over diagonal family states.
+
+    With ``u = log q`` and the branch allocations ``x_ij`` as variables the
+    weighted rate is, up to the constant ``0.5 sum log(1 - d^2)``, the
+    jointly convex program
+
+        minimize  sum_j sum_i [ -(1 - alpha_i)/2 log v_ij(u_j) - alpha_i/2 log x_ij ]
+        s.t.      x_ij <= v_ij(u_j),   sum_j x_ij <= delta_i,
+
+    with ``v_1 = 1 - d e^{-u}`` and ``v_2 = 1 - d e^{u}`` concave in u
+    (``v = 1`` where d = 0); a branch with zero weight has no allocation.
+    Multipliers mu on the budgets split the Lagrangian per coordinate:
+    ``x_ij = min(v_ij, c_i)`` with ``c_i = alpha_i / (2 mu_i)``, and u_j
+    minimizes ``h_j(u) = sum_i phi_i(v_ij(u))``, convex and C^1 on
+    (log d_j, -log d_j), with ``phi_i' = -(1 - alpha_i) / (2 v)`` on an
+    active branch (v > c_i) and ``mu_i - 1 / (2 v)`` on a saturated one.
+    h' runs from -inf to +inf; safeguarded Newton steps inside a bisection
+    bracket find its root, batched over coordinates and warm-started from
+    the previous evaluation.
+
+    At unit weights this is the restricted program of :func:`joint_rdf`
+    with ``lam = 2 mu``: ``x1 <= 1 - d/q`` and ``x2 <= 1 - d q`` for some
+    q is the cap ``(1 - x1)(1 - x2) >= d^2``.  There h is flat where both
+    branches are active, so a coordinate keeps ``x = (c_1, c_2)`` when that
+    point keeps the cap, and otherwise saturates both branches on the cap,
+    at the root of :func:`_capped_pairs`; q is then the state nearest 1,
+    the least R0, that admits the allocations.
+
+    The dual over mu >= 0 is solved by :func:`_dual_newton`: its gradient
+    is ``delta - sum_j x_ij`` and its Hessian
+    ``diag(sum_active c_i / mu_i) + sum_j s s^T / h_j''``, with s the
+    saturated slopes ``dv_i/du``.  A saturated x_ij = v_ij(u_j) inherits
+    the inner roots' stopping error 2 eps |u_j|, so the budget sums round
+    by ``sum_saturated w_ij 2 eps |u_j|`` (at unit weights by 4 eps of each
+    sum, the cap roots' tolerance), and the solve stops within a few of
+    that rounding (it exceeds 1e-12 of delta_i only where delta_i is tiny
+    and |u| large).
+
+    Returns ``(x, q, mu, bound, steps, evals, converged)``: the
+    allocations, the state, the multipliers, the dual bound on the
+    objective, the Newton steps, the dual evaluations and whether the solve
+    stopped before its step cap.
+    """
+    dd = d * d
+    pos = d > 0.0
+    with np.errstate(divide="ignore"):
+        ld = np.log(d)  # -inf where d = 0
+    k = (1.0 - alpha)[:, None]
+    on = alpha > 0.0
+    u = np.zeros(d.size)
+
+    def terms(w, v, active, m):
+        # the terms psi_i w_i of h' = psi_1 w_1 - psi_2 w_2, 1 / (2 v), and h''
+        iv = 0.5 / v
+        pw = np.where(active, -k * iv, m - iv) * w
+        return pw, iv, (np.where(active, k, 1.0) * 2.0 * iv * iv * w * w - pw).sum(0)
+
+    def residuals(mu, sums):
+        # a slack budget whose multiplier is 0 counts as met
+        r = 1.0 - sums / delta
+        return np.where(mu > 0.0, r, np.minimum(r, 0.0))
+
+    def unit_oracle(mu):
+        mu1, mu2 = mu.tolist()
+        c1, c2 = (0.5 / mi if mi > 0.0 else math.inf for mi in (mu1, mu2))
+        x = np.empty((2, d.size))
+        x[0], x[1] = min(c1, 1.0), min(c2, 1.0)  # v = 1 where d = 0
+        cap = pos & (dd > (1.0 - c1) * (1.0 - c2)) if c1 < 1.0 and c2 < 1.0 else pos
+        free = d.size - np.count_nonzero(cap)
+        # each active piece adds c_i / mu_i = 2 c_i^2
+        hess = np.array([[2.0 * free * c1 * c1 if c1 < 1.0 else 0.0, 0.0],
+                         [0.0, 2.0 * free * c2 * c2 if c2 < 1.0 else 0.0]])
+        if free < d.size:
+            # 1 minus the cap root's iterate, the larger multiplier's
+            # allocation, keeps its precision where the other runs to 1
+            i = int(mu2 > mu1)
+            cc = dd[cap]
+            x[:, cap] = xc = np.array(_capped_pairs(cc, 2.0 * mu1, 2.0 * mu2))
+            w = np.empty_like(xc)
+            w[i] = 1.0 - xc[i]
+            w[1 - i] = cc / w[i]
+            s = _SGN * w / np.sqrt(terms(w, xc, False, mu[:, None])[2])
+            hess += s @ s.T
+        sums = x.sum(1)
+        g = float(mu @ (delta - sums) + 0.5 * np.log(x).sum())
+        return hess, g, residuals(mu, sums), 4.0 * _EPS * sums / delta, (x, u, g)
+
+    def family_oracle(mu):
+        nonlocal u
+        m = mu[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(on, alpha / (2.0 * mu), 0.0)  # inf on a weighted branch with mu = 0
+            # -alpha/2 log c + mu c, the value of a weighted active piece
+            pinned = np.where(on & (mu > 0.0), 0.5 * alpha * (1.0 - np.log(c)), 0.0)[:, None]
+            c = c[:, None]
+            lo, hi = ld, -ld
+            for it in range(_INNER_STEPS):
+                e = ld - _SGN * u
+                w, v = np.exp(e), -np.expm1(e)
+                active = v > c
+                pw, iv, curv = terms(w, v, active, m)
+                grad = pw[0] - pw[1]
+                lo = np.where(grad < 0.0, u, lo)
+                hi = np.where(grad > 0.0, u, hi)
+                nxt = u - grad / curv
+                nxt = np.where((curv > 0.0) & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+                # the size of the terms of h', for its rounding
+                size = (w * (iv + np.where(active, 0.0, m))).sum(0)
+                done = (abs(grad) <= 8.0 * _EPS * size) | (abs(nxt - u) <= 2.0 * _EPS * abs(u))
+                if done.all() or it == _INNER_STEPS - 1:
+                    break
+                u = np.where(done, u, nxt)
+            sat = ~active & on[:, None]
+            s = np.where(sat, _SGN * w, 0.0) / np.sqrt(np.where(curv > 0.0, curv, 1.0))
+            drift = np.where(on & (mu > 0.0), active.sum(1) * c[:, 0] / mu, 0.0)
+        value = np.where(active, pinned - 0.5 * k * np.log(v), m * v - 0.5 * np.log(v))
+        g = float(mu @ delta - value.sum())
+        x = np.where(active, c, v)
+        rounding = np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u)) / delta
+        return np.diag(drift) + s @ s.T, g, residuals(mu, x.sum(1)), rounding, (x, u, g)
+
+    unit = alpha.tolist() == [1.0, 1.0]
+    mu, (x, u, g), steps, evals = _dual_newton(unit_oracle if unit else family_oracle, delta, start)
+    if unit:
+        # the state of least R0 with x_i <= v_i(u) on both branches, u = 0
+        # where d = 0; on the cap lo = hi, taken from the smaller allocation,
+        # whose 1 - x keeps its precision
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = ld - np.log1p(-x[0]), np.log1p(-x[1]) - ld
+            u = np.where(lo < hi, np.minimum(np.maximum(lo, 0.0), hi), np.where(x[0] <= x[1], lo, hi))
+            u = np.where(pos, u, 0.0)
+    bound = 0.5 * float(np.sum(np.log1p(-dd))) - g
+    return x, np.exp(u), mu, bound, steps, evals, steps < _NEWTON_STEPS
+
+
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
     # start at 1 / the water level of each budget over the ceilings
     # e_ij = max(p_ij, 1 - d_j), with p_j where the ray a2 = rho a1 meets
@@ -423,37 +491,37 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
     start = np.array([1.0 / _waterfill(np.maximum(p, 1.0 - d), x)[1]
                       for p, x in ((p1, delta1), (rho * p1, delta2))])
     start[delta >= s.sum()] = 0.0
-    lam, (a1, a2), steps, _ = _dual_newton(lambda lam: _dual(d, lam, delta), delta, start)
+    (a1, a2), _, mu, _, steps, _, _ = ci_dual(d, delta, np.ones(2), 0.5 * start)
     rate = float(0.5 * (np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2))))
     slack = delta - [a1.sum(), a2.sum()]
     regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"
-    return _certified(rate, a1, a2, lam, delta, regime, steps)
+    return _certified(rate, a1, a2, 2.0 * mu, delta, regime, steps)
 
 
-def joint_rdf(d, delta1: float, delta2: float, force_numerical: bool = False) -> JointRdfResult:
+def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     """Joint rate over both branches under the independent-error structure.
 
     Inside the equal-split region the closed form
     ``sum_j 0.5 log((1 - d_j^2) n^2 / (delta1 delta2))`` applies.  Outside
     it the result is the optimum of the restricted program (errors
     independent across branches and diagonal per component), an upper
-    bound on the Gaussian joint rate-distortion function, found by a
-    projected Newton solve of the two-multiplier dual whose line search
-    backtracks on the dual value.  The solve starts at 1 / the water level
-    of each budget over the ceilings ``max(p_ij, 1 - d_j)``, with p_j the
-    point of the cap curve on the ray ``a2 = sqrt(delta2 / delta1) a1``.
-    At ``delta1 = delta2`` that start is the optimum, a water-fill of delta
-    over ``1 - d`` on both branches, and takes 0 steps.  ``regime``
-    records which path produced the result; ``infeasible-region`` means a
-    budget is left slack because every component sits at its cap in the
-    restricted program, not that the pair is unreachable.  ``iterations``
-    counts the Newton steps, 0 on the closed form.
+    bound on the Gaussian joint rate-distortion function: :func:`ci_dual`
+    at unit weights, with ``multipliers = 2 mu``.  The solve starts at 1 /
+    the water level of each budget over the ceilings ``max(p_ij, 1 - d_j)``,
+    with p_j the point of the cap curve on the ray
+    ``a2 = sqrt(delta2 / delta1) a1``; at ``delta1 = delta2`` that is the
+    optimum, a water-fill of delta over ``1 - d``, and takes 0 steps.
+    ``regime`` records which path produced the result;
+    ``infeasible-region`` means a budget is left slack because every
+    component sits at its cap in the restricted program, not that the pair
+    is unreachable.  ``iterations`` counts the Newton steps, 0 on the
+    closed form.
 
     The result certifies itself: ``dual_gap`` is the rate minus the dual
-    bound ``0.5 (sum log(1 - d^2) - g)`` at ``multipliers``, which equals
-    ``0.5 lam . (delta - sum(alloc))``.  With ``budget_residual <= 0`` the
-    rate lies within ``dual_gap`` of the restricted optimum; the gap says
-    nothing about the distance to the Gaussian joint RDF.
+    bound at ``multipliers``, ``0.5 lam . (delta - sum(alloc))``.  With
+    ``budget_residual <= 0`` the rate lies within ``dual_gap`` of the
+    restricted optimum; the gap says nothing about the distance to the
+    Gaussian joint RDF.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if np.any(d < 0.0) or np.any(d >= 1.0):
@@ -461,7 +529,7 @@ def joint_rdf(d, delta1: float, delta2: float, force_numerical: bool = False) ->
     if delta1 <= 0.0 or delta2 <= 0.0:
         raise NonpositiveDistortion("both distortions must be positive")
     n = d.size
-    if n == 0 or not force_numerical and in_dw(d, delta1, delta2):
+    if n == 0 or in_dw(d, delta1, delta2):
         delta = np.array([delta1, delta2], dtype=float)
         rate = float(0.5 * np.sum(np.log((1.0 - d * d) * n * n / (delta1 * delta2))))
         a1, a2 = np.full(n, delta1) / n, np.full(n, delta2) / n
@@ -489,11 +557,7 @@ def sum_rate_identity_check(d, delta1: float, delta2: float) -> float:
     distortions required.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    if not in_dw(d, delta1, delta2):
-        raise OutsideDW(
-            f"(delta1, delta2) outside the equal-split region [0, {dw_bound(d)}]^2",
-            bound=dw_bound(d),
-        )
+    require_dw(d, delta1, delta2)
     if delta1 <= 0.0 or delta2 <= 0.0:
         raise NonpositiveDistortion("identity check needs positive distortions")
     ones = np.ones(d.size)

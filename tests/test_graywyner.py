@@ -105,6 +105,31 @@ def test_region_sweep_equal_weights_closes_sum_rate_bound():
     assert abs(ident.r0 + ident.r1 + ident.r2 - joint) < 1e-10
 
 
+def test_region_sweep_unit_weights_equal_joint_rate_outside_region(rng):
+    # outside D_W joint_rdf solves the restricted program, whose cap
+    # (1 - a1)(1 - a2) >= d^2 is the set of allocation pairs that some
+    # diagonal CI state admits, so T(1, 1) is the same minimum.  With 1 - d
+    # below ~1e-3 the two drift apart beyond 1e-12: the triple's branch
+    # variances 1 - d q round by eps / v, which the sweep's gap allowance
+    # covers
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            d = rng.uniform(0.05, 0.99, n)
+        else:
+            d = 1.0 - 10.0 ** rng.uniform(-3.0, -0.05, n)
+        d = np.sort(d)[::-1]
+        delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.0, 2)
+        if gw.in_dw(d, delta1, delta2):
+            continue
+        (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[(1.0, 1.0)])
+        joint = gw.joint_rdf(d, delta1, delta2)
+        assert joint.regime != "closed-form-DW"
+        assert math.isclose(pt.objective, joint.rate, rel_tol=1e-12), (d.tolist(), delta1, delta2)
+        checked += 1
+
+
 def test_region_sweep_never_beats_shared_rate_lower_bound():
     # T >= R0 >= C always; the sweep objective respects the information floor
     d = np.array([0.6, 0.3])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -127,7 +128,7 @@ def test_joint_numerical_matches_closed_form(d, f1, f2):
     if min(delta1, delta2) < 1e-6:
         return
     direct = gw.joint_rdf(d, delta1, delta2)
-    numeric = gw.joint_rdf(d, delta1, delta2, force_numerical=True)
+    numeric = rdf._joint_numerical(d, delta1, delta2)
     assert direct.regime == "closed-form-DW"
     assert math.isclose(direct.rate, numeric.rate, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -334,6 +335,31 @@ def test_joint_outside_region_matches_a_grid(d, share1, share2, grid_branch):
     assert res.alloc2.sum() <= delta2 * (1.0 + 1e-12)
 
 
+def _lagrangian_argmax(d, lam, optimize):
+    """Per-component argmax of log a1 + log a2 - lam . a under the cap
+    (1 - a1)(1 - a2) >= d^2, for d > 0, independent of rdf.
+
+    The free point (1/lam1, 1/lam2) when it keeps the cap; otherwise the
+    stationary point on the cap curve a2 = (s - a1) / (1 - a1), s = 1 - d^2,
+    where the derivative of the objective along the curve runs from +inf
+    at a1 = 0 to -inf at a1 = s, found by brentq.
+    """
+    a = np.empty((2, d.size))
+    for j, c in enumerate(d * d):
+        s = 1.0 - c
+        if np.all(lam > 1.0) and c <= (1.0 - 1.0 / lam[0]) * (1.0 - 1.0 / lam[1]):
+            a[:, j] = 1.0 / lam
+            continue
+
+        def slope(a1):
+            a2 = (s - a1) / (1.0 - a1)
+            return 1.0 / a1 - lam[0] - (1.0 / a2 - lam[1]) * c / (1.0 - a1) ** 2
+
+        a1 = optimize.brentq(slope, 1e-300, s * (1.0 - 1e-15), xtol=1e-300, rtol=1e-15, maxiter=500)
+        a[:, j] = a1, (s - a1) / (1.0 - a1)
+    return a
+
+
 @pytest.mark.parametrize(
     "d, share1, share2, lam2_outer",
     [(d, s1, s2, False) for d, s1, s2 in DUAL_CASES[:-1]]
@@ -352,9 +378,9 @@ def test_brentq_matches_scipy_on_budget_equations(d, share1, share2, lam2_outer)
     outer, inner = (1, 0) if lam2_outer else (0, 1)
 
     def alloc(lam_outer, lam_inner):
-        lam = [0.0, 0.0]
+        lam = np.zeros(2)
         lam[outer], lam[inner] = lam_outer, lam_inner
-        return rdf._lagrangian_alloc(d, *lam)
+        return _lagrangian_argmax(d, lam, optimize)
 
     def solve_inner(lam_outer):
         def excess(lam_inner):
@@ -368,13 +394,27 @@ def test_brentq_matches_scipy_on_budget_equations(d, share1, share2, lam2_outer)
         return alloc(lam_outer, solve_inner(lam_outer))[outer].sum() - delta[outer]
 
     lam_outer = optimize.brentq(outer_excess, 1e-9, 1e9, xtol=1e-15, rtol=1e-15, maxiter=500)
-    a1, a2, _ = alloc(lam_outer, solve_inner(lam_outer))
+    a1, a2 = alloc(lam_outer, solve_inner(lam_outer))
     ref = 0.5 * float(np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2)))
     res = gw.joint_rdf(d, *delta)
     assert res.regime == "numerical"
     assert math.isclose(res.rate, ref, rel_tol=1e-12)
     np.testing.assert_allclose(res.alloc1, a1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(res.alloc2, a2, rtol=0, atol=1e-12)
+
+
+def _ci_oracle(monkeypatch, d, alpha):
+    # the dual oracle ci_dual hands its Newton solve
+    oracles = []
+
+    def grab(oracle, delta, start):
+        oracles.append(oracle)
+        return start, oracle(start)[4], 0, 1
+
+    monkeypatch.setattr(rdf, "_dual_newton", grab)
+    rdf.ci_dual(d, np.ones(2), np.asarray(alpha, dtype=float), np.ones(2))
+    monkeypatch.undo()
+    return oracles[0]
 
 
 def _hessian_cases(rng):
@@ -390,31 +430,39 @@ def _hessian_cases(rng):
         yield d, np.array([lam1, lam1 * 10.0 ** rng.uniform(0.5, 3.0)])
 
 
-def test_dual_hessian_matches_finite_differences(rng):
-    # the Hessian is minus the Jacobian of the allocation sums in (lam1, lam2)
-    for d, lam in _hessian_cases(rng):
-        hess = rdf._lagrangian_alloc(d, *lam)[2]
+def test_dual_hessian_matches_finite_differences(monkeypatch, rng):
+    # the Hessian is minus the Jacobian of the allocation sums in the budget
+    # multipliers mu = lam / 2, at unit weights (the joint program) and off
+    # them, each case with a d = 0 or a tiny d coordinate
+    for (d, lam), alpha in itertools.product(_hessian_cases(rng), [(1.0, 1.0), (0.6, 0.9)]):
+        oracle = _ci_oracle(monkeypatch, d, alpha)
+        mu = lam / 2.0
+        hess = oracle(mu)[0]
         assert np.all(np.isfinite(hess))
         jac = np.empty((2, 2))
         for k in range(2):
             step = np.zeros(2)
-            step[k] = 1e-6 * lam[k]
-            up = rdf._lagrangian_alloc(d, *(lam + step))
-            down = rdf._lagrangian_alloc(d, *(lam - step))
-            jac[:, k] = [(up[i].sum() - down[i].sum()) / (2.0 * step[k]) for i in (0, 1)]
+            step[k] = 1e-6 * mu[k]
+            up = oracle(mu + step)[4][0].sum(1)
+            down = oracle(mu - step)[4][0].sum(1)
+            jac[:, k] = (up - down) / (2.0 * step[k])
         np.testing.assert_allclose(hess, -jac, rtol=0, atol=1e-4 * np.abs(hess).max())
 
 
 def _count_dual_evaluations(monkeypatch, limit=None):
+    # counts the calls of the dual oracle that ci_dual hands its Newton solve
     calls = []
-    inner = rdf._lagrangian_alloc
+    solve = rdf._dual_newton
 
-    def counted(*args):
-        calls.append(args)
-        assert limit is None or len(calls) <= limit, "the dual solve does not end"
-        return inner(*args)
+    def counted_solve(oracle, delta, start):
+        def counted(mu):
+            calls.append(mu)
+            assert limit is None or len(calls) <= limit, "the dual solve does not end"
+            return oracle(mu)
 
-    monkeypatch.setattr(rdf, "_lagrangian_alloc", counted)
+        return solve(counted, delta, start)
+
+    monkeypatch.setattr(rdf, "_dual_newton", counted_solve)
     return calls
 
 
@@ -474,7 +522,7 @@ def test_joint_reports_newton_iterations():
     assert gw.joint_rdf(np.zeros(0), 1.0, 1.0).iterations == 0
     # the dual solve starts at 1 / the water levels of the budgets, which
     # inside D_W are the equal-split multipliers n / delta, already optimal
-    assert gw.joint_rdf(D3, 0.3, 0.3, force_numerical=True).iterations == 0
+    assert rdf._joint_numerical(D3, 0.3, 0.3).iterations == 0
     assert gw.joint_rdf(D3, 1.2, 0.3).iterations > 0
 
 
@@ -631,7 +679,7 @@ def test_closed_form_certificates():
     assert abs(res.budget_residual) <= 1e-15
     assert abs(res.dual_gap) <= 1e-14
     # the dual solve started at n / delta stays there inside D_W
-    forced = gw.joint_rdf(D3, 0.3, 0.2, force_numerical=True)
+    forced = rdf._joint_numerical(D3, 0.3, 0.2)
     np.testing.assert_array_equal(forced.multipliers, res.multipliers)
     empty = gw.joint_rdf(np.zeros(0), 1.0, 1.0)
     assert empty.dual_gap == 0.0 and empty.multipliers.tolist() == [0.0, 0.0]
