@@ -25,13 +25,14 @@ the same minimum over diagonal CI states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonpositiveDistortion, QWOutOfFamily
-from .rdf import ci_dual, conditional_rdf, require_dw
-from .wyner import common_information_terms, mi_given_state
+from .rdf import ci_dual, conditional_rdf, marginal_rdf, require_dw
+from .wyner import common_information_terms, diagonal_state_mi
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,16 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
     )
 
 
-# gap rounding allowance, in eps per unit of |T| and of each 1 / v >= 1:
-# the sums behind T round like eps per term and each log v (v = 1 - d/q
-# or 1 - d q) like eps / v; raw gaps were seen down to -0.67 of that unit
+# gap rounding allowance, in eps per unit of the spread of the terms behind
+# T and the bound.  Off unit weights T is built from the dual's own branch
+# variances v, and the spread is |T| + sum |log v|: raw gaps were seen down
+# to -1.7 of that unit over 8000 random points.  At unit weights u is
+# rebuilt from allocations on the cap of the rounded d^2, which moves each
+# v by ~eps and its log by ~eps / v, so the spread stays |T| + sum 1 / v
+# there: raw gaps were seen down to -0.51 of that unit over 1600 points
 _GAP_ROUNDING = 4.0
 _EPS = np.finfo(float).eps
+_LN2 = math.log(2.0)
 
 
 def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoint]:
@@ -108,11 +114,14 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     ``alphas`` defaults to the 11 x 11 grid over [0, 1]^2 restricted to
     ``alpha1 + alpha2 >= 1``; every weight must lie in [0, 1], where the
     weighted rate is convex in ``log q``.  Each pair is solved by its
-    two-multiplier dual (:func:`rdf.ci_dual`); the triple is evaluated at
-    the returned state by :func:`mi_given_state` and :func:`conditional_rdf`,
-    and the objective is built from it.  ``gap`` is the objective minus the
-    dual bound at ``multipliers``, plus an allowance for the rounding of
-    both, so it is a positive upper bound on the objective minus the family
+    two-multiplier dual (:func:`rdf.ci_dual`), and the triple is built from
+    the dual's own state ``u = log q``, with no state validation: the
+    branch variances ``v1 = 1 - d/q`` and ``v2 = 1 - d q`` as the dual forms
+    them, ``-expm1(log d -+ u)``; R0 by :func:`wyner.diagonal_state_mi` from
+    their logs; R1 and R2 as the water-fills of v1 and v2 at the budgets
+    (:func:`rdf.marginal_rdf`).  ``gap`` is the objective minus the dual
+    bound at ``multipliers``, plus an allowance for the rounding of both,
+    so it is a positive upper bound on the objective minus the family
     minimum.  ``iterations`` counts the dual evaluations.
 
     Where the minimum is not unique the state of least R0 is returned.  At
@@ -130,6 +139,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
         ticks = [i / 10.0 for i in range(11)]
         alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
     delta = np.array([delta1, delta2], dtype=float)
+    ld = np.log(d)
 
     points: list[SweepPoint] = []
     for a1, a2 in alphas:
@@ -138,22 +148,27 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
             raise ValueError(f"weights must lie in [0, 1], got ({a1}, {a2})")
         if d.size:
             start = alpha * d.size / (2.0 * delta)  # q = 1 with the equal split
-            _, q, mu, bound, _, evals, converged = ci_dual(d, delta, alpha, start)
+            _, u, mu, bound, _, evals, converged = ci_dual(d, delta, alpha, start)
         else:
-            q, mu, bound, evals, converged = np.zeros(0), np.zeros(2), 0.0, 0, True
+            u, mu, bound, evals, converged = np.zeros(0), np.zeros(2), 0.0, 0, True
+        e = np.stack([ld - u, ld + u])
+        v = -np.expm1(e)
+        # log v = log(-expm1(e)), through log1p(-exp(e)) where v > 1/2
+        lv = np.where(e < -_LN2, np.log1p(-np.exp(e)), np.log(v))
         triple = RateTriple(
-            r0=mi_given_state(d, q),
-            r1=conditional_rdf(d, q, 1, delta1).rate,
-            r2=conditional_rdf(d, q, 2, delta2).rate,
+            r0=diagonal_state_mi(d, lv[0], lv[1]),
+            r1=marginal_rdf(v[0], delta1).rate,
+            r2=marginal_rdf(v[1], delta2).rate,
             delta1=float(delta1),
             delta2=float(delta2),
             tag="sweep-point",
         )
         objective = triple.r0 + a1 * triple.r1 + a2 * triple.r2
-        spread = abs(objective) + np.sum(1.0 / (1.0 - d / q)) + np.sum(1.0 / (1.0 - d * q))
+        spread = abs(objective) + np.sum(1.0 / v if (a1, a2) == (1.0, 1.0) else np.abs(lv))
         gap = float(objective - bound + _GAP_ROUNDING * _EPS * spread)
-        points.append(SweepPoint(alpha1=a1, alpha2=a2, objective=objective, triple=triple, q=q,
-                                 iterations=evals, converged=converged, gap=gap, multipliers=mu))
+        points.append(SweepPoint(alpha1=a1, alpha2=a2, objective=objective, triple=triple,
+                                 q=np.exp(u), iterations=evals, converged=converged, gap=gap,
+                                 multipliers=mu))
     return points
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveDistortion, OutsideDW, QWNotDiagonal, QWOutOfFamily
+from .gaussmodel import log_one_minus_square
 from .wyner import as_state_covariance, common_information_terms, in_state_family
 
 
@@ -357,8 +358,10 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     (log d_j, -log d_j), with ``phi_i' = -(1 - alpha_i) / (2 v)`` on an
     active branch (v > c_i) and ``mu_i - 1 / (2 v)`` on a saturated one.
     h' runs from -inf to +inf; safeguarded Newton steps inside a bisection
-    bracket find its root, batched over coordinates and warm-started from
-    the previous evaluation.
+    bracket find its root, batched over coordinates.  Each evaluation
+    starts from the previous evaluation's roots moved to first order in
+    mu, ``du_j/dmu_i = -sgn_i w_ij / h_j''`` on a saturated branch (0 on an
+    active one), at most halfway to the family boundary.
 
     At unit weights this is the restricted program of :func:`joint_rdf`
     with ``lam = 2 mu``: ``x1 <= 1 - d/q`` and ``x2 <= 1 - d q`` for some
@@ -378,10 +381,10 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     that rounding (it exceeds 1e-12 of delta_i only where delta_i is tiny
     and |u| large).
 
-    Returns ``(x, q, mu, bound, steps, evals, converged)``: the
-    allocations, the state, the multipliers, the dual bound on the
-    objective, the Newton steps, the dual evaluations and whether the solve
-    stopped before its step cap.
+    Returns ``(x, u, mu, bound, steps, evals, converged)``: the
+    allocations, the state ``u = log q``, the multipliers, the dual bound
+    on the objective, the Newton steps, the dual evaluations and whether
+    the solve stopped before its step cap.
     """
     dd = d * d
     pos = d > 0.0
@@ -390,12 +393,22 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     k = (1.0 - alpha)[:, None]
     on = alpha > 0.0
     u = np.zeros(d.size)
+    # the multipliers of the last family evaluation and its du/dmu
+    last_mu, slope = np.zeros(2), np.zeros((2, d.size))
+    kh = 0.5 * k
 
     def terms(w, v, active, m):
-        # the terms psi_i w_i of h' = psi_1 w_1 - psi_2 w_2, 1 / (2 v), and h''
-        iv = 0.5 / v
-        pw = np.where(active, -k * iv, m - iv) * w
-        return pw, iv, (np.where(active, k, 1.0) * 2.0 * iv * iv * w * w - pw).sum(0)
+        # h' = psi_1 w_1 - psi_2 w_2 with psi_i = b_i - a_i / v_i: a = k/2
+        # and b = 0 on an active piece, a = 1/2 and b = mu on a saturated
+        # one.  Returns the terms psi_i w_i, the size of those terms (for
+        # the rounding of h') and h'' = sum_i (a_i w_i^2 / v_i^2 - psi_i w_i)
+        a = np.where(active, kh, 0.5)
+        b = np.where(active, 0.0, m)
+        r = 1.0 / v
+        pw = (b - a * r) * w
+        ct = a * r * r * w * w - pw
+        sz = (0.5 * r + b) * w
+        return pw, sz[0] + sz[1], ct[0] + ct[1]
 
     def residuals(mu, sums):
         # a slack budget whose multiplier is 0 counts as met
@@ -428,34 +441,40 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
         return hess, g, residuals(mu, sums), 4.0 * _EPS * sums / delta, (x, u, g)
 
     def family_oracle(mu):
-        nonlocal u
+        nonlocal u, last_mu, slope
         m = mu[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             c = np.where(on, alpha / (2.0 * mu), 0.0)  # inf on a weighted branch with mu = 0
             # -alpha/2 log c + mu c, the value of a weighted active piece
             pinned = np.where(on & (mu > 0.0), 0.5 * alpha * (1.0 - np.log(c)), 0.0)[:, None]
             c = c[:, None]
+            # the last roots moved to first order in mu, at most halfway to
+            # the family boundary
+            u = np.clip(u - (mu - last_mu) @ slope, 0.5 * (ld + u), 0.5 * (u - ld))
             lo, hi = ld, -ld
             for it in range(_INNER_STEPS):
                 e = ld - _SGN * u
                 w, v = np.exp(e), -np.expm1(e)
                 active = v > c
-                pw, iv, curv = terms(w, v, active, m)
+                pw, size, curv = terms(w, v, active, m)
                 grad = pw[0] - pw[1]
                 lo = np.where(grad < 0.0, u, lo)
                 hi = np.where(grad > 0.0, u, hi)
                 nxt = u - grad / curv
                 nxt = np.where((curv > 0.0) & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-                # the size of the terms of h', for its rounding
-                size = (w * (iv + np.where(active, 0.0, m))).sum(0)
                 done = (abs(grad) <= 8.0 * _EPS * size) | (abs(nxt - u) <= 2.0 * _EPS * abs(u))
                 if done.all() or it == _INNER_STEPS - 1:
                     break
                 u = np.where(done, u, nxt)
             sat = ~active & on[:, None]
-            s = np.where(sat, _SGN * w, 0.0) / np.sqrt(np.where(curv > 0.0, curv, 1.0))
+            # dh'/dmu_i = sgn_i w_i on a saturated branch, so a root moves by
+            # du/dmu_i = -sgn_i w_i / h''; s = that times sqrt(h'')
+            root = np.sqrt(np.where(curv > 0.0, curv, 1.0))
+            s = np.where(sat, _SGN * w, 0.0) / root
+            last_mu, slope = mu, s / root
             drift = np.where(on & (mu > 0.0), active.sum(1) * c[:, 0] / mu, 0.0)
-        value = np.where(active, pinned - 0.5 * k * np.log(v), m * v - 0.5 * np.log(v))
+        lv = np.log(v)
+        value = np.where(active, pinned - kh * lv, m * v - 0.5 * lv)
         g = float(mu @ delta - value.sum())
         x = np.where(active, c, v)
         rounding = np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u)) / delta
@@ -471,8 +490,8 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
             lo, hi = ld - np.log1p(-x[0]), np.log1p(-x[1]) - ld
             u = np.where(lo < hi, np.minimum(np.maximum(lo, 0.0), hi), np.where(x[0] <= x[1], lo, hi))
             u = np.where(pos, u, 0.0)
-    bound = 0.5 * float(np.sum(np.log1p(-dd))) - g
-    return x, np.exp(u), mu, bound, steps, evals, steps < _NEWTON_STEPS
+    bound = 0.5 * float(np.sum(log_one_minus_square(d))) - g
+    return x, u, mu, bound, steps, evals, steps < _NEWTON_STEPS
 
 
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
@@ -492,7 +511,7 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
                       for p, x in ((p1, delta1), (rho * p1, delta2))])
     start[delta >= s.sum()] = 0.0
     (a1, a2), _, mu, _, steps, _, _ = ci_dual(d, delta, np.ones(2), 0.5 * start)
-    rate = float(0.5 * (np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2))))
+    rate = float(0.5 * (np.sum(log_one_minus_square(d)) - np.sum(np.log(a1 * a2))))
     slack = delta - [a1.sum(), a2.sum()]
     regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"
     return _certified(rate, a1, a2, 2.0 * mu, delta, regime, steps)
@@ -531,8 +550,8 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     n = d.size
     if n == 0 or in_dw(d, delta1, delta2):
         delta = np.array([delta1, delta2], dtype=float)
-        rate = float(0.5 * np.sum(np.log((1.0 - d * d) * n * n / (delta1 * delta2))))
         a1, a2 = np.full(n, delta1) / n, np.full(n, delta2) / n
+        rate = float(0.5 * np.sum(log_one_minus_square(d) - np.log(a1) - np.log(a2)))
         return _certified(rate, a1, a2, n / delta, delta, "closed-form-DW", 0)
     return _joint_numerical(d, float(delta1), float(delta2))
 
@@ -546,7 +565,7 @@ def gray_lower_bound(d, delta1: float, delta2: float) -> float:
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     r1 = marginal_rdf(np.ones(d.size), delta1).rate
-    r2 = marginal_rdf(1.0 - d * d, delta2).rate
+    r2 = marginal_rdf((1.0 - d) * (1.0 + d), delta2).rate
     return r1 + r2
 
 

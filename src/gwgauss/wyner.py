@@ -27,7 +27,13 @@ from .errors import (
     QWOutOfFamily,
     SingularFactor,
 )
-from .gaussmodel import _eig_floor, logdet_or_neginf, symmetrize, symmetry_tolerance
+from .gaussmodel import (
+    _eig_floor,
+    log_one_minus_square,
+    logdet_or_neginf,
+    symmetrize,
+    symmetry_tolerance,
+)
 from .cvf import IndexSextuple
 
 
@@ -172,6 +178,18 @@ def _conditional_factors(d: np.ndarray, qw: np.ndarray) -> tuple[np.ndarray, np.
     return symmetrize(m1), symmetrize(m2)
 
 
+def diagonal_state_mi(d: np.ndarray, log_v1: np.ndarray, log_v2: np.ndarray) -> float:
+    """``mi_given_state`` of a diagonal state from the logs of its branch
+    variances ``v1 = 1 - d/q`` and ``v2 = 1 - d q``, the eigenvalues of M1
+    and M2: ``0.5 sum[log(1 - d^2) - log v1 - log v2]``, and ``inf`` where
+    a factor is singular by the dense path's eigenvalue floor."""
+    for lv in (log_v1, log_v2):
+        ev = np.exp(np.sort(lv))
+        if ev.size and ev[0] <= _eig_floor(ev):
+            return math.inf
+    return float(0.5 * np.sum(log_one_minus_square(d) - log_v1 - log_v2))
+
+
 def mi_given_state(d, q) -> float:
     """Information the pair carries about a family state W, in nats.
 
@@ -179,26 +197,20 @@ def mi_given_state(d, q) -> float:
     factors above; equals the common information exactly at ``Q_W = I`` and
     exceeds it strictly everywhere else in the family.  Singular factors
     (boundary states) give ``inf``.  A diagonal state (a vector, or a
-    matrix with zero off-diagonal entries) takes the O(n) form
-    ``0.5 sum[log(1 - d^2) - log(1 - d/q) - log(1 - d q)]``, whose factor
-    eigenvalues ``1 - d/q`` and ``1 - d q`` meet the same singularity floor.
+    matrix with zero off-diagonal entries) takes the O(n) form of
+    :func:`diagonal_state_mi`, whose factor eigenvalues ``1 - d/q`` and
+    ``1 - d q`` meet the same singularity floor.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     qd = diagonal_entries(q)
     if qd is not None:
         if not in_state_family(qd, d):
             raise QWOutOfFamily("diagonal entries must satisfy d_j <= q_j <= 1/d_j")
-        if d.size == 0:
-            return 0.0
+        # a ratio at or past 1, within the family tolerance, is a singular factor
         with np.errstate(divide="ignore"):
             r1 = np.divide(d, qd, out=np.zeros_like(d), where=d > 0.0)
-        r2 = d * qd
-        # 1 - r1 and 1 - r2 are the eigenvalues of M1 and M2: the same
-        # singularity floor as the dense path
-        for ev in (np.sort(1.0 - r1), np.sort(1.0 - r2)):
-            if ev[0] <= _eig_floor(ev):
-                return math.inf
-        return float(0.5 * np.sum(np.log1p(-d * d) - np.log1p(-r1) - np.log1p(-r2)))
+            lv1, lv2 = (np.log1p(-np.minimum(r, 1.0)) for r in (r1, d * qd))
+        return diagonal_state_mi(d, lv1, lv2)
     qw = assert_in_state_family(q, d)
     if d.size == 0:
         return 0.0
@@ -207,7 +219,7 @@ def mi_given_state(d, q) -> float:
     ld2 = logdet_or_neginf(m2)
     if not (math.isfinite(ld1) and math.isfinite(ld2)):
         return math.inf
-    return float(0.5 * np.sum(np.log1p(-d * d)) - 0.5 * (ld1 + ld2))
+    return float(0.5 * np.sum(log_one_minus_square(d)) - 0.5 * (ld1 + ld2))
 
 
 def check_hua_identity(a, b) -> float:

@@ -200,7 +200,7 @@ def _grid_oracle(d, delta1, delta2, m=400):
                     + comp2_best(delta1 - a11[good], delta2 - a21[good])
                 )
                 best = max(best, float(vals.max()))
-    return 0.5 * (float(np.log1p(-d * d).sum()) - best)
+    return 0.5 * (float((np.log1p(-d) + np.log1p(d)).sum()) - best)
 
 
 def test_joint_rate_matches_grid_search_oracle():

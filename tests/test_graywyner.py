@@ -108,17 +108,18 @@ def test_region_sweep_equal_weights_closes_sum_rate_bound():
 def test_region_sweep_unit_weights_equal_joint_rate_outside_region(rng):
     # outside D_W joint_rdf solves the restricted program, whose cap
     # (1 - a1)(1 - a2) >= d^2 is the set of allocation pairs that some
-    # diagonal CI state admits, so T(1, 1) is the same minimum.  With 1 - d
-    # below ~1e-3 the two drift apart beyond 1e-12: the triple's branch
-    # variances 1 - d q round by eps / v, which the sweep's gap allowance
-    # covers
+    # diagonal CI state admits, so T(1, 1) is the same minimum.  The sweep
+    # evaluates T exactly at its state; joint_rdf's allocations lie on the
+    # cap of the rounded d^2, off the exact cap by ~eps / (1 - d) relative,
+    # so with every 1 - d below ~1e-5 the two drift apart beyond 1e-12
+    # (3.5e-10 at 1 - d ~ 1e-9); these draws reach 10^-5.5
     checked = 0
-    while checked < 200:
+    while checked < 600:
         n = int(rng.integers(1, 6))
         if rng.random() < 0.5:
             d = rng.uniform(0.05, 0.99, n)
         else:
-            d = 1.0 - 10.0 ** rng.uniform(-3.0, -0.05, n)
+            d = 1.0 - 10.0 ** rng.uniform(-5.5, -0.05, n)
         d = np.sort(d)[::-1]
         delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.0, 2)
         if gw.in_dw(d, delta1, delta2):
@@ -169,7 +170,7 @@ def _weighted_rate(d, q, delta1, delta2, a1, a2):
     """``R0 + a1 R1 + a2 R2`` at diagonal states ``q`` of shape (n, ...)."""
     d = d.reshape((-1,) + (1,) * (q.ndim - 1))
     v1, v2 = 1.0 - d / q, 1.0 - d * q
-    r0 = 0.5 * np.sum(np.log1p(-d * d) - np.log(v1) - np.log(v2), axis=0)
+    r0 = 0.5 * np.sum(np.log1p(-d) + np.log1p(d) - np.log(v1) - np.log(v2), axis=0)
     return r0 + a1 * _waterfill_rate_le2(v1, delta1) + a2 * _waterfill_rate_le2(v2, delta2)
 
 
@@ -281,12 +282,12 @@ def _lagrangian_inf(d, delta, alpha, mu):
     no x.  Both x_i are gridded as ``v_i t`` with t log-spaced in (0, 1], u
     linearly, and each grid is refined around its best point.
     """
-    total = 0.5 * float(np.sum(np.log1p(-d * d))) - float(mu @ delta)
+    total = 0.5 * float(np.sum(np.log1p(-d) + np.log1p(d))) - float(mu @ delta)
     for dj in d:
         lo, hi = math.log(dj), -math.log(dj)
         u = np.linspace(lo, hi, 403)[1:-1]
         for _ in range(8):
-            v = np.stack([1.0 - dj * np.exp(-u), 1.0 - dj * np.exp(u)])  # (2, U)
+            v = -np.expm1(np.stack([math.log(dj) - u, math.log(dj) + u]))  # (2, U)
             value = np.zeros(u.size)
             for i in range(2):
                 value -= 0.5 * (1.0 - alpha[i]) * np.log(v[i])
@@ -370,3 +371,112 @@ def test_region_sweep_slack_budget(n, alpha):
         t_grid = _grid_min(d, delta1, delta2, *alpha)
         assert pt.objective <= t_grid + 1e-9 * (1.0 + abs(t_grid)), (delta1, delta2)
         assert pt.objective - pt.gap <= t_grid, (delta1, delta2)
+
+
+# ------------------------------------------------------- mpmath oracle
+# The triple at the returned state in 50 digits, with a water-fill of its
+# own.  q = exp(u) is rounded, so the oracle brackets each rate over
+# log q +- h with h = 2 eps (1 + |log d|): |log q - u| <= eps, and forming
+# log d -+ u in floating point moves u by at most eps |log d|.
+
+BENCH_WEIGHTS = [(0.0, 1.0), (0.5, 0.5), (0.5, 1.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
+EPS = np.finfo(float).eps
+
+
+def _mp_waterfill(mp, v, delta):
+    """Reverse water-fill rate and level; the level is inf when delta covers v."""
+    v = sorted(v)
+    if sum(v) <= delta:
+        return mp.mpf(0), mp.inf
+    below = mp.mpf(0)
+    for i, vi in enumerate(v):
+        level = (delta - below) / (len(v) - i)
+        if level <= vi:
+            return sum(mp.log(x / level) for x in v[i:]) / 2, level
+        below += vi
+    raise AssertionError("water level above every variance")
+
+
+def _mp_triple(mp, d, u, delta1, delta2):
+    """Per-component R0 terms, then (rate, level) of branches 1 and 2, at
+    the diagonal state ``exp(u)``."""
+    v1 = [1 - dj * mp.exp(-uj) for dj, uj in zip(d, u)]
+    v2 = [1 - dj * mp.exp(uj) for dj, uj in zip(d, u)]
+    r0 = [(mp.log(1 - dj * dj) - mp.log(a) - mp.log(b)) / 2 for dj, a, b in zip(d, v1, v2)]
+    return r0, _mp_waterfill(mp, v1, delta1), _mp_waterfill(mp, v2, delta2)
+
+
+def test_region_sweep_triple_matches_an_mpmath_oracle():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            n = int(rng.integers(1, 5))
+            near = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n)
+            d = np.sort(np.where(rng.random(n) < 0.5, rng.uniform(0.02, 0.98, n), near))[::-1]
+            b = gw.dw_bound(d)
+            shares = rng.uniform(0.2, 1.0, 2) if trial % 2 else 10.0 ** rng.uniform(-1.0, 2.0, 2)
+            delta1, delta2 = b * shares
+            alphas = BENCH_WEIGHTS + [tuple(rng.uniform(0.0, 1.0, 2))]
+            dm = [mp.mpf(x) for x in d]
+            h = [2 * EPS * (1 + abs(math.log(x))) for x in d]
+            for pt in gw.region_sweep(d, delta1, delta2, alphas=alphas):
+                u = [mp.log(mp.mpf(x)) for x in pt.q]
+                at = [_mp_triple(mp, dm, [uj + s * hj for uj, hj in zip(u, h)], delta1, delta2)
+                      for s in (-1, 0, 1)]
+                # R0 is a sum of convex terms, each bracketed on its own; a
+                # water-fill rate rises with every variance, so R1 rises and R2
+                # falls in every u_j
+                r0_lo = sum(min(t) for t in zip(*(a[0] for a in at)))
+                r0_hi = sum(max(t) for t in zip(*(a[0] for a in at)))
+                brackets = [(r0_lo, r0_hi),
+                            (at[0][1][0], at[2][1][0]), (at[2][2][0], at[0][2][0])]
+                # rounding: eps per R0 term; a branch rate also carries the
+                # rounding of its level, (delta - the saturated sum) / #active
+                sizes = [sum(abs(t) for t in at[1][0])]
+                sizes += [abs(rate) + n * (1 + delta / level) for (rate, level), delta
+                          in ((at[1][1], delta1), (at[1][2], delta2))]
+                got = (pt.triple.r0, pt.triple.r1, pt.triple.r2)
+                for rate, (lo, hi), size in zip(got, brackets, sizes):
+                    tol = 8 * EPS * (1 + size)
+                    where = (d.tolist(), delta1, delta2, pt.alpha1, pt.alpha2)
+                    assert lo - tol <= rate <= hi + tol, where
+                a1, a2 = pt.alpha1, pt.alpha2
+                assert pt.objective == pt.triple.r0 + a1 * pt.triple.r1 + a2 * pt.triple.r2
+
+
+def test_region_sweep_builds_the_triple_from_the_dual_state(monkeypatch):
+    # the dual's state needs no re-validation and no re-evaluation through
+    # the state-covariance entry points
+    import gwgauss.graywyner
+    import gwgauss.rdf
+    import gwgauss.wyner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("region_sweep went through a state-covariance entry point")
+
+    for module in (gw, gwgauss.graywyner, gwgauss.rdf, gwgauss.wyner):
+        for name in ("conditional_rdf", "mi_given_state", "in_state_family"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    pts = gw.region_sweep(D3, 0.3, 0.2)
+    assert len(pts) == 66
+    assert all(p.converged and p.gap > 0.0 for p in pts)
+
+
+def test_region_sweep_gap_allowance_off_unit_weights():
+    # off unit weights T comes from the dual's own branch variances, so the
+    # rounding allowance scales with |T| + sum |log v|, not with sum 1 / v:
+    # the raw gap stays above it (the gap is positive), and with budgets of
+    # at least 1e-3 n, where the dual's rounding floor stays below 1e-12,
+    # the gap closes to 1e-12 even with 1 - d down to 1e-9
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        near = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n)
+        d = np.sort(np.where(rng.random(n) < 0.5, rng.uniform(0.02, 0.98, n), near))[::-1]
+        delta1, delta2 = n * 10.0 ** rng.uniform(-3.0, 0.0, 2)
+        alphas = [w for w in BENCH_WEIGHTS if w != (1.0, 1.0)] + [tuple(rng.uniform(0.0, 1.0, 2))]
+        for pt in gw.region_sweep(d, delta1, delta2, alphas=alphas):
+            assert pt.converged
+            assert 0.0 < pt.gap <= 1e-12 * (1.0 + abs(pt.objective)), (d.tolist(), delta1, delta2)

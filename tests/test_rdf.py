@@ -395,7 +395,7 @@ def test_brentq_matches_scipy_on_budget_equations(d, share1, share2, lam2_outer)
 
     lam_outer = optimize.brentq(outer_excess, 1e-9, 1e9, xtol=1e-15, rtol=1e-15, maxiter=500)
     a1, a2 = alloc(lam_outer, solve_inner(lam_outer))
-    ref = 0.5 * float(np.sum(np.log1p(-d * d)) - np.sum(np.log(a1 * a2)))
+    ref = 0.5 * float(np.sum(np.log1p(-d) + np.log1p(d)) - np.sum(np.log(a1 * a2)))
     res = gw.joint_rdf(d, *delta)
     assert res.regime == "numerical"
     assert math.isclose(res.rate, ref, rel_tol=1e-12)
@@ -503,7 +503,7 @@ def test_joint_equal_budgets_outside_region_water_fill_one_minus_d(d, share):
     b, top = gw.dw_bound(d), float(np.sum(1.0 - d))
     delta = b + share * (top - b)
     # 1 - d on the cap of the rounded d^2, which sets 1 - d = 1e-9 apart
-    # from the true one by 5e-10 relative
+    # from the true one by 5e-10 relative; the rate's log(1 - d^2) is exact
     ceil = (1.0 - d * d) / (1.0 + d)
     level = _waterfill_level(ceil, delta)
     want = np.minimum(level, ceil)
@@ -511,7 +511,7 @@ def test_joint_equal_budgets_outside_region_water_fill_one_minus_d(d, share):
     assert res.regime == "numerical"
     np.testing.assert_allclose(res.alloc1, want, rtol=1e-12)
     np.testing.assert_allclose(res.alloc2, want, rtol=1e-12)
-    rate = 0.5 * float(np.sum(np.log1p(-d * d) - 2.0 * np.log(want)))
+    rate = 0.5 * float(np.sum(np.log1p(-d) + np.log1p(d) - 2.0 * np.log(want)))
     assert math.isclose(res.rate, rate, rel_tol=1e-12)
     assert res.budget_residual <= 1e-12
     assert abs(res.dual_gap) <= 1e-12 * (1.0 + res.rate)
@@ -756,7 +756,7 @@ def test_joint_certificates_match_a_brute_force_dual(case):
     # the dual value the result implies, against a grid at its multipliers:
     # no grid point beats the solver's allocation beyond rounding (seen at
     # <= 4e-16 relative), and the grid comes close
-    g = float(np.sum(np.log1p(-d * d))) - 2.0 * (res.rate - res.dual_gap)
+    g = float(np.sum(np.log1p(-d) + np.log1p(d))) - 2.0 * (res.rate - res.dual_gap)
     sup = _lagrangian_sup(d, res.multipliers, np.array([delta1, delta2]))
     assert sup <= g + 1e-14 * (1.0 + abs(g))
     assert g - sup <= 1e-9 * (1.0 + abs(g))

@@ -163,7 +163,7 @@ def _dense_mi(d, q):
     qw = np.diag(q)
     m1 = np.eye(d.size) - rd @ np.linalg.inv(qw) @ rd
     m2 = np.eye(d.size) - rd @ qw @ rd
-    return 0.5 * np.sum(np.log1p(-d * d)) - 0.5 * (
+    return 0.5 * np.sum(np.log1p(-d) + np.log1p(d)) - 0.5 * (
         np.linalg.slogdet(m1)[1] + np.linalg.slogdet(m2)[1]
     )
 
