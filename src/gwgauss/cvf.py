@@ -18,18 +18,45 @@ Thresholds classify the raw singular values: above ``h1`` counts as
 exactly one (identical), below ``h2`` counts as exactly zero (private),
 anything between is kept as a canonical correlation.  The index sextuple
 records the three component counts per vector.
+
+The input must be strictly PD as a joint covariance (every eigenvalue above
+``1e-10 * lambda_max``), but :func:`decompose` does not eigendecompose the
+joint to check it.  It checks symmetry per marginal block and certifies the
+floor from the spectra of step 1 and the top raw singular value of step 2:
+with ``B = blockdiag(Q11^{1/2}, Q22^{1/2})`` the joint is
+``B [[I, R], [R.T, I]] B``, so its eigenvalues lie between
+``min(lambda_min(Q11), lambda_min(Q22)) (1 - s_1)`` and
+``max(lambda_max(Q11), lambda_max(Q22)) (1 + s_1)``.  When the lower end is
+not above twice the floor of the upper one (``s_1 >= 1``, a marginal at or
+below zero, or too little margin), and on a non-finite, asymmetric or empty
+block, it falls back to ``JointGaussianPair.validated()``, which raises its
+own error or lets the pair through.  So it accepts and rejects exactly the
+pairs ``validated()`` does, with the same error, and returns the same bits.
+Once both marginals have ``LANE_DIM`` rows, their two eigensolves run at
+once on the lanes of :func:`gaussmodel.run_on_lanes`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentIndices, SingularValueOutOfRange
-from .gaussmodel import CovMatrix, JointGaussianPair, symmetrize
+from .gaussmodel import (
+    PD_FLOOR,
+    CovMatrix,
+    JointGaussianPair,
+    run_on_lanes,
+    skew,
+    symmetrize,
+    symmetry_tolerance,
+)
 
 SV_CEILING_SLACK = 1e-8
+# both marginals at least this many rows: their eigensolves run on the lanes
+LANE_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -103,17 +130,62 @@ def canonical_cross_pattern(idx: IndexSextuple, d) -> np.ndarray:
     return out
 
 
+def _certified_pd(lam1: np.ndarray, lam2: np.ndarray, s1: float) -> bool:
+    """Whether the marginal spectra (ascending) and the top raw singular
+    value ``s1`` of the whitened cross block prove the joint strictly PD.
+
+    The bounds of the module docstring are exact for the matrix whose
+    spectra these are.  eigh and svd are backward stable, and an error E
+    in forming the whitened block moves ``min(lambda_min) (1 - s1)`` by at
+    most ``min(lambda_min) |E| / sqrt(lambda1_min lambda2_min) <= |E|``,
+    so each bound is within ``c n eps lambda_max`` of the true spectrum,
+    as is the spectrum ``validated()`` computes.  Asking for twice the
+    floor leaves ``1e-10 lambda_max`` of slack for those errors, a
+    thousand times ``n eps`` at n = 256.
+    """
+    lower = min(lam1[0], lam2[0]) * (1.0 - s1)
+    upper = max(lam1[-1], lam2[-1]) * (1.0 + s1)
+    return bool(lower > 2.0 * PD_FLOOR * upper)
+
+
+def _eighs(q11: np.ndarray, q22: np.ndarray) -> list:
+    if min(len(q11), len(q22)) >= LANE_DIM:
+        return run_on_lanes([functools.partial(np.linalg.eigh, q) for q in (q11, q22)])
+    return [np.linalg.eigh(q11), np.linalg.eigh(q22)]
+
+
 def decompose(pair: JointGaussianPair, thresholds: Thresholds = Thresholds()) -> CanonicalForm:
-    """Compute the canonical variable form of a strictly PD pair."""
-    pair = pair.validated()
-    lam1, u1 = np.linalg.eigh(pair.q11.entries)
-    lam2, u2 = np.linalg.eigh(pair.q22.entries)
-    # validated() guarantees strict PD, so the inverse square roots are safe
+    """Compute the canonical variable form of a strictly PD pair.
+
+    Accepts, rejects and computes exactly as ``pair.validated()`` followed
+    by the two marginal eigensolves and the SVD would, without the joint
+    eigensolve wherever the certificate of the module docstring holds.
+    """
+    q11, q22 = pair.q11.entries, pair.q22.entries
+    q12 = np.ascontiguousarray(pair.q12)
+    blocks = (q11, q22, q12)
+    # Each pair.validated() below is the fallback: it raises the joint's own
+    # error, or returns when the joint clears the floor after all.  The
+    # blocks it would return are the ones used here, bit for bit: the joint
+    # is symmetrized blockwise, 0.5 (x + x) = x leaves q12 as it is, and its
+    # slice of the joint is C-ordered like q12 here.
+    if not (
+        q11.size
+        and q22.size
+        and all(np.isfinite(b).all() for b in blocks)
+        and max(skew(q11), skew(q22)) <= max(map(symmetry_tolerance, blocks))
+    ):
+        pair.validated()
+    (lam1, u1), (lam2, u2) = _eighs(symmetrize(q11), symmetrize(q22))
+    if not (lam1[0] > 0.0 and lam2[0] > 0.0):
+        pair.validated()
     w1 = u1 / np.sqrt(lam1)
     w2 = u2 / np.sqrt(lam2)
-    r = w1.T @ pair.q12 @ w2
+    r = w1.T @ q12 @ w2
     u3, sv, u4t = np.linalg.svd(r, full_matrices=True)
-    if sv.size and sv[0] > 1.0 + SV_CEILING_SLACK:
+    if not _certified_pd(lam1, lam2, sv[0]):
+        pair.validated()
+    if sv[0] > 1.0 + SV_CEILING_SLACK:
         raise SingularValueOutOfRange(
             f"raw canonical correlation {sv[0]:.12g} exceeds 1 beyond tolerance"
         )

@@ -8,7 +8,10 @@ the numerical conventions used everywhere else:
 * symmetry is enforced up to ``1e-10 * (1 + max|Q|)`` and computations see
   the symmetrized matrix ``(Q + Q.T) / 2``;
 * strict positive definiteness means every eigenvalue exceeds
-  ``1e-10 * lambda_max``;
+  ``1e-10 * lambda_max``, and a matrix with a non-finite entry is not
+  strictly PD.  ``cvf.decompose`` certifies the joint floor from the
+  spectra of its two marginals, which it eigendecomposes at once on the
+  lanes of :func:`run_on_lanes` once both are large;
 * determinants are accumulated in the log domain from eigenvalues of the
   symmetrized matrix, never as raw products;
 * rates and information quantities are nats internally, and ``math.inf``
@@ -22,6 +25,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,11 +44,46 @@ if TYPE_CHECKING:  # pragma: no cover
 
 LN2 = math.log(2.0)
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
+# strictly PD: every eigenvalue above PD_FLOOR * lambda_max
+PD_FLOOR = 1e-10
+# (pid, executor) of the lane pool; a forked child makes its own
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def run_on_lanes(tasks) -> list:
+    """Run the callables ``tasks`` on the lane pool; return their results.
+
+    The pool is process-wide, made on first use in each process with one
+    lane per usable core, because numpy's generators, array kernels and
+    LAPACK calls release the interpreter lock while they run.  Every task
+    is done before any failure is raised.  Nothing traced runs on a lane.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            lanes = (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1
+            )
+            _POOL = os.getpid(), ThreadPoolExecutor(lanes, thread_name_prefix="gwgauss-lane")
+        futures = [_POOL[1].submit(task) for task in tasks]
+    for f in futures:
+        f.exception()
+    return [f.result() for f in futures]
 
 
 def symmetry_tolerance(q: np.ndarray) -> float:
     """Scale-relative symmetry tolerance, ``1e-10 * (1 + max|q|)``."""
     return 1e-10 * (1.0 + float(np.max(np.abs(q), initial=0.0)))
+
+
+def skew(q: np.ndarray) -> float:
+    """``max|q - q.T|``, the asymmetry the tolerance is checked against."""
+    return float(np.max(np.abs(q - q.T), initial=0.0))
 
 
 def symmetrize(q: np.ndarray) -> np.ndarray:
@@ -53,7 +93,7 @@ def symmetrize(q: np.ndarray) -> np.ndarray:
 def _eig_floor(eigenvalues: np.ndarray) -> float:
     # eigvalsh sorts ascending, so the scale is the last entry
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    return 1e-10 * max(top, 0.0)
+    return PD_FLOOR * max(top, 0.0)
 
 
 def logdet_or_neginf(q: np.ndarray) -> float:
@@ -110,13 +150,15 @@ def validate_covariance(q, strict: bool = False) -> CovMatrix:
 
     Returns the symmetrized :class:`CovMatrix`; asymmetry beyond tolerance
     raises :class:`AsymmetricMatrix`, an eigenvalue at or below the floor
-    raises :class:`NotPositiveDefinite`.
+    or (under ``strict``) a non-finite entry raises
+    :class:`NotPositiveDefinite`.
     """
     a = _as_matrix(q)
-    skew = float(np.max(np.abs(a - a.T), initial=0.0))
-    if skew > symmetry_tolerance(a):
+    if strict and not np.isfinite(a).all():
+        raise NotPositiveDefinite("covariance has a non-finite entry")
+    if skew(a) > symmetry_tolerance(a):
         raise AsymmetricMatrix(
-            f"max|Q - Q.T| = {skew:.3e} exceeds tolerance {symmetry_tolerance(a):.3e}"
+            f"max|Q - Q.T| = {skew(a):.3e} exceeds tolerance {symmetry_tolerance(a):.3e}"
         )
     a = symmetrize(a)
     if strict and a.size:

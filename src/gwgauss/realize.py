@@ -42,23 +42,19 @@ from __future__ import annotations
 
 import collections
 import functools
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AllocationOutOfRange, DimensionMismatch, NotPositiveDefinite
-from .gaussmodel import CovMatrix, GaussianTriple, JointGaussianPair, symmetrize
+from .gaussmodel import CovMatrix, GaussianTriple, JointGaussianPair, run_on_lanes, symmetrize
 from .cvf import IndexSextuple, canonical_cross_pattern
 from .wyner import as_state_covariance, assert_in_state_family
 
 _STREAMS = {"w": 0, "z1": 1, "z2": 2, "v": 3, "v1": 4, "v2": 5, "p1": 6, "p2": 7}
 # rows of a stream drawn per chunk, and columns per chunk of the combine
 _CHUNK = 32768
-# (pid, executor) of the lane pool; a forked child makes its own
-_POOL = None
-_POOL_LOCK = threading.Lock()
 
 
 def _rng(seed: int, stream: str) -> np.random.Generator:
@@ -275,32 +271,6 @@ def test_channel(d, q, alloc1, alloc2) -> TestChannel:
     )
 
 
-def _on_lanes(tasks) -> None:
-    """Run the callables ``tasks`` on the lane pool and wait for all of them.
-
-    The pool is process-wide, made on first use in each process with one
-    lane per usable core, because numpy's generators and array kernels
-    release the interpreter lock while they fill.  Nothing traced runs on a
-    lane.
-    """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            lanes = (
-                len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1
-            )
-            _POOL = os.getpid(), ThreadPoolExecutor(lanes, thread_name_prefix="gwgauss-lane")
-        futures = [_POOL[1].submit(task) for task in tasks]
-    for f in futures:
-        f.exception()  # every lane is done before any failure is raised
-    for f in futures:
-        f.result()
-
-
 def _chunks(n: int):
     """Consecutive (a, b) ranges over n rows or columns, ``_CHUNK`` long
     except the last.  A lone trailing column joins the chunk before it:
@@ -353,13 +323,13 @@ def _draw(seed: int, jobs) -> None:
             with lock:
                 todo.append(job)
 
-    _on_lanes([lane] * len(todo))
+    run_on_lanes([lane] * len(todo))
 
 
 def _by_columns(n_samples: int, combine) -> None:
     """Run ``combine(cols)`` over the column slices of :func:`_chunks` on
     the lanes; the combine must be elementwise or per column."""
-    _on_lanes(functools.partial(combine, slice(a, b)) for a, b in _chunks(n_samples))
+    run_on_lanes(functools.partial(combine, slice(a, b)) for a, b in _chunks(n_samples))
 
 
 def sample(obj, n_samples: int, seed: int) -> SampleBlock:

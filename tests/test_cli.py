@@ -303,6 +303,18 @@ def test_error_exit_codes(runner, cvf_file, tmp_path):
     assert res.exit_code == 5
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_cvf_non_finite_entry_exit_code(runner, tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text('{"p1": 1, "p2": 1, "Q": [[1.0, %s], [%s, 1.0]]}' % (bad, bad))
+    res = runner.invoke(main, ["cvf", "--in", str(path), "--out", str(tmp_path / "x.json")])
+    assert res.exit_code == 5
+    assert json.loads(res.stderr) == {
+        "error": "NotPositiveDefinite", "message": "covariance has a non-finite entry"
+    }
+    assert not (tmp_path / "x.json").exists()
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -30,6 +30,14 @@ def test_validate_covariance_strict_rejects_indefinite():
         gw.validate_covariance(q, strict=True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_covariance_strict_rejects_non_finite(bad):
+    q = np.eye(3)
+    q[0, 2] = bad
+    with pytest.raises(gw.NotPositiveDefinite, match="non-finite"):
+        gw.validate_covariance(q, strict=True)
+
+
 def test_logdet_of_singular_matrix_is_neginf():
     q = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert logdet_or_neginf(q) == -math.inf
