@@ -19,6 +19,7 @@ import numpy as np
 from . import errors as err
 from .gaussmodel import (
     JointGaussianPair,
+    check_canonical_args,
     nats_to,
     pair_from_csv,
     pair_from_dict,
@@ -125,7 +126,7 @@ def _cvf_to_dict(cf: CanonicalForm, thresholds: Thresholds) -> dict:
 def _load_cvf(path: str) -> dict:
     obj = json.loads(Path(path).read_text())
     obj["idx_tuple"] = IndexSextuple(**obj["idx"])
-    obj["d_array"] = np.asarray(obj["d"], dtype=float)
+    obj["d_array"] = check_canonical_args(obj["idx_tuple"], obj["d"])
     return obj
 
 

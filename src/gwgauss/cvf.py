@@ -48,6 +48,7 @@ from .gaussmodel import (
     PD_FLOOR,
     CovMatrix,
     JointGaussianPair,
+    check_canonical_args,
     run_on_lanes,
     skew,
     symmetrize,
@@ -119,9 +120,7 @@ class CanonicalForm:
 
 def canonical_cross_pattern(idx: IndexSextuple, d) -> np.ndarray:
     """The idealized p1 x p2 cross block: I_{p11}, then Diag(d), then zeros."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.size != idx.p12:
-        raise InconsistentIndices(f"p12 = {idx.p12} but {d.size} coefficients")
+    d = check_canonical_args(idx, d)
     out = np.zeros((idx.p1, idx.p2))
     for i in range(idx.p11):
         out[i, i] = 1.0

@@ -22,7 +22,9 @@ class DimensionMismatch(GwgaussError):
 
 
 class InconsistentIndices(GwgaussError):
-    """Component counts are negative, unbalanced, or disagree with data."""
+    """Component counts are negative, unbalanced, or disagree with data, or
+    canonical coefficients are not a nonincreasing vector in (0, 1) (a
+    non-finite one included)."""
 
 
 class SingularValueOutOfRange(GwgaussError):
@@ -30,7 +32,8 @@ class SingularValueOutOfRange(GwgaussError):
 
 
 class QWOutOfFamily(GwgaussError):
-    """State covariance violates the two-sided order constraints of the family."""
+    """State covariance violates the two-sided order constraints of the family,
+    or a coefficient lies outside [0, 1) (a non-finite one included)."""
 
 
 class SingularFactor(GwgaussError):
@@ -38,7 +41,8 @@ class SingularFactor(GwgaussError):
 
 
 class NonpositiveDistortion(GwgaussError):
-    """Distortion budgets must be strictly positive."""
+    """A distortion budget is zero, negative or NaN; ``+inf`` is a slack
+    budget and passes."""
 
 
 class QWNotDiagonal(GwgaussError):

@@ -8,8 +8,9 @@ the numerical conventions used everywhere else:
 * symmetry is enforced up to ``1e-10 * (1 + max|Q|)`` and computations see
   the symmetrized matrix ``(Q + Q.T) / 2``;
 * strict positive definiteness means every eigenvalue exceeds
-  ``1e-10 * lambda_max``, and a matrix with a non-finite entry is not
-  strictly PD.  ``cvf.decompose`` certifies the joint floor from the
+  ``1e-10 * lambda_max``; a matrix with a non-finite entry is no
+  covariance, and :func:`validate_covariance` rejects it with or without
+  ``strict``.  ``cvf.decompose`` certifies the joint floor from the
   spectra of its two marginals, which it eigendecomposes at once on the
   lanes of :func:`run_on_lanes` once both are large;
 * determinants are accumulated in the log domain from eigenvalues of the
@@ -90,8 +91,8 @@ def symmetrize(q: np.ndarray) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def _eig_floor(eigenvalues: np.ndarray) -> float:
-    # eigvalsh sorts ascending, so the scale is the last entry
+def eig_floor(eigenvalues: np.ndarray) -> float:
+    """The strict-PD floor ``PD_FLOOR * lambda_max`` of an ascending spectrum."""
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     return PD_FLOOR * max(top, 0.0)
 
@@ -102,7 +103,7 @@ def logdet_or_neginf(q: np.ndarray) -> float:
     if q.size == 0:
         return 0.0
     w = np.linalg.eigvalsh(symmetrize(q))
-    if w[0] <= _eig_floor(w):
+    if w[0] <= eig_floor(w):
         return -math.inf
     return float(np.sum(np.log(w)))
 
@@ -149,12 +150,12 @@ def validate_covariance(q, strict: bool = False) -> CovMatrix:
     """Check symmetry (always) and strict positive definiteness (``strict``).
 
     Returns the symmetrized :class:`CovMatrix`; asymmetry beyond tolerance
-    raises :class:`AsymmetricMatrix`, an eigenvalue at or below the floor
-    or (under ``strict``) a non-finite entry raises
+    raises :class:`AsymmetricMatrix`, and a non-finite entry or (under
+    ``strict``) an eigenvalue at or below the floor raises
     :class:`NotPositiveDefinite`.
     """
     a = _as_matrix(q)
-    if strict and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise NotPositiveDefinite("covariance has a non-finite entry")
     if skew(a) > symmetry_tolerance(a):
         raise AsymmetricMatrix(
@@ -163,9 +164,9 @@ def validate_covariance(q, strict: bool = False) -> CovMatrix:
     a = symmetrize(a)
     if strict and a.size:
         w = np.linalg.eigvalsh(a)
-        if w[0] <= _eig_floor(w):
+        if w[0] <= eig_floor(w):
             raise NotPositiveDefinite(
-                f"min eigenvalue {w[0]:.3e} at or below floor {_eig_floor(w):.3e}"
+                f"min eigenvalue {w[0]:.3e} at or below floor {eig_floor(w):.3e}"
             )
     return CovMatrix(a)
 
@@ -280,14 +281,18 @@ def gaussian_mi(q_joint, split: tuple[int, int]) -> float:
     return mi if mi > 0.0 else 0.0
 
 
-def _check_canonical_args(idx: "IndexSextuple", d: np.ndarray) -> None:
+def check_canonical_args(idx: "IndexSextuple", d) -> np.ndarray:
+    """``d`` as a float vector; raises :class:`InconsistentIndices` unless it
+    has one coefficient per correlated component, each strictly inside
+    (0, 1) (a NaN is not), in nonincreasing order."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
     if idx.p12 != d.size:
         raise InconsistentIndices(f"p12 = {idx.p12} but {d.size} correlation coefficients")
-    if d.size:
-        if np.any(d <= 0.0) or np.any(d >= 1.0):
-            raise InconsistentIndices("canonical correlations must lie strictly in (0, 1)")
-        if np.any(np.diff(d) > 0.0):
-            raise InconsistentIndices("canonical correlations must be nonincreasing")
+    if not np.all((d > 0.0) & (d < 1.0)):
+        raise InconsistentIndices("canonical correlations must lie strictly in (0, 1)")
+    if np.any(np.diff(d) > 0.0):
+        raise InconsistentIndices("canonical correlations must be nonincreasing")
+    return d
 
 
 def log_one_minus_square(d: np.ndarray) -> np.ndarray:
@@ -307,8 +312,7 @@ def mi_canonical(idx: "IndexSextuple", d) -> float:
     Identical components force ``inf``; with none, only the correlated
     coefficients contribute ``-0.5 * sum(log(1 - d_i^2))``.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    _check_canonical_args(idx, d)
+    d = check_canonical_args(idx, d)
     if idx.p11 > 0:
         return math.inf
     if idx.p12 == 0:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveDistortion, QWOutOfFamily
-from .rdf import ci_dual, conditional_rdf, marginal_rdf, require_dw
-from .wyner import common_information_terms, diagonal_state_mi
+from .errors import QWOutOfFamily
+from .rdf import ci_dual, marginal_rdf, require_dw, require_positive
+from .wyner import coefficients, common_information_terms, diagonal_state_mi
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def lossy_common_information(d, delta1: float, delta2: float) -> float:
     closed form no longer applies and :class:`OutsideDW` is raised with
     the bound attached.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
+    require_positive(delta1, delta2)
     require_dw(d, delta1, delta2)
     return float(np.sum(common_information_terms(d)))
 
@@ -79,17 +80,16 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
     """The minimum-sum-rate triple at the identity state.
 
     R0 is the common information; R1 and R2 are the branch rates given
-    that state.  Their sum equals the joint rate on the region.
+    that state, water-fills over its branch variances ``1 - d``.  Their sum
+    equals the joint rate on the region.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
+    require_positive(delta1, delta2)
     require_dw(d, delta1, delta2)
-    if delta1 <= 0.0 or delta2 <= 0.0:
-        raise NonpositiveDistortion("branch rates need positive distortions")
-    ones = np.ones(d.size)
     return RateTriple(
         r0=float(np.sum(common_information_terms(d))),
-        r1=conditional_rdf(d, ones, 1, delta1).rate,
-        r2=conditional_rdf(d, ones, 2, delta2).rate,
+        r1=marginal_rdf(1.0 - d, delta1).rate,
+        r2=marginal_rdf(1.0 - d, delta2).rate,
         delta1=float(delta1),
         delta2=float(delta2),
         tag="pangloss",
@@ -130,11 +130,10 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     that stretch is taken.  On the equal-split region that is the identity
     state, whose R0 is the common information.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if np.any(d <= 0.0) or np.any(d >= 1.0):
+    d = coefficients(d)
+    if np.any(d == 0.0):
         raise QWOutOfFamily("sweep needs coefficients strictly inside (0, 1)")
-    if delta1 <= 0.0 or delta2 <= 0.0:
-        raise NonpositiveDistortion("sweep needs positive distortions")
+    require_positive(delta1, delta2)
     if alphas is None:
         ticks = [i / 10.0 for i in range(11)]
         alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
@@ -144,7 +143,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     points: list[SweepPoint] = []
     for a1, a2 in alphas:
         alpha = np.array([a1, a2], dtype=float)
-        if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+        if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
             raise ValueError(f"weights must lie in [0, 1], got ({a1}, {a2})")
         if d.size:
             start = alpha * d.size / (2.0 * delta)  # q = 1 with the equal split

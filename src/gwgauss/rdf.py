@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NonpositiveDistortion, OutsideDW, QWNotDiagonal, QWOutOfFamily
 from .gaussmodel import log_one_minus_square
-from .wyner import as_state_covariance, common_information_terms, in_state_family
+from .wyner import as_state_covariance, coefficients, common_information_terms, in_state_family
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +88,9 @@ def marginal_rdf(variances, delta: float) -> RdfResult:
     and exactly zero once ``delta`` reaches the total variance.
     """
     v = np.atleast_1d(np.asarray(variances, dtype=float))
-    if np.any(v < 0.0):
+    if not np.all(v >= 0.0):
         raise ValueError("variances must be nonnegative")
-    if delta <= 0.0:
-        raise NonpositiveDistortion(f"distortion must be positive, got {delta}")
+    require_positive(delta)
     alloc, level, active = _waterfill(v, float(delta))
     if active.any():
         rate = float(0.5 * np.sum(np.log(v[active] / level)))
@@ -122,9 +121,7 @@ def conditional_rdf(d, q, branch: int, delta: float) -> RdfResult:
     through the state inverse) or ``1 - d_j q_j`` (branch 2), then reverse
     water-filling as in :func:`marginal_rdf`.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if np.any(d < 0.0) or np.any(d >= 1.0):
-        raise QWOutOfFamily("coefficients must lie in [0, 1)")
+    d = coefficients(d)
     qd = _diagonal_state(d, q)
     if branch == 1:
         lam = 1.0 - np.divide(d, qd, out=np.zeros_like(d), where=qd > 0)
@@ -137,7 +134,7 @@ def conditional_rdf(d, q, branch: int, delta: float) -> RdfResult:
 
 def dw_bound(d) -> float:
     """The equal-split region extends to ``n (1 - d_max)`` per branch."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
     if d.size == 0:
         return math.inf
     return d.size * (1.0 - float(np.max(d)))
@@ -149,6 +146,14 @@ def in_dw(d, delta1: float, delta2: float) -> bool:
     # boundary at ulp scale rather than by exact comparison
     tol = 8.0 * np.finfo(float).eps * max(1.0, b) if math.isfinite(b) else 0.0
     return 0.0 <= delta1 <= b + tol and 0.0 <= delta2 <= b + tol
+
+
+def require_positive(*deltas: float) -> None:
+    """Raise :class:`NonpositiveDistortion` unless every budget is positive;
+    a NaN fails, and ``+inf``, a slack budget, passes."""
+    for delta in deltas:
+        if not delta > 0.0:
+            raise NonpositiveDistortion(f"distortion must be positive, got {delta}")
 
 
 def require_dw(d, delta1: float, delta2: float) -> None:
@@ -502,10 +507,12 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
     # At delta1 = delta2 below sum(1 - d) that is the restricted optimum,
     # and inside D_W it is the equal split n / delta.  No allocation
     # exceeds 1 - d^2, so a budget of sum(1 - d^2) or more is slack and
-    # its multiplier starts at its optimum, 0.
+    # its multiplier starts at its optimum, 0; an infinite budget is solved
+    # and certified as that sum, where the dual's terms stay finite.
+    s = 1.0 - d * d
+    delta1, delta2 = (float(s.sum()) if x == math.inf else x for x in (delta1, delta2))
     delta = np.array([delta1, delta2])
     rho = math.sqrt(delta2) / math.sqrt(delta1)
-    s = 1.0 - d * d
     p1 = 2.0 * s / ((1.0 + rho) + np.sqrt((1.0 + rho) ** 2 - 4.0 * rho * s))
     start = np.array([1.0 / _waterfill(np.maximum(p, 1.0 - d), x)[1]
                       for p, x in ((p1, delta1), (rho * p1, delta2))])
@@ -542,11 +549,8 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     restricted optimum; the gap says nothing about the distance to the
     Gaussian joint RDF.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if np.any(d < 0.0) or np.any(d >= 1.0):
-        raise QWOutOfFamily("coefficients must lie in [0, 1)")
-    if delta1 <= 0.0 or delta2 <= 0.0:
-        raise NonpositiveDistortion("both distortions must be positive")
+    d = coefficients(d)
+    require_positive(delta1, delta2)
     n = d.size
     if n == 0 or in_dw(d, delta1, delta2):
         delta = np.array([delta1, delta2], dtype=float)
@@ -563,7 +567,7 @@ def gray_lower_bound(d, delta1: float, delta2: float) -> float:
     branch 2 given branch 1 are ``1 - d_j^2``.  A lower bound on the joint
     rate, tight where the equal-split solution keeps all components active.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
     r1 = marginal_rdf(np.ones(d.size), delta1).rate
     r2 = marginal_rdf((1.0 - d) * (1.0 + d), delta2).rate
     return r1 + r2
@@ -572,16 +576,14 @@ def gray_lower_bound(d, delta1: float, delta2: float) -> float:
 def sum_rate_identity_check(d, delta1: float, delta2: float) -> float:
     """Residual of joint = conditional(1) + conditional(2) + common info.
 
-    Valid on the equal-split region with the identity state; positive
-    distortions required.
+    Valid on the equal-split region with the identity state, where both
+    branch variances are ``1 - d``; positive distortions required.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
+    require_positive(delta1, delta2)
     require_dw(d, delta1, delta2)
-    if delta1 <= 0.0 or delta2 <= 0.0:
-        raise NonpositiveDistortion("identity check needs positive distortions")
-    ones = np.ones(d.size)
     joint = joint_rdf(d, delta1, delta2).rate
-    r1 = conditional_rdf(d, ones, 1, delta1).rate
-    r2 = conditional_rdf(d, ones, 2, delta2).rate
+    r1 = marginal_rdf(1.0 - d, delta1).rate
+    r2 = marginal_rdf(1.0 - d, delta2).rate
     c = float(np.sum(common_information_terms(d)))
     return abs(joint - (r1 + r2 + c))

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllocationOutOfRange, DimensionMismatch, NotPositiveDefinite
-from .gaussmodel import CovMatrix, GaussianTriple, JointGaussianPair, run_on_lanes, symmetrize
+from .gaussmodel import (CovMatrix, GaussianTriple, JointGaussianPair, check_canonical_args,
+                         run_on_lanes, symmetrize)
 from .cvf import IndexSextuple, canonical_cross_pattern
 from .wyner import as_state_covariance, assert_in_state_family
 
@@ -168,9 +169,7 @@ def optimal_state(idx: IndexSextuple, d) -> OptimalState:
     ``L3 = Diag(sqrt((1 - d) / (1 + d)))``; identical components are state
     coordinates verbatim, private components do not enter.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.size != idx.p12:
-        raise DimensionMismatch(f"p12 = {idx.p12} but {d.size} coefficients")
+    d = check_canonical_args(idx, d)
     l1 = np.sqrt(d) / (1.0 + d)
     l3 = np.sqrt((1.0 - d) / (1.0 + d))
     return OptimalState(
@@ -187,7 +186,7 @@ def optimal_state(idx: IndexSextuple, d) -> OptimalState:
 def optimal_triple_cov(idx: IndexSextuple, d) -> np.ndarray:
     """Covariance of (Y1, Y2, W) under the optimal state, including the
     identical passthrough coordinates and the private components."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = check_canonical_args(idx, d)
     rd = np.sqrt(d)
     p1, p2 = idx.p1, idx.p2
     nw = idx.p11 + idx.p12

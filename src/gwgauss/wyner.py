@@ -21,14 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentIndices,
-    QWOutOfFamily,
-    SingularFactor,
-)
+from .errors import DimensionMismatch, QWOutOfFamily, SingularFactor
 from .gaussmodel import (
-    _eig_floor,
+    check_canonical_args,
+    eig_floor,
     log_one_minus_square,
     logdet_or_neginf,
     symmetrize,
@@ -89,6 +85,15 @@ def as_state_covariance(q) -> np.ndarray:
     return a
 
 
+def coefficients(d) -> np.ndarray:
+    """``d`` as a float vector; raises :class:`QWOutOfFamily` unless every
+    entry lies in [0, 1), so a NaN or an infinity fails too."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if not np.all((d >= 0.0) & (d < 1.0)):
+        raise QWOutOfFamily("coefficients must lie in [0, 1)")
+    return d
+
+
 def state_family_tolerance(d: np.ndarray) -> float:
     # relative to the largest finite family bound, max 1/d_i over d_i > 0;
     # a zero coefficient leaves its upper bound open and sets no scale
@@ -109,15 +114,14 @@ def diagonal_entries(q) -> np.ndarray | None:
     return diag.copy()
 
 
-def in_state_family(q, d, tol: float | None = None) -> bool:
+def in_state_family(q, d) -> bool:
     """Whether ``Diag(d) <= Q_W <= Diag(d)^{-1}`` holds up to tolerance.
 
     For a diagonal state the eigenvalue test reduces to the elementwise
     ``d_j - tol <= q_j <= 1/d_j + tol``, checked in O(n).
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    if tol is None:
-        tol = state_family_tolerance(d)
+    tol = state_family_tolerance(d)
     qd = diagonal_entries(q)
     if qd is not None:
         if qd.shape != d.shape:
@@ -139,11 +143,8 @@ def in_state_family(q, d, tol: float | None = None) -> bool:
 
 def assert_in_state_family(q, d) -> np.ndarray:
     qw = as_state_covariance(q)
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if not in_state_family(qw, d):
-        raise QWOutOfFamily(
-            "state covariance violates Diag(d) <= Q_W <= Diag(d)^{-1}"
-        )
+    if not in_state_family(qw, coefficients(d)):
+        raise QWOutOfFamily("state covariance violates Diag(d) <= Q_W <= Diag(d)^{-1}")
     return qw
 
 
@@ -154,11 +155,7 @@ def common_information_terms(d: np.ndarray) -> np.ndarray:
 
 def common_information(idx: IndexSextuple, d) -> CommonInfoResult:
     """Common information in nats from the canonical indices and coefficients."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.size != idx.p12:
-        raise InconsistentIndices(f"p12 = {idx.p12} but {d.size} coefficients")
-    if d.size and (np.any(d <= 0.0) or np.any(d >= 1.0)):
-        raise InconsistentIndices("canonical correlations must lie strictly in (0, 1)")
+    d = check_canonical_args(idx, d)
     terms = common_information_terms(d)
     if idx.p11 > 0:
         return CommonInfoResult(math.inf, "identical-present", terms)
@@ -185,7 +182,7 @@ def diagonal_state_mi(d: np.ndarray, log_v1: np.ndarray, log_v2: np.ndarray) -> 
     a factor is singular by the dense path's eigenvalue floor."""
     for lv in (log_v1, log_v2):
         ev = np.exp(np.sort(lv))
-        if ev.size and ev[0] <= _eig_floor(ev):
+        if ev.size and ev[0] <= eig_floor(ev):
             return math.inf
     return float(0.5 * np.sum(log_one_minus_square(d) - log_v1 - log_v2))
 
@@ -201,7 +198,7 @@ def mi_given_state(d, q) -> float:
     :func:`diagonal_state_mi`, whose factor eigenvalues ``1 - d/q`` and
     ``1 - d q`` meet the same singularity floor.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
     qd = diagonal_entries(q)
     if qd is not None:
         if not in_state_family(qd, d):
@@ -271,36 +268,26 @@ def check_hua_inequality(d, q) -> HuaInequalityCheck:
     )
 
 
-def sample_state_matrix(d, rng: np.random.Generator, max_tries: int = 64) -> np.ndarray:
+def sample_state_matrix(d, rng: np.random.Generator) -> np.ndarray:
     """Draw a random member of the state family.
 
     A point on the convex path between the family endpoints Diag(d) and
-    Diag(d)^{-1} is conjugated by a random orthogonal matrix, then pulled
-    toward the family midpoint until the order constraints hold again
-    (conjugation does not preserve them).
+    Diag(d)^{-1} is conjugated by a random orthogonal matrix.  Conjugation
+    does not preserve the order constraints, so a candidate Q outside the
+    family is pulled toward the midpoint M = (D + D^{-1}) / 2 in closed
+    form: with H = (D^{-1} - D) / 2, Q is in the family exactly when the
+    spectral radius rho of ``H^{-1/2} (Q - M) H^{-1/2}`` is at most 1, and
+    ``M + (0.999 / rho)(Q - M)`` has radius 0.999.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
     n = d.size
-    dm = np.diag(d)
-    dinv = np.diag(1.0 / d)
-    mid = 0.5 * (dm + dinv)
-    for _ in range(max_tries):
-        t = rng.uniform(0.05, 0.95)
-        base = (1.0 - t) * dm + t * dinv
-        g = rng.standard_normal((n, n))
-        qf, rf = np.linalg.qr(g)
-        qf = qf * np.sign(np.diag(rf))
-        cand = symmetrize(qf @ base @ qf.T)
-        if in_state_family(cand, d):
-            return cand
-        lo, hi = 0.0, 1.0
-        for _ in range(48):
-            s = 0.5 * (lo + hi)
-            if in_state_family(mid + s * (cand - mid), d):
-                lo = s
-            else:
-                hi = s
-        shrunk = mid + (0.999 * lo) * (cand - mid)
-        if in_state_family(shrunk, d):
-            return shrunk
-    raise RuntimeError("state sampler failed to produce a family member")
+    t = rng.uniform(0.05, 0.95)
+    g = rng.standard_normal((n, n))
+    qf, rf = np.linalg.qr(g)
+    qf = qf * np.sign(np.diag(rf))
+    cand = symmetrize(qf @ np.diag((1.0 - t) * d + t * (1.0 / d)) @ qf.T)
+    mid = np.diag(0.5 * (d + 1.0 / d))
+    scale = 1.0 / np.sqrt(0.5 * (1.0 / d - d))
+    dev = cand - mid
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(scale[:, None] * dev * scale)), initial=0.0))
+    return cand if rho <= 1.0 else mid + (0.999 / rho) * dev

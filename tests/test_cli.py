@@ -315,6 +315,25 @@ def test_cvf_non_finite_entry_exit_code(runner, tmp_path, bad):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("d", [[0.8, "NaN", 0.1], [0.8, 0.5, 1.2], [0.8, 0.5, -0.1],
+                               [0.8, 0.5], [0.5, 0.8, 0.1]])
+@pytest.mark.parametrize("command", [
+    ["rdf", "joint", "--delta1", "0.3", "--delta2", "0.3"],
+    ["realize", "--out", "{tmp}/real.json"],
+    ["region", "--delta1", "0.3", "--delta2", "0.3", "--out", "{tmp}/region.csv"],
+])
+def test_bad_canonical_coefficients_exit_code(runner, cvf_file, tmp_path, command, d):
+    obj = json.loads(Path(cvf_file).read_text())
+    obj["d"] = d
+    bad = tmp_path / "bad_cvf.json"
+    bad.write_text(json.dumps(obj).replace('"NaN"', "NaN"))
+    args = [a.format(tmp=tmp_path) for a in command] + ["--in", str(bad)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 7, res.output
+    assert json.loads(res.stderr)["error"] == "InconsistentIndices"
+    assert not any(tmp_path.glob("real.json")) and not any(tmp_path.glob("region.csv"))
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

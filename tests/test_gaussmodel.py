@@ -36,6 +36,13 @@ def test_validate_covariance_strict_rejects_non_finite(bad):
     q[0, 2] = bad
     with pytest.raises(gw.NotPositiveDefinite, match="non-finite"):
         gw.validate_covariance(q, strict=True)
+    # the symmetric entry pair: the non-strict check and gaussian_mi, which
+    # uses it, reject it before forming Q - Q.T
+    q[2, 0] = bad
+    with pytest.raises(gw.NotPositiveDefinite, match="non-finite"):
+        gw.validate_covariance(q)
+    with pytest.raises(gw.NotPositiveDefinite, match="non-finite"):
+        gw.gaussian_mi(q, (1, 2))
 
 
 def test_logdet_of_singular_matrix_is_neginf():

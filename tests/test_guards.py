@@ -1,0 +1,135 @@
+"""Every public entry point that takes canonical coefficients d or a
+distortion budget delta rejects a bad one with its typed error.
+
+Coefficients of a state family (``wyner.coefficients``) must lie in
+[0, 1), canonical coefficients (``gaussmodel.check_canonical_args``) in
+(0, 1) and nonincreasing, and budgets (``rdf.require_positive``) must be
+positive.  Each guard is NaN-proof, so a non-finite input raises rather
+than turning into a number.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import gwgauss as gw
+
+IDX2 = gw.IndexSextuple(0, 2, 0, 0, 2, 0)
+GOOD_D = np.array([0.5, 0.3])
+ONES = np.ones(2)
+
+# name -> (call with coefficients d, class a bad d raises)
+D_ENTRY_POINTS = {
+    "conditional_rdf": (lambda d: gw.conditional_rdf(d, ONES, 1, 0.1), gw.QWOutOfFamily),
+    "joint_rdf": (lambda d: gw.joint_rdf(d, 0.1, 0.1), gw.QWOutOfFamily),
+    "gray_lower_bound": (lambda d: gw.gray_lower_bound(d, 0.1, 0.1), gw.QWOutOfFamily),
+    "sum_rate_identity_check": (lambda d: gw.sum_rate_identity_check(d, 0.1, 0.1),
+                                gw.QWOutOfFamily),
+    "dw_bound": (gw.dw_bound, gw.QWOutOfFamily),
+    "lossy_common_information": (lambda d: gw.lossy_common_information(d, 0.1, 0.1),
+                                 gw.QWOutOfFamily),
+    "pangloss_triple": (lambda d: gw.pangloss_triple(d, 0.1, 0.1), gw.QWOutOfFamily),
+    "region_sweep": (lambda d: gw.region_sweep(d, 0.1, 0.1, alphas=[(1.0, 1.0)]),
+                     gw.QWOutOfFamily),
+    "mi_given_state": (lambda d: gw.mi_given_state(d, ONES), gw.QWOutOfFamily),
+    "mi_given_state dense": (lambda d: gw.mi_given_state(d, [[1.0, 0.01], [0.01, 1.0]]),
+                             gw.QWOutOfFamily),
+    "assert_in_state_family": (lambda d: gw.assert_in_state_family(np.eye(2), d),
+                               gw.QWOutOfFamily),
+    "check_hua_inequality": (lambda d: gw.check_hua_inequality(d, np.eye(2)),
+                             gw.QWOutOfFamily),
+    "sample_state_matrix": (lambda d: gw.sample_state_matrix(d, np.random.default_rng(0)),
+                            gw.QWOutOfFamily),
+    "family_realization": (lambda d: gw.family_realization(d, np.eye(2)), gw.QWOutOfFamily),
+    "state_triple": (lambda d: gw.state_triple(d, np.eye(2)), gw.QWOutOfFamily),
+    "test_channel": (lambda d: gw.test_channel(d, np.eye(2), [0.1, 0.1], [0.1, 0.1]),
+                     gw.QWOutOfFamily),
+    "common_information": (lambda d: gw.common_information(IDX2, d), gw.InconsistentIndices),
+    "mi_canonical": (lambda d: gw.mi_canonical(IDX2, d), gw.InconsistentIndices),
+    "optimal_state": (lambda d: gw.optimal_state(IDX2, d), gw.InconsistentIndices),
+    "optimal_triple_cov": (lambda d: gw.optimal_triple_cov(IDX2, d), gw.InconsistentIndices),
+    "canonical_cross_pattern": (lambda d: gw.canonical_cross_pattern(IDX2, d),
+                                gw.InconsistentIndices),
+}
+BAD_D = [math.nan, math.inf, -math.inf, -0.5, 1.0, 1.2]
+
+# name -> call with one budget; every bad budget raises NonpositiveDistortion
+DELTA_ENTRY_POINTS = {
+    "marginal_rdf": lambda x: gw.marginal_rdf([1.0, 2.0], x),
+    "conditional_rdf": lambda x: gw.conditional_rdf(GOOD_D, ONES, 2, x),
+    "joint_rdf 1": lambda x: gw.joint_rdf(GOOD_D, x, 0.1),
+    "joint_rdf 2": lambda x: gw.joint_rdf(GOOD_D, 0.1, x),
+    "gray_lower_bound 1": lambda x: gw.gray_lower_bound(GOOD_D, x, 0.1),
+    "gray_lower_bound 2": lambda x: gw.gray_lower_bound(GOOD_D, 0.1, x),
+    "sum_rate_identity_check": lambda x: gw.sum_rate_identity_check(GOOD_D, 0.1, x),
+    "lossy_common_information": lambda x: gw.lossy_common_information(GOOD_D, x, 0.1),
+    "pangloss_triple 1": lambda x: gw.pangloss_triple(GOOD_D, x, 0.1),
+    "pangloss_triple 2": lambda x: gw.pangloss_triple(GOOD_D, 0.1, x),
+    "region_sweep": lambda x: gw.region_sweep(GOOD_D, 0.1, x, alphas=[(1.0, 1.0)]),
+}
+BAD_DELTA = [0.0, -0.1, -1.0, math.nan]
+
+
+@pytest.mark.parametrize("bad", BAD_D)
+@pytest.mark.parametrize("name", sorted(D_ENTRY_POINTS))
+def test_entry_point_rejects_bad_coefficient(name, bad):
+    call, cls = D_ENTRY_POINTS[name]
+    call(GOOD_D)  # the same call accepts good coefficients
+    with pytest.raises(cls):
+        call(np.array([0.5, bad]))
+    with pytest.raises(cls):
+        call(np.array([bad, 0.2]))
+
+
+@pytest.mark.parametrize("bad", BAD_DELTA)
+@pytest.mark.parametrize("name", sorted(DELTA_ENTRY_POINTS))
+def test_entry_point_rejects_bad_distortion(name, bad):
+    call = DELTA_ENTRY_POINTS[name]
+    call(0.1)
+    with pytest.raises(gw.NonpositiveDistortion):
+        call(bad)
+
+
+def test_a_zero_coefficient_is_in_the_family_but_not_in_the_sweep():
+    assert gw.joint_rdf([0.5, 0.0], 0.1, 0.1).regime == "closed-form-DW"
+    with pytest.raises(gw.QWOutOfFamily):
+        gw.region_sweep([0.5, 0.0], 0.1, 0.1)
+    with pytest.raises(gw.InconsistentIndices):
+        gw.common_information(IDX2, [0.5, 0.0])
+
+
+def test_canonical_coefficients_must_be_nonincreasing_and_sized():
+    for call in (gw.common_information, gw.mi_canonical, gw.optimal_state):
+        with pytest.raises(gw.InconsistentIndices, match="nonincreasing"):
+            call(IDX2, [0.3, 0.5])
+        with pytest.raises(gw.InconsistentIndices, match="p12 = 2"):
+            call(IDX2, [0.5])
+
+
+def test_infinite_budget_is_slack():
+    # branch 2 caps a2 = 0.1, so a1 = 1 - d^2 / 0.9 on the cap
+    res = gw.joint_rdf([0.5], math.inf, 0.1)
+    assert math.isclose(res.rate, 0.5 * math.log(0.75 / (0.1 * (1.0 - 0.25 / 0.9))),
+                        rel_tol=1e-12)
+    assert res.budget_residual <= 1e-12 and abs(res.dual_gap) <= 1e-12
+    # with both budgets slack each component sits at a1 = a2 = 1 - d, and the
+    # restricted program's rate is the common information
+    d = np.array([0.5, 0.2])
+    res = gw.joint_rdf(d, math.inf, math.inf)
+    assert math.isclose(res.rate, gw.common_information(IDX2, d).value, rel_tol=1e-12)
+    np.testing.assert_allclose(res.alloc1, 1.0 - d, rtol=1e-14)
+    assert res.dual_gap == 0.0
+    assert gw.marginal_rdf([1.0, 2.0], math.inf).rate == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_pangloss_branch_rates_are_the_identity_state_conditional_rates(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        d = np.sort(rng.uniform(0.01, 0.99, n))[::-1]
+        b = gw.dw_bound(d) if n else 1.0
+        delta1, delta2 = rng.uniform(0.05, 1.0, 2) * b
+        tr = gw.pangloss_triple(d, delta1, delta2)
+        assert tr.r1 == gw.conditional_rdf(d, np.ones(n), 1, delta1).rate
+        assert tr.r2 == gw.conditional_rdf(d, np.ones(n), 2, delta2).rate

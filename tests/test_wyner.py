@@ -151,6 +151,21 @@ def test_sampled_states_lie_in_family(d, seed):
     assert gw.in_state_family(qw, d)
 
 
+def test_sampled_state_outside_the_family_is_pulled_to_radius_0999():
+    # Q is in the family iff -H <= Q - M <= H, M and H the midpoint and
+    # half-width of Diag(d) and Diag(d)^{-1}: the eigenvalues of
+    # H^{-1} (Q - M) lie in [-1, 1].  A candidate outside is pulled to 0.999
+    d = np.array([0.9, 0.3, 0.1])
+    mid, half = np.diag(0.5 * (1.0 / d + d)), np.diag(0.5 * (1.0 / d - d))
+    radii = []
+    for seed in range(20):
+        qw = gw.sample_state_matrix(d, np.random.default_rng(seed))
+        radii.append(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(half, qw - mid)))))
+    pulled = [r for r in radii if r > 0.99]
+    assert 0 < len(pulled) < len(radii)  # some candidates are in the family as drawn
+    assert max(abs(r - 0.999) for r in pulled) <= 1e-12
+
+
 def test_family_tolerance_scales_with_conditioning():
     loose = state_family_tolerance(np.array([0.9]))
     tight = state_family_tolerance(np.array([0.01]))
