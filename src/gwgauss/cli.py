@@ -46,11 +46,10 @@ EXIT_CODES = {
     err.InconsistentIndices: 7,
     err.SingularValueOutOfRange: 8,
     err.QWOutOfFamily: 9,
-    err.SingularFactor: 10,
+    # 10 and 14 are unassigned: no error maps to them
     err.NonpositiveDistortion: 11,
     err.QWNotDiagonal: 12,
     err.AllocationOutOfRange: 13,
-    # 14 is unassigned: no error maps to it
     err.OutsideDW: 15,
     err.TooFewSamples: 16,
     err.MissingReconstruction: 17,

@@ -32,13 +32,11 @@ below zero, or too little margin), and on a non-finite, asymmetric or empty
 block, it falls back to ``JointGaussianPair.validated()``, which raises its
 own error or lets the pair through.  So it accepts and rejects exactly the
 pairs ``validated()`` does, with the same error, and returns the same bits.
-Once both marginals have ``LANE_DIM`` rows, their two eigensolves run at
-once on the lanes of :func:`gaussmodel.run_on_lanes`.
+Both marginal eigensolves run in the calling thread, one after the other.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,15 +47,12 @@ from .gaussmodel import (
     CovMatrix,
     JointGaussianPair,
     check_canonical_args,
-    run_on_lanes,
     skew,
     symmetrize,
     symmetry_tolerance,
 )
 
 SV_CEILING_SLACK = 1e-8
-# both marginals at least this many rows: their eigensolves run on the lanes
-LANE_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -147,12 +142,6 @@ def _certified_pd(lam1: np.ndarray, lam2: np.ndarray, s1: float) -> bool:
     return bool(lower > 2.0 * PD_FLOOR * upper)
 
 
-def _eighs(q11: np.ndarray, q22: np.ndarray) -> list:
-    if min(len(q11), len(q22)) >= LANE_DIM:
-        return run_on_lanes([functools.partial(np.linalg.eigh, q) for q in (q11, q22)])
-    return [np.linalg.eigh(q11), np.linalg.eigh(q22)]
-
-
 def decompose(pair: JointGaussianPair, thresholds: Thresholds = Thresholds()) -> CanonicalForm:
     """Compute the canonical variable form of a strictly PD pair.
 
@@ -175,7 +164,8 @@ def decompose(pair: JointGaussianPair, thresholds: Thresholds = Thresholds()) ->
         and max(skew(q11), skew(q22)) <= max(map(symmetry_tolerance, blocks))
     ):
         pair.validated()
-    (lam1, u1), (lam2, u2) = _eighs(symmetrize(q11), symmetrize(q22))
+    lam1, u1 = np.linalg.eigh(symmetrize(q11))
+    lam2, u2 = np.linalg.eigh(symmetrize(q22))
     if not (lam1[0] > 0.0 and lam2[0] > 0.0):
         pair.validated()
     w1 = u1 / np.sqrt(lam1)
@@ -221,24 +211,6 @@ def apply_transform(pair: JointGaussianPair, cf: CanonicalForm) -> JointGaussian
     q22 = symmetrize(cf.s2 @ pair.q22.entries @ cf.s2.T)
     q12 = cf.s1 @ pair.q12 @ cf.s2.T
     return JointGaussianPair(CovMatrix(q11), CovMatrix(q22), q12)
-
-
-def canonical_correlations_oracle(pair: JointGaussianPair) -> np.ndarray:
-    """Canonical correlations by the eigenvalue route, for cross-checking.
-
-    Returns the square roots of the eigenvalues of
-    ``Q11^{-1} Q12 Q22^{-1} Q12.T`` (top ``min(p1, p2)``, descending),
-    computed on the similar symmetric matrix so the spectrum is real.
-    """
-    pair = pair.validated()
-    lam1, u1 = np.linalg.eigh(pair.q11.entries)
-    isq1 = (u1 / np.sqrt(lam1)) @ u1.T
-    b = np.linalg.solve(pair.q22.entries, pair.q12.T)
-    m = symmetrize(isq1 @ pair.q12 @ b @ isq1)
-    ev = np.linalg.eigvalsh(m)
-    ev = np.clip(ev, 0.0, None)
-    sv = np.sqrt(ev)[::-1]
-    return sv[: min(pair.p1, pair.p2)].copy()
 
 
 def pattern_residual(pair: JointGaussianPair, cf: CanonicalForm) -> float:

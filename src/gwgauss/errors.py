@@ -14,7 +14,8 @@ class AsymmetricMatrix(GwgaussError):
 
 
 class NotPositiveDefinite(GwgaussError):
-    """Matrix fails the strict positive-definiteness floor."""
+    """Matrix fails the strict positive-definiteness floor or has a
+    non-finite entry, or component variances are negative or NaN."""
 
 
 class DimensionMismatch(GwgaussError):
@@ -34,10 +35,6 @@ class SingularValueOutOfRange(GwgaussError):
 class QWOutOfFamily(GwgaussError):
     """State covariance violates the two-sided order constraints of the family,
     or a coefficient lies outside [0, 1) (a non-finite one included)."""
-
-
-class SingularFactor(GwgaussError):
-    """A factor that must be nonsingular (or full rank) is not."""
 
 
 class NonpositiveDistortion(GwgaussError):

@@ -11,8 +11,7 @@ the numerical conventions used everywhere else:
   ``1e-10 * lambda_max``; a matrix with a non-finite entry is no
   covariance, and :func:`validate_covariance` rejects it with or without
   ``strict``.  ``cvf.decompose`` certifies the joint floor from the
-  spectra of its two marginals, which it eigendecomposes at once on the
-  lanes of :func:`run_on_lanes` once both are large;
+  spectra of its two marginals;
 * determinants are accumulated in the log domain from eigenvalues of the
   symmetrized matrix, never as raw products;
 * rates and information quantities are nats internally, and ``math.inf``
@@ -26,8 +25,6 @@ import csv
 import io
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,34 +44,6 @@ LN2 = math.log(2.0)
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 # strictly PD: every eigenvalue above PD_FLOOR * lambda_max
 PD_FLOOR = 1e-10
-# (pid, executor) of the lane pool; a forked child makes its own
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def run_on_lanes(tasks) -> list:
-    """Run the callables ``tasks`` on the lane pool; return their results.
-
-    The pool is process-wide, made on first use in each process with one
-    lane per usable core, because numpy's generators, array kernels and
-    LAPACK calls release the interpreter lock while they run.  Every task
-    is done before any failure is raised.  Nothing traced runs on a lane.
-    """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            lanes = (
-                len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1
-            )
-            _POOL = os.getpid(), ThreadPoolExecutor(lanes, thread_name_prefix="gwgauss-lane")
-        futures = [_POOL[1].submit(task) for task in tasks]
-    for f in futures:
-        f.exception()
-    return [f.result() for f in futures]
 
 
 def symmetry_tolerance(q: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QWOutOfFamily
-from .rdf import ci_dual, marginal_rdf, require_dw, require_positive
+from .rdf import ci_dual, marginal_rdf, require_dw, require_positive, slack_budgets
 from .wyner import coefficients, common_information_terms, diagonal_state_mi
 
 
@@ -137,7 +137,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     if alphas is None:
         ticks = [i / 10.0 for i in range(11)]
         alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
-    delta = np.array([delta1, delta2], dtype=float)
+    delta = slack_budgets(d, delta1, delta2)
     ld = np.log(d)
 
     points: list[SweepPoint] = []

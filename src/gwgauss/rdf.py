@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveDistortion, OutsideDW, QWNotDiagonal, QWOutOfFamily
+from .errors import (NonpositiveDistortion, NotPositiveDefinite, OutsideDW, QWNotDiagonal,
+                     QWOutOfFamily)
 from .gaussmodel import log_one_minus_square
-from .wyner import as_state_covariance, coefficients, common_information_terms, in_state_family
+from .wyner import as_state_covariance, coefficients, in_state_family
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +86,12 @@ def marginal_rdf(variances, delta: float) -> RdfResult:
 
     ``variances`` are the component variances (eigenvalues of the source
     covariance); the rate is ``sum over active of 0.5 log(v_j / level)``
-    and exactly zero once ``delta`` reaches the total variance.
+    and exactly zero once ``delta`` reaches the total variance.  A negative
+    or NaN variance raises :class:`NotPositiveDefinite`.
     """
     v = np.atleast_1d(np.asarray(variances, dtype=float))
     if not np.all(v >= 0.0):
-        raise ValueError("variances must be nonnegative")
+        raise NotPositiveDefinite("variances must be nonnegative")
     require_positive(delta)
     alloc, level, active = _waterfill(v, float(delta))
     if active.any():
@@ -154,6 +156,16 @@ def require_positive(*deltas: float) -> None:
     for delta in deltas:
         if not delta > 0.0:
             raise NonpositiveDistortion(f"distortion must be positive, got {delta}")
+
+
+def slack_budgets(d: np.ndarray, delta1: float, delta2: float) -> np.ndarray:
+    """The budgets as an array, a ``+inf`` one replaced by ``sum(1 - d^2)``.
+
+    No allocation exceeds ``1 - d_j^2``, so that sum is as slack as an
+    infinite budget, and a dual solved at it keeps its terms finite.
+    """
+    s = float(np.sum(1.0 - d * d))
+    return np.array([s if x == math.inf else x for x in (delta1, delta2)], dtype=float)
 
 
 def require_dw(d, delta1: float, delta2: float) -> None:
@@ -508,10 +520,10 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
     # and inside D_W it is the equal split n / delta.  No allocation
     # exceeds 1 - d^2, so a budget of sum(1 - d^2) or more is slack and
     # its multiplier starts at its optimum, 0; an infinite budget is solved
-    # and certified as that sum, where the dual's terms stay finite.
+    # and certified as that sum (slack_budgets).
     s = 1.0 - d * d
-    delta1, delta2 = (float(s.sum()) if x == math.inf else x for x in (delta1, delta2))
-    delta = np.array([delta1, delta2])
+    delta = slack_budgets(d, delta1, delta2)
+    delta1, delta2 = delta.tolist()
     rho = math.sqrt(delta2) / math.sqrt(delta1)
     p1 = 2.0 * s / ((1.0 + rho) + np.sqrt((1.0 + rho) ** 2 - 4.0 * rho * s))
     start = np.array([1.0 / _waterfill(np.maximum(p, 1.0 - d), x)[1]
@@ -552,7 +564,12 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     d = coefficients(d)
     require_positive(delta1, delta2)
     n = d.size
-    if n == 0 or in_dw(d, delta1, delta2):
+    if n == 0:
+        # nothing to allocate: every budget, an infinite one too, is all slack
+        empty = np.zeros(0)
+        return JointRdfResult(0.0, empty, empty.copy(), "closed-form-DW", 0, np.zeros(2),
+                              -1.0, 0.0)
+    if in_dw(d, delta1, delta2):
         delta = np.array([delta1, delta2], dtype=float)
         a1, a2 = np.full(n, delta1) / n, np.full(n, delta2) / n
         rate = float(0.5 * np.sum(log_one_minus_square(d) - np.log(a1) - np.log(a2)))
@@ -571,19 +588,3 @@ def gray_lower_bound(d, delta1: float, delta2: float) -> float:
     r1 = marginal_rdf(np.ones(d.size), delta1).rate
     r2 = marginal_rdf((1.0 - d) * (1.0 + d), delta2).rate
     return r1 + r2
-
-
-def sum_rate_identity_check(d, delta1: float, delta2: float) -> float:
-    """Residual of joint = conditional(1) + conditional(2) + common info.
-
-    Valid on the equal-split region with the identity state, where both
-    branch variances are ``1 - d``; positive distortions required.
-    """
-    d = coefficients(d)
-    require_positive(delta1, delta2)
-    require_dw(d, delta1, delta2)
-    joint = joint_rdf(d, delta1, delta2).rate
-    r1 = marginal_rdf(1.0 - d, delta1).rate
-    r2 = marginal_rdf(1.0 - d, delta2).rate
-    c = float(np.sum(common_information_terms(d)))
-    return abs(joint - (r1 + r2 + c))

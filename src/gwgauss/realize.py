@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -49,13 +50,41 @@ import numpy as np
 
 from .errors import AllocationOutOfRange, DimensionMismatch, NotPositiveDefinite
 from .gaussmodel import (CovMatrix, GaussianTriple, JointGaussianPair, check_canonical_args,
-                         run_on_lanes, symmetrize)
+                         symmetrize)
 from .cvf import IndexSextuple, canonical_cross_pattern
 from .wyner import as_state_covariance, assert_in_state_family
 
 _STREAMS = {"w": 0, "z1": 1, "z2": 2, "v": 3, "v1": 4, "v2": 5, "p1": 6, "p2": 7}
 # rows of a stream drawn per chunk, and columns per chunk of the combine
 _CHUNK = 32768
+# (pid, executor) of the lane pool; a forked child makes its own
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def run_on_lanes(tasks) -> list:
+    """Run the callables ``tasks`` on the lane pool; return their results.
+
+    The pool is process-wide, made on first use in each process with one
+    lane per usable core, because numpy's generators and array kernels
+    release the interpreter lock while they run.  Every task is done before
+    any failure is raised.  Nothing traced runs on a lane.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            lanes = (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1
+            )
+            _POOL = os.getpid(), ThreadPoolExecutor(lanes, thread_name_prefix="gwgauss-lane")
+        futures = [_POOL[1].submit(task) for task in tasks]
+    for f in futures:
+        f.exception()
+    return [f.result() for f in futures]
 
 
 def _rng(seed: int, stream: str) -> np.random.Generator:

@@ -9,9 +9,10 @@ A state vector W renders the correlated parts conditionally independent
 exactly when its covariance Q_W lies in the two-sided order family
 ``D <= Q_W <= D^{-1}`` (D = Diag(d)); the amount of information the pair
 carries about such a W is :func:`mi_given_state`, minimized uniquely at
-``Q_W = I`` where it equals the common information.  The determinant
-inequality behind that optimality (and the matrix identity its proof rests
-on) are exposed as checkable residuals.
+``Q_W = I`` where it equals the common information.  That bound,
+``mi_given_state >= common_information``, states the optimality of the
+identity state; Hua's determinant inequality, from which it is proved, is a
+step of the proof and not an output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, QWOutOfFamily, SingularFactor
+from .errors import DimensionMismatch, QWOutOfFamily
 from .gaussmodel import (
     check_canonical_args,
     eig_floor,
@@ -47,34 +48,8 @@ class CommonInfoResult:
         return float(np.sum(self.per_coefficient_terms))
 
 
-@dataclass(frozen=True, eq=False)
-class QWParameter:
-    """State covariance parameterizing the conditional-independence family."""
-
-    qw: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "qw", np.array(self.qw, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.qw.shape[0]
-
-
-@dataclass(frozen=True)
-class HuaInequalityCheck:
-    """Both sides of the determinant inequality at a family point."""
-
-    lhs: float
-    rhs: float
-    holds: bool
-    equality: bool
-
-
 def as_state_covariance(q) -> np.ndarray:
-    """Coerce scalar / vector / matrix / QWParameter to an n x n array."""
-    if isinstance(q, QWParameter):
-        return q.qw
+    """Coerce scalar / vector / matrix to an n x n array."""
     a = np.asarray(q, dtype=float)
     if a.ndim == 0:
         return a.reshape(1, 1)
@@ -103,7 +78,7 @@ def state_family_tolerance(d: np.ndarray) -> float:
 def diagonal_entries(q) -> np.ndarray | None:
     """The diagonal of a diagonal state (scalar, vector, or a matrix whose
     off-diagonal entries are exactly zero); ``None`` for any other state."""
-    a = q.qw if isinstance(q, QWParameter) else np.asarray(q, dtype=float)
+    a = np.asarray(q, dtype=float)
     if a.ndim <= 1:
         return np.atleast_1d(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -118,9 +93,10 @@ def in_state_family(q, d) -> bool:
     """Whether ``Diag(d) <= Q_W <= Diag(d)^{-1}`` holds up to tolerance.
 
     For a diagonal state the eigenvalue test reduces to the elementwise
-    ``d_j - tol <= q_j <= 1/d_j + tol``, checked in O(n).
+    ``d_j - tol <= q_j <= 1/d_j + tol``, checked in O(n).  Coefficients
+    outside [0, 1) raise :class:`QWOutOfFamily`.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    d = coefficients(d)
     tol = state_family_tolerance(d)
     qd = diagonal_entries(q)
     if qd is not None:
@@ -143,7 +119,7 @@ def in_state_family(q, d) -> bool:
 
 def assert_in_state_family(q, d) -> np.ndarray:
     qw = as_state_covariance(q)
-    if not in_state_family(qw, coefficients(d)):
+    if not in_state_family(qw, d):
         raise QWOutOfFamily("state covariance violates Diag(d) <= Q_W <= Diag(d)^{-1}")
     return qw
 
@@ -217,77 +193,3 @@ def mi_given_state(d, q) -> float:
     if not (math.isfinite(ld1) and math.isfinite(ld2)):
         return math.inf
     return float(0.5 * np.sum(log_one_minus_square(d)) - 0.5 * (ld1 + ld2))
-
-
-def check_hua_identity(a, b) -> float:
-    """Max-abs residual of the matrix identity
-
-    ``(I - A A.T) - (I - A B.T)(I - B B.T)^{-1}(I - A B.T).T
-      = -(A - B)(I - B.T B)^{-1}(A - B).T``
-
-    which holds for any square A and full-rank B with ``I - B.T B``
-    nonsingular (for square B that makes ``I - B B.T`` nonsingular too,
-    since the two Gram products share a spectrum).  Raises
-    :class:`SingularFactor` when the premises fail.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SingularFactor(f"expected equal square shapes, got {a.shape} and {b.shape}")
-    n = a.shape[0]
-    sv = np.linalg.svd(b, compute_uv=False)
-    if sv.size and sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise SingularFactor("B must have full rank")
-    m_right = np.eye(n) - b.T @ b
-    ev = np.linalg.eigvalsh(symmetrize(m_right))
-    if np.min(np.abs(ev)) <= 1e-12 * max(np.max(np.abs(ev)), 1.0):
-        raise SingularFactor("I - B.T B must be nonsingular")
-    m_left = np.eye(n) - b @ b.T
-    cross = np.eye(n) - a @ b.T
-    lhs = (np.eye(n) - a @ a.T) - cross @ np.linalg.solve(m_left, cross.T)
-    rhs = -(a - b) @ np.linalg.solve(m_right, (a - b).T)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
-
-
-def check_hua_inequality(d, q) -> HuaInequalityCheck:
-    """Evaluate ``det(M1) det(M2) <= det(I - D)^2`` at a family point.
-
-    The inequality is strict except at ``Q_W = I``; the ``equality`` flag
-    reports whether the argument is within ``1e-8`` of the identity.
-    """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    qw = assert_in_state_family(q, d)
-    m1, m2 = _conditional_factors(d, qw)
-    ev1 = np.clip(np.linalg.eigvalsh(m1), 0.0, None)
-    ev2 = np.clip(np.linalg.eigvalsh(m2), 0.0, None)
-    lhs = float(np.prod(ev1) * np.prod(ev2))
-    rhs = float(np.prod((1.0 - d) ** 2))
-    near_identity = float(np.max(np.abs(qw - np.eye(d.size)), initial=0.0)) <= 1e-8
-    return HuaInequalityCheck(
-        lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-12), equality=near_identity
-    )
-
-
-def sample_state_matrix(d, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random member of the state family.
-
-    A point on the convex path between the family endpoints Diag(d) and
-    Diag(d)^{-1} is conjugated by a random orthogonal matrix.  Conjugation
-    does not preserve the order constraints, so a candidate Q outside the
-    family is pulled toward the midpoint M = (D + D^{-1}) / 2 in closed
-    form: with H = (D^{-1} - D) / 2, Q is in the family exactly when the
-    spectral radius rho of ``H^{-1/2} (Q - M) H^{-1/2}`` is at most 1, and
-    ``M + (0.999 / rho)(Q - M)`` has radius 0.999.
-    """
-    d = coefficients(d)
-    n = d.size
-    t = rng.uniform(0.05, 0.95)
-    g = rng.standard_normal((n, n))
-    qf, rf = np.linalg.qr(g)
-    qf = qf * np.sign(np.diag(rf))
-    cand = symmetrize(qf @ np.diag((1.0 - t) * d + t * (1.0 / d)) @ qf.T)
-    mid = np.diag(0.5 * (d + 1.0 / d))
-    scale = 1.0 / np.sqrt(0.5 * (1.0 / d - d))
-    dev = cand - mid
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(scale[:, None] * dev * scale)), initial=0.0))
-    return cand if rho <= 1.0 else mid + (0.999 / rho) * dev

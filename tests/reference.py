@@ -1,0 +1,170 @@
+"""Reference oracles for the test suite.
+
+Each function is written from its formula with numpy alone and imports
+nothing from ``gwgauss`` (``tests/test_layout.py`` checks that), so a test
+that holds the package to one of them does not share the package's code
+paths.  Each raises ``ValueError`` when its premises fail, so a bad input
+cannot turn into a number.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+
+def _sym(q: np.ndarray) -> np.ndarray:
+    return 0.5 * (q + q.T)
+
+
+def _coefficients(d) -> np.ndarray:
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if not np.all((d > 0.0) & (d < 1.0)):
+        raise ValueError("coefficients must lie in (0, 1)")
+    return d
+
+
+def canonical_correlations(q, p1: int) -> np.ndarray:
+    """Canonical correlations of the pair split from the joint covariance
+    ``q`` after ``p1`` rows, by the eigenvalue route.
+
+    They are the square roots of the eigenvalues of
+    ``Q11^{-1} Q12 Q22^{-1} Q12.T`` (top ``min(p1, p2)``, descending).
+    With ``Q11 = L L.T`` (Cholesky) that matrix is similar to the symmetric
+    ``L^{-1} Q12 Q22^{-1} Q12.T L^{-T}``, whose spectrum is real.
+    """
+    q = _sym(np.asarray(q, dtype=float))
+    q11, q22, q12 = q[:p1, :p1], q[p1:, p1:], q[:p1, p1:]
+    k = np.linalg.solve(np.linalg.cholesky(q11), q12)
+    ev = np.linalg.eigvalsh(_sym(k @ np.linalg.solve(q22, k.T)))
+    return np.sqrt(np.clip(ev, 0.0, None))[::-1][: min(q11.shape[0], q22.shape[0])].copy()
+
+
+def check_hua_identity(a, b) -> float:
+    """Max-abs residual of the matrix identity
+
+    ``(I - A A.T) - (I - A B.T)(I - B B.T)^{-1}(I - A B.T).T
+      = -(A - B)(I - B.T B)^{-1}(A - B).T``
+
+    which holds for any square A and full-rank B with ``I - B.T B``
+    nonsingular (for square B that makes ``I - B B.T`` nonsingular too,
+    since the two Gram products share a spectrum).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected equal square shapes, got {a.shape} and {b.shape}")
+    n = a.shape[0]
+    sv = np.linalg.svd(b, compute_uv=False)
+    if sv.size and sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        raise ValueError("B must have full rank")
+    m_right = np.eye(n) - b.T @ b
+    ev = np.linalg.eigvalsh(_sym(m_right))
+    if np.min(np.abs(ev)) <= 1e-12 * max(np.max(np.abs(ev)), 1.0):
+        raise ValueError("I - B.T B must be nonsingular")
+    m_left = np.eye(n) - b @ b.T
+    cross = np.eye(n) - a @ b.T
+    lhs = (np.eye(n) - a @ a.T) - cross @ np.linalg.solve(m_left, cross.T)
+    rhs = -(a - b) @ np.linalg.solve(m_right, (a - b).T)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+
+
+class HuaInequalityCheck(NamedTuple):
+    """Both sides of the determinant inequality at a family point."""
+
+    lhs: float
+    rhs: float
+    holds: bool
+    equality: bool
+
+
+def check_hua_inequality(d, q) -> HuaInequalityCheck:
+    """Evaluate ``det(M1) det(M2) <= det(I - D)^2`` at a family point Q,
+    ``D <= Q <= D^{-1}`` up to ``1e-10 max(1/d)``, where
+    ``M1 = I - D^{1/2} Q^{-1} D^{1/2}`` and ``M2 = I - D^{1/2} Q D^{1/2}``.
+
+    The inequality is strict except at ``Q = I``; ``equality`` reports
+    whether Q is within ``1e-8`` of the identity.
+    """
+    d = _coefficients(d)
+    n = d.size
+    qw = np.asarray(q, dtype=float)
+    if qw.shape != (n, n) or np.max(np.abs(qw - qw.T), initial=0.0) > 1e-10 * (
+        1.0 + np.max(np.abs(qw), initial=0.0)
+    ):
+        raise ValueError(f"state must be a symmetric {n} x {n} matrix")
+    tol = 1e-10 * float(np.max(1.0 / d))
+    if (np.linalg.eigvalsh(_sym(qw) - np.diag(d))[0] < -tol
+            or np.linalg.eigvalsh(np.diag(1.0 / d) - _sym(qw))[0] < -tol):
+        raise ValueError("state outside Diag(d) <= Q <= Diag(d)^{-1}")
+    rd = np.sqrt(d)
+    m1 = np.eye(n) - rd[:, None] * np.linalg.inv(qw) * rd[None, :]
+    m2 = np.eye(n) - rd[:, None] * qw * rd[None, :]
+    ev1 = np.clip(np.linalg.eigvalsh(_sym(m1)), 0.0, None)
+    ev2 = np.clip(np.linalg.eigvalsh(_sym(m2)), 0.0, None)
+    lhs = float(np.prod(ev1) * np.prod(ev2))
+    rhs = float(np.prod((1.0 - d) ** 2))
+    near_identity = float(np.max(np.abs(qw - np.eye(n)), initial=0.0)) <= 1e-8
+    return HuaInequalityCheck(lhs, rhs, bool(lhs <= rhs + 1e-12), near_identity)
+
+
+def sample_state_matrix(d, rng: np.random.Generator) -> np.ndarray:
+    """Draw a random member of the state family ``D <= Q <= D^{-1}``.
+
+    A point on the convex path between the family endpoints Diag(d) and
+    Diag(d)^{-1} is conjugated by a random orthogonal matrix.  Conjugation
+    does not preserve the order constraints, so a candidate Q outside the
+    family is pulled toward the midpoint M = (D + D^{-1}) / 2 in closed
+    form: with H = (D^{-1} - D) / 2, Q is in the family exactly when the
+    spectral radius rho of ``H^{-1/2} (Q - M) H^{-1/2}`` is at most 1, and
+    ``M + (0.999 / rho)(Q - M)`` has radius 0.999.
+    """
+    d = _coefficients(d)
+    n = d.size
+    t = rng.uniform(0.05, 0.95)
+    g = rng.standard_normal((n, n))
+    qf, rf = np.linalg.qr(g)
+    qf = qf * np.sign(np.diag(rf))
+    cand = _sym(qf @ np.diag((1.0 - t) * d + t * (1.0 / d)) @ qf.T)
+    mid = np.diag(0.5 * (d + 1.0 / d))
+    scale = 1.0 / np.sqrt(0.5 * (1.0 / d - d))
+    dev = cand - mid
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(scale[:, None] * dev * scale)), initial=0.0))
+    return cand if rho <= 1.0 else mid + (0.999 / rho) * dev
+
+
+def _waterfill_rate(v: np.ndarray, delta: float) -> float:
+    """Reverse water-fill rate ``sum_{v > level} 0.5 log(v / level)``, the
+    level found by bisection on ``sum(min(level, v)) = delta``."""
+    if delta >= v.sum():
+        return 0.0
+    lo, hi = 0.0, float(v.max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.minimum(mid, v).sum() < delta:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * np.sum(np.log(v[v > mid] / mid)))
+
+
+def sum_rate_identity_check(d, delta1: float, delta2: float, joint_rate: float) -> float:
+    """Residual of ``joint_rate = R1 + R2 + C`` on the equal-split region
+    ``0 < delta_i <= n (1 - d_max)``, its edge widened by 1e-12 relative
+    for the rounding of ``n (1 - d_max)``.
+
+    There the identity state closes the sum rate: R1 and R2 water-fill
+    delta1 and delta2 over its branch variances ``1 - d``, and C is the
+    common information ``0.5 sum log((1 + d) / (1 - d))``.
+    """
+    d = _coefficients(d)
+    if not (delta1 > 0.0 and delta2 > 0.0):
+        raise ValueError("distortions must be positive")
+    if max(delta1, delta2) > d.size * (1.0 - d.max()) * (1.0 + 1e-12):
+        raise ValueError("distortions outside the equal-split region")
+    c = float(0.5 * np.sum(np.log((1.0 + d) / (1.0 - d))))
+    r1, r2 = (_waterfill_rate(1.0 - d, x) for x in (delta1, delta2))
+    return abs(joint_rate - (r1 + r2 + c))

@@ -255,7 +255,6 @@ def test_exit_code_table_is_stable():
         "InconsistentIndices": 7,
         "SingularValueOutOfRange": 8,
         "QWOutOfFamily": 9,
-        "SingularFactor": 10,
         "NonpositiveDistortion": 11,
         "QWNotDiagonal": 12,
         "AllocationOutOfRange": 13,
@@ -265,6 +264,7 @@ def test_exit_code_table_is_stable():
     }
     assert (EXIT_FILE_NOT_FOUND, EXIT_OTHER) == (3, 18)
     assert not hasattr(gw, "InfeasibleRegion")  # 14 stays unassigned
+    assert not hasattr(gw, "SingularFactor")  # and so does 10
 
 
 def test_error_exit_codes(runner, cvf_file, tmp_path):
@@ -301,6 +301,17 @@ def test_error_exit_codes(runner, cvf_file, tmp_path):
     res = runner.invoke(main, ["cvf", "--in", str(notpd), "--out",
                                str(tmp_path / "y.json")])
     assert res.exit_code == 5
+
+
+def test_marginal_rdf_negative_variance_exit_code(runner, cvf_file):
+    obj = json.loads(Path(cvf_file).read_text())
+    obj["audit"]["d1"][0] = -1.0
+    Path(cvf_file).write_text(json.dumps(obj))
+    res = runner.invoke(main, ["rdf", "marginal", "--in", cvf_file, "--delta1", "0.3"])
+    assert res.exit_code == 5, res.output
+    assert json.loads(res.stderr) == {
+        "error": "NotPositiveDefinite", "message": "variances must be nonnegative"
+    }
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])

@@ -5,7 +5,9 @@ Coefficients of a state family (``wyner.coefficients``) must lie in
 [0, 1), canonical coefficients (``gaussmodel.check_canonical_args``) in
 (0, 1) and nonincreasing, and budgets (``rdf.require_positive``) must be
 positive.  Each guard is NaN-proof, so a non-finite input raises rather
-than turning into a number.
+than turning into a number.  The oracles of ``tests/reference.py`` that
+take d or delta are in the tables too: they guard their own premises and
+raise ``ValueError``.
 """
 
 import math
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 
 import gwgauss as gw
+
+import reference
 
 IDX2 = gw.IndexSextuple(0, 2, 0, 0, 2, 0)
 GOOD_D = np.array([0.5, 0.3])
@@ -24,8 +28,8 @@ D_ENTRY_POINTS = {
     "conditional_rdf": (lambda d: gw.conditional_rdf(d, ONES, 1, 0.1), gw.QWOutOfFamily),
     "joint_rdf": (lambda d: gw.joint_rdf(d, 0.1, 0.1), gw.QWOutOfFamily),
     "gray_lower_bound": (lambda d: gw.gray_lower_bound(d, 0.1, 0.1), gw.QWOutOfFamily),
-    "sum_rate_identity_check": (lambda d: gw.sum_rate_identity_check(d, 0.1, 0.1),
-                                gw.QWOutOfFamily),
+    "sum_rate_identity_check": (lambda d: reference.sum_rate_identity_check(d, 0.1, 0.1, 0.0),
+                                ValueError),
     "dw_bound": (gw.dw_bound, gw.QWOutOfFamily),
     "lossy_common_information": (lambda d: gw.lossy_common_information(d, 0.1, 0.1),
                                  gw.QWOutOfFamily),
@@ -37,10 +41,10 @@ D_ENTRY_POINTS = {
                              gw.QWOutOfFamily),
     "assert_in_state_family": (lambda d: gw.assert_in_state_family(np.eye(2), d),
                                gw.QWOutOfFamily),
-    "check_hua_inequality": (lambda d: gw.check_hua_inequality(d, np.eye(2)),
-                             gw.QWOutOfFamily),
-    "sample_state_matrix": (lambda d: gw.sample_state_matrix(d, np.random.default_rng(0)),
-                            gw.QWOutOfFamily),
+    "in_state_family": (lambda d: gw.in_state_family(np.eye(2), d), gw.QWOutOfFamily),
+    "check_hua_inequality": (lambda d: reference.check_hua_inequality(d, np.eye(2)), ValueError),
+    "sample_state_matrix": (lambda d: reference.sample_state_matrix(d, np.random.default_rng(0)),
+                            ValueError),
     "family_realization": (lambda d: gw.family_realization(d, np.eye(2)), gw.QWOutOfFamily),
     "state_triple": (lambda d: gw.state_triple(d, np.eye(2)), gw.QWOutOfFamily),
     "test_channel": (lambda d: gw.test_channel(d, np.eye(2), [0.1, 0.1], [0.1, 0.1]),
@@ -54,19 +58,25 @@ D_ENTRY_POINTS = {
 }
 BAD_D = [math.nan, math.inf, -math.inf, -0.5, 1.0, 1.2]
 
-# name -> call with one budget; every bad budget raises NonpositiveDistortion
+# name -> (call with one budget, class a bad budget raises)
 DELTA_ENTRY_POINTS = {
-    "marginal_rdf": lambda x: gw.marginal_rdf([1.0, 2.0], x),
-    "conditional_rdf": lambda x: gw.conditional_rdf(GOOD_D, ONES, 2, x),
-    "joint_rdf 1": lambda x: gw.joint_rdf(GOOD_D, x, 0.1),
-    "joint_rdf 2": lambda x: gw.joint_rdf(GOOD_D, 0.1, x),
-    "gray_lower_bound 1": lambda x: gw.gray_lower_bound(GOOD_D, x, 0.1),
-    "gray_lower_bound 2": lambda x: gw.gray_lower_bound(GOOD_D, 0.1, x),
-    "sum_rate_identity_check": lambda x: gw.sum_rate_identity_check(GOOD_D, 0.1, x),
-    "lossy_common_information": lambda x: gw.lossy_common_information(GOOD_D, x, 0.1),
-    "pangloss_triple 1": lambda x: gw.pangloss_triple(GOOD_D, x, 0.1),
-    "pangloss_triple 2": lambda x: gw.pangloss_triple(GOOD_D, 0.1, x),
-    "region_sweep": lambda x: gw.region_sweep(GOOD_D, 0.1, x, alphas=[(1.0, 1.0)]),
+    "marginal_rdf": (lambda x: gw.marginal_rdf([1.0, 2.0], x), gw.NonpositiveDistortion),
+    "conditional_rdf": (lambda x: gw.conditional_rdf(GOOD_D, ONES, 2, x),
+                        gw.NonpositiveDistortion),
+    "joint_rdf 1": (lambda x: gw.joint_rdf(GOOD_D, x, 0.1), gw.NonpositiveDistortion),
+    "joint_rdf 2": (lambda x: gw.joint_rdf(GOOD_D, 0.1, x), gw.NonpositiveDistortion),
+    "gray_lower_bound 1": (lambda x: gw.gray_lower_bound(GOOD_D, x, 0.1),
+                           gw.NonpositiveDistortion),
+    "gray_lower_bound 2": (lambda x: gw.gray_lower_bound(GOOD_D, 0.1, x),
+                           gw.NonpositiveDistortion),
+    "sum_rate_identity_check": (lambda x: reference.sum_rate_identity_check(GOOD_D, 0.1, x, 0.0),
+                                ValueError),
+    "lossy_common_information": (lambda x: gw.lossy_common_information(GOOD_D, x, 0.1),
+                                 gw.NonpositiveDistortion),
+    "pangloss_triple 1": (lambda x: gw.pangloss_triple(GOOD_D, x, 0.1), gw.NonpositiveDistortion),
+    "pangloss_triple 2": (lambda x: gw.pangloss_triple(GOOD_D, 0.1, x), gw.NonpositiveDistortion),
+    "region_sweep": (lambda x: gw.region_sweep(GOOD_D, 0.1, x, alphas=[(1.0, 1.0)]),
+                     gw.NonpositiveDistortion),
 }
 BAD_DELTA = [0.0, -0.1, -1.0, math.nan]
 
@@ -85,9 +95,9 @@ def test_entry_point_rejects_bad_coefficient(name, bad):
 @pytest.mark.parametrize("bad", BAD_DELTA)
 @pytest.mark.parametrize("name", sorted(DELTA_ENTRY_POINTS))
 def test_entry_point_rejects_bad_distortion(name, bad):
-    call = DELTA_ENTRY_POINTS[name]
+    call, cls = DELTA_ENTRY_POINTS[name]
     call(0.1)
-    with pytest.raises(gw.NonpositiveDistortion):
+    with pytest.raises(cls):
         call(bad)
 
 
@@ -121,6 +131,25 @@ def test_infinite_budget_is_slack():
     np.testing.assert_allclose(res.alloc1, 1.0 - d, rtol=1e-14)
     assert res.dual_gap == 0.0
     assert gw.marginal_rdf([1.0, 2.0], math.inf).rate == 0.0
+
+
+def test_infinite_budget_sweep_is_the_slack_budget_sweep():
+    # sum(1 - d^2) = 0.75: no allocation exceeds it, and the dual solved
+    # there keeps its terms finite, so the certificates are finite too
+    slack = gw.region_sweep([0.5], 0.75, 0.1)
+    for point, want in zip(gw.region_sweep([0.5], math.inf, 0.1), slack, strict=True):
+        assert point.objective == want.objective
+        assert point.gap == want.gap and 0.0 < point.gap <= 1.7e-14
+
+
+def test_infinite_budget_with_no_coefficients_is_any_budget():
+    # at n = 0 the slack sum is 0, and nothing is allocated: rate 0, every
+    # budget all slack (residual -1) and no gap, whatever the budgets
+    for delta1 in (math.inf, 1.0):
+        res = gw.joint_rdf([], delta1, 1.0)
+        assert (res.rate, res.budget_residual, res.dual_gap) == (0.0, -1.0, 0.0)
+        assert res.multipliers.tolist() == [0.0, 0.0] and res.regime == "closed-form-DW"
+    assert all(p.objective == 0.0 and p.gap == 0.0 for p in gw.region_sweep([], math.inf, 0.1))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 8])

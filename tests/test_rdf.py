@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import gwgauss as gw
 from gwgauss import rdf
 
+import reference
+
 D3 = np.array([0.8, 0.5, 0.1])
 
 variance_vectors = st.lists(
@@ -57,8 +59,10 @@ def test_marginal_rejects_bad_inputs():
         gw.marginal_rdf([1.0], 0.0)
     with pytest.raises(gw.NonpositiveDistortion):
         gw.marginal_rdf([1.0], -0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(gw.NotPositiveDefinite):
         gw.marginal_rdf([-1.0], 0.5)
+    with pytest.raises(gw.NotPositiveDefinite):
+        gw.marginal_rdf([1.0, math.nan], 0.5)
 
 
 @given(variance_vectors, st.floats(1e-6, 12.0))
@@ -217,13 +221,15 @@ def test_gray_bound_never_exceeds_joint(d, f1, f2):
 
 
 def test_sum_rate_identity_inside_region():
-    assert gw.sum_rate_identity_check(D3, 0.3, 0.3) < 1e-10
-    assert gw.sum_rate_identity_check(D3, 0.55, 0.12) < 1e-10
+    for delta1, delta2 in ((0.3, 0.3), (0.55, 0.12)):
+        joint = gw.joint_rdf(D3, delta1, delta2).rate
+        assert reference.sum_rate_identity_check(D3, delta1, delta2, joint) < 1e-10
 
 
 def test_sum_rate_identity_outside_raises_with_bound():
+    # the identity's triple, the pangloss point, is defined on the region only
     with pytest.raises(gw.OutsideDW) as exc:
-        gw.sum_rate_identity_check(D3, 0.7, 0.3)
+        gw.pangloss_triple(D3, 0.7, 0.3)
     assert math.isclose(exc.value.bound, 0.6, rel_tol=1e-9)
 
 
