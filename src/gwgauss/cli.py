@@ -8,6 +8,7 @@ at this layer only; infinite values use the JSON ``Infinity`` literal.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -74,6 +75,7 @@ def _fail(exc: Exception, code: int) -> None:
 
 
 def _guarded(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -82,8 +84,6 @@ def _guarded(fn):
         except err.GwgaussError as exc:
             _fail(exc, EXIT_CODES.get(type(exc), EXIT_OTHER))
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -154,13 +154,9 @@ def cvf_cmd(in_path, h1, h2, out):
         h1 if h1 is not None else defaults.h1, h2 if h2 is not None else defaults.h2
     )
     pair = _read_pair(in_path)
-    cf = decompose(pair, th)
-    Path(out).write_text(json.dumps(_cvf_to_dict(cf, th)))
-    click.echo(
-        json.dumps(
-            {"idx": _cvf_to_dict(cf, th)["idx"], "d": cf.d.tolist(), "out": out}
-        )
-    )
+    body = _cvf_to_dict(decompose(pair, th), th)
+    Path(out).write_text(json.dumps(body))
+    click.echo(json.dumps({"idx": body["idx"], "d": body["d"], "out": out}))
 
 
 @main.command("common-info")
@@ -298,18 +294,12 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
     cf = _load_cvf(in_path)
     d = cf["d_array"]
     branch = int(branch)
-    if kind == "marginal":
-        variances = np.asarray(cf["audit"]["d1" if branch == 1 else "d2"], dtype=float)
-        res = marginal_rdf(variances, delta1)
-        body = {
-            "rate": nats_to(res.rate, units),
-            "alloc": res.alloc.tolist(),
-            "water_level": res.water_level,
-            "active_set": res.active_set.tolist(),
-        }
-    elif kind == "conditional":
-        q = _load_state_matrix(qw_path) if qw_path else np.ones(d.size)
-        res = conditional_rdf(d, q, branch, delta1)
+    if kind in ("marginal", "conditional"):
+        if kind == "marginal":
+            res = marginal_rdf(np.asarray(cf["audit"][f"d{branch}"], dtype=float), delta1)
+        else:
+            q = _load_state_matrix(qw_path) if qw_path else np.ones(d.size)
+            res = conditional_rdf(d, q, branch, delta1)
         body = {
             "rate": nats_to(res.rate, units),
             "alloc": res.alloc.tolist(),

@@ -44,7 +44,6 @@ import numpy as np
 from .errors import DimensionMismatch, InconsistentIndices, SingularValueOutOfRange
 from .gaussmodel import (
     PD_FLOOR,
-    CovMatrix,
     JointGaussianPair,
     check_canonical_args,
     skew,
@@ -149,7 +148,7 @@ def decompose(pair: JointGaussianPair, thresholds: Thresholds = Thresholds()) ->
     by the two marginal eigensolves and the SVD would, without the joint
     eigensolve wherever the certificate of the module docstring holds.
     """
-    q11, q22 = pair.q11.entries, pair.q22.entries
+    q11, q22 = pair.q11, pair.q22
     q12 = np.ascontiguousarray(pair.q12)
     blocks = (q11, q22, q12)
     # Each pair.validated() below is the fallback: it raises the joint's own
@@ -207,10 +206,10 @@ def apply_transform(pair: JointGaussianPair, cf: CanonicalForm) -> JointGaussian
             f"transform expects dims ({cf.s1.shape[1]}, {cf.s2.shape[1]}), "
             f"pair has ({pair.p1}, {pair.p2})"
         )
-    q11 = symmetrize(cf.s1 @ pair.q11.entries @ cf.s1.T)
-    q22 = symmetrize(cf.s2 @ pair.q22.entries @ cf.s2.T)
+    q11 = symmetrize(cf.s1 @ pair.q11 @ cf.s1.T)
+    q22 = symmetrize(cf.s2 @ pair.q22 @ cf.s2.T)
     q12 = cf.s1 @ pair.q12 @ cf.s2.T
-    return JointGaussianPair(CovMatrix(q11), CovMatrix(q22), q12)
+    return JointGaussianPair(q11, q22, q12)
 
 
 def pattern_residual(pair: JointGaussianPair, cf: CanonicalForm) -> float:
@@ -221,8 +220,8 @@ def pattern_residual(pair: JointGaussianPair, cf: CanonicalForm) -> float:
     the classification slack ``max(1 - h1, h2)`` by construction.
     """
     t = apply_transform(pair, cf)
-    r11 = np.max(np.abs(t.q11.entries - np.eye(pair.p1)), initial=0.0)
-    r22 = np.max(np.abs(t.q22.entries - np.eye(pair.p2)), initial=0.0)
+    r11 = np.max(np.abs(t.q11 - np.eye(pair.p1)), initial=0.0)
+    r22 = np.max(np.abs(t.q22 - np.eye(pair.p2)), initial=0.0)
     r12 = np.max(
         np.abs(t.q12 - canonical_cross_pattern(cf.idx, cf.d)), initial=0.0
     )

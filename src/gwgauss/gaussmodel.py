@@ -1,9 +1,10 @@
 """Covariance data model and closed-form Gaussian information measures.
 
 Everything downstream treats a zero-mean jointly Gaussian vector as fully
-described by its covariance, so this module owns the validated covariance
-containers plus the entropy and mutual-information formulas, and it fixes
-the numerical conventions used everywhere else:
+described by its covariance, a plain float array, so this module owns the
+pair and triple containers of covariance blocks, the covariance validation
+and the entropy and mutual-information formulas, and it fixes the
+numerical conventions used everywhere else:
 
 * symmetry is enforced up to ``1e-10 * (1 + max|Q|)`` and computations see
   the symmetrized matrix ``(Q + Q.T) / 2``;
@@ -77,51 +78,19 @@ def logdet_or_neginf(q: np.ndarray) -> float:
     return float(np.sum(np.log(w)))
 
 
-def logdet_pd(q: np.ndarray) -> float:
-    """Log-determinant of a strictly positive definite matrix."""
-    ld = logdet_or_neginf(q)
-    if not math.isfinite(ld):
-        raise NotPositiveDefinite("matrix is numerically singular")
-    return ld
-
-
-@dataclass(frozen=True, eq=False)
-class CovMatrix:
-    """Dense real covariance matrix.
-
-    The constructor only enforces shape; :func:`validate_covariance` is the
-    gatekeeper for symmetry and positive definiteness.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"covariance must be square, got shape {a.shape}")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def _as_matrix(q) -> np.ndarray:
-    if isinstance(q, CovMatrix):
-        return q.entries
     a = np.asarray(q, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def validate_covariance(q, strict: bool = False) -> CovMatrix:
+def validate_covariance(q, strict: bool = False) -> np.ndarray:
     """Check symmetry (always) and strict positive definiteness (``strict``).
 
-    Returns the symmetrized :class:`CovMatrix`; asymmetry beyond tolerance
-    raises :class:`AsymmetricMatrix`, and a non-finite entry or (under
-    ``strict``) an eigenvalue at or below the floor raises
-    :class:`NotPositiveDefinite`.
+    Returns the symmetrized matrix; asymmetry beyond tolerance raises
+    :class:`AsymmetricMatrix`, and a non-finite entry or (under ``strict``)
+    an eigenvalue at or below the floor raises :class:`NotPositiveDefinite`.
     """
     a = _as_matrix(q)
     if not np.isfinite(a).all():
@@ -137,24 +106,23 @@ def validate_covariance(q, strict: bool = False) -> CovMatrix:
             raise NotPositiveDefinite(
                 f"min eigenvalue {w[0]:.3e} at or below floor {eig_floor(w):.3e}"
             )
-    return CovMatrix(a)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class JointGaussianPair:
     """Zero-mean pair (Y1, Y2) described by the blocks of its joint covariance."""
 
-    q11: CovMatrix
-    q22: CovMatrix
+    q11: np.ndarray
+    q22: np.ndarray
     q12: np.ndarray
 
     def __post_init__(self):
-        q11 = self.q11 if isinstance(self.q11, CovMatrix) else CovMatrix(self.q11)
-        q22 = self.q22 if isinstance(self.q22, CovMatrix) else CovMatrix(self.q22)
+        q11, q22 = (_as_matrix(np.array(q, dtype=float)) for q in (self.q11, self.q22))
         q12 = np.array(self.q12, dtype=float)
-        if q12.shape != (q11.dim, q22.dim):
+        if q12.shape != (q11.shape[0], q22.shape[0]):
             raise DimensionMismatch(
-                f"cross block must be {(q11.dim, q22.dim)}, got {q12.shape}"
+                f"cross block must be {(q11.shape[0], q22.shape[0])}, got {q12.shape}"
             )
         object.__setattr__(self, "q11", q11)
         object.__setattr__(self, "q22", q22)
@@ -162,26 +130,26 @@ class JointGaussianPair:
 
     @property
     def p1(self) -> int:
-        return self.q11.dim
+        return self.q11.shape[0]
 
     @property
     def p2(self) -> int:
-        return self.q22.dim
+        return self.q22.shape[0]
 
     def joint(self) -> np.ndarray:
-        return np.block([[self.q11.entries, self.q12], [self.q12.T, self.q22.entries]])
+        return np.block([[self.q11, self.q12], [self.q12.T, self.q22]])
 
     @classmethod
     def from_joint(cls, q, p1: int) -> "JointGaussianPair":
         a = _as_matrix(q)
         if not 0 < p1 < a.shape[0]:
             raise DimensionMismatch(f"p1 = {p1} does not split a {a.shape[0]}-dim matrix")
-        return cls(CovMatrix(a[:p1, :p1]), CovMatrix(a[p1:, p1:]), a[:p1, p1:])
+        return cls(a[:p1, :p1], a[p1:, p1:], a[:p1, p1:])
 
     def validated(self) -> "JointGaussianPair":
         """Symmetrize and require the assembled joint covariance strictly PD."""
         c = validate_covariance(self.joint(), strict=True)
-        return JointGaussianPair.from_joint(c.entries, self.p1)
+        return JointGaussianPair.from_joint(c, self.p1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,15 +157,16 @@ class GaussianTriple:
     """A pair (Y1, Y2) together with a third jointly Gaussian vector W."""
 
     pair: JointGaussianPair
-    qw: CovMatrix
+    qw: np.ndarray
     q1w: np.ndarray
     q2w: np.ndarray
 
     def __post_init__(self):
-        qw = self.qw if isinstance(self.qw, CovMatrix) else CovMatrix(self.qw)
+        qw = _as_matrix(np.array(self.qw, dtype=float))
         q1w = np.array(self.q1w, dtype=float)
         q2w = np.array(self.q2w, dtype=float)
-        if q1w.shape != (self.pair.p1, qw.dim) or q2w.shape != (self.pair.p2, qw.dim):
+        n = qw.shape[0]
+        if q1w.shape != (self.pair.p1, n) or q2w.shape != (self.pair.p2, n):
             raise DimensionMismatch("state cross blocks disagree with pair/state dims")
         object.__setattr__(self, "qw", qw)
         object.__setattr__(self, "q1w", q1w)
@@ -205,15 +174,15 @@ class GaussianTriple:
 
     @property
     def n(self) -> int:
-        return self.qw.dim
+        return self.qw.shape[0]
 
     def joint(self) -> np.ndarray:
         p = self.pair
         return np.block(
             [
-                [p.q11.entries, p.q12, self.q1w],
-                [p.q12.T, p.q22.entries, self.q2w],
-                [self.q1w.T, self.q2w.T, self.qw.entries],
+                [p.q11, p.q12, self.q1w],
+                [p.q12.T, p.q22, self.q2w],
+                [self.q1w.T, self.q2w.T, self.qw],
             ]
         )
 
@@ -221,9 +190,10 @@ class GaussianTriple:
 def gaussian_entropy(q) -> float:
     """Differential entropy in nats, ``0.5 logdet Q + (dim/2) log(2 pi e)``."""
     c = validate_covariance(q, strict=True)
-    if c.dim == 0:
+    if c.size == 0:
         return 0.0
-    return 0.5 * logdet_pd(c.entries) + 0.5 * c.dim * LOG_2PIE
+    # strict validation leaves the log-determinant finite
+    return 0.5 * logdet_or_neginf(c) + 0.5 * c.shape[0] * LOG_2PIE
 
 
 def gaussian_mi(q_joint, split: tuple[int, int]) -> float:
@@ -235,15 +205,15 @@ def gaussian_mi(q_joint, split: tuple[int, int]) -> float:
     """
     c = validate_covariance(q_joint)
     nx, ny = int(split[0]), int(split[1])
-    if nx <= 0 or ny <= 0 or nx + ny != c.dim:
-        raise DimensionMismatch(f"split {split} does not partition dim {c.dim}")
-    qx = c.entries[:nx, :nx]
-    qy = c.entries[nx:, nx:]
+    if nx <= 0 or ny <= 0 or nx + ny != c.shape[0]:
+        raise DimensionMismatch(f"split {split} does not partition dim {c.shape[0]}")
+    qx = c[:nx, :nx]
+    qy = c[nx:, nx:]
     ldx = logdet_or_neginf(qx)
     ldy = logdet_or_neginf(qy)
     if not (math.isfinite(ldx) and math.isfinite(ldy)):
         raise NotPositiveDefinite("marginal block is numerically singular")
-    ldj = logdet_or_neginf(c.entries)
+    ldj = logdet_or_neginf(c)
     if not math.isfinite(ldj):
         return math.inf
     mi = 0.5 * (ldx + ldy - ldj)

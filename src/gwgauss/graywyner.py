@@ -44,7 +44,6 @@ class RateTriple:
     r2: float
     delta1: float
     delta2: float
-    tag: str  # "pangloss" | "sweep-point"
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +91,6 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
         r2=marginal_rdf(1.0 - d, delta2).rate,
         delta1=float(delta1),
         delta2=float(delta2),
-        tag="pangloss",
     )
 
 
@@ -160,7 +158,6 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
             r2=marginal_rdf(v[1], delta2).rate,
             delta1=float(delta1),
             delta2=float(delta2),
-            tag="sweep-point",
         )
         objective = triple.r0 + a1 * triple.r1 + a2 * triple.r2
         spread = abs(objective) + np.sum(1.0 / v if (a1, a2) == (1.0, 1.0) else np.abs(lv))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingReconstruction, TooFewSamples
-from .gaussmodel import CovMatrix, gaussian_mi, symmetrize
+from .gaussmodel import gaussian_mi, symmetrize
 from .realize import SampleBlock
 
 MIN_SAMPLES = 1000
@@ -101,7 +101,7 @@ def validate_realization(
     n = samples.n_samples
     if n < MIN_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_SAMPLES} rows, got {n}")
-    t = target.entries if isinstance(target, CovMatrix) else np.asarray(target, dtype=float)
+    t = np.asarray(target, dtype=float)
     p1 = samples.y1.shape[1]
     p2 = samples.y2.shape[1]
     nw = samples.w.shape[1] if samples.w is not None else 0

@@ -49,10 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllocationOutOfRange, DimensionMismatch, NotPositiveDefinite
-from .gaussmodel import (CovMatrix, GaussianTriple, JointGaussianPair, check_canonical_args,
-                         symmetrize)
+from .gaussmodel import GaussianTriple, JointGaussianPair, check_canonical_args, symmetrize
 from .cvf import IndexSextuple, canonical_cross_pattern
-from .wyner import as_state_covariance, assert_in_state_family
+from .wyner import assert_in_state_family, conditional_covariances
 
 _STREAMS = {"w": 0, "z1": 1, "z2": 2, "v": 3, "v1": 4, "v2": 5, "p1": 6, "p2": 7}
 # rows of a stream drawn per chunk, and columns per chunk of the combine
@@ -124,8 +123,6 @@ class OptimalState:
     l1: np.ndarray
     l2: np.ndarray
     l3: np.ndarray
-    qz: np.ndarray
-    identical_dim: int
     idx: IndexSextuple = field(repr=False)
     d: np.ndarray = field(repr=False)
 
@@ -169,13 +166,9 @@ def family_realization(d, q) -> CIRealization:
     """Realization of the correlated parts through a family state W."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     qw = assert_in_state_family(q, d)
-    n = d.size
-    rd = np.sqrt(d)
-    c1 = np.linalg.solve(qw, np.diag(rd)).T
-    c2 = np.diag(rd)
-    qz1 = symmetrize(np.eye(n) - c1 @ np.diag(rd))
-    qz2 = symmetrize(np.eye(n) - rd[:, None] * qw * rd[None, :])
-    return CIRealization(n=n, c1=c1, c2=c2, qz1=qz1, qz2=qz2, qw=qw.copy())
+    c1, qz1, qz2 = conditional_covariances(d, qw)
+    return CIRealization(n=d.size, c1=c1, c2=np.diag(np.sqrt(d)), qz1=qz1, qz2=qz2,
+                         qw=qw.copy())
 
 
 def state_triple(d, q) -> GaussianTriple:
@@ -184,10 +177,8 @@ def state_triple(d, q) -> GaussianTriple:
     qw = assert_in_state_family(q, d)
     n = d.size
     rd = np.sqrt(d)
-    pair = JointGaussianPair(CovMatrix(np.eye(n)), CovMatrix(np.eye(n)), np.diag(d))
-    return GaussianTriple(
-        pair=pair, qw=CovMatrix(qw), q1w=np.diag(rd), q2w=rd[:, None] * qw
-    )
+    pair = JointGaussianPair(np.eye(n), np.eye(n), np.diag(d))
+    return GaussianTriple(pair=pair, qw=qw, q1w=np.diag(rd), q2w=rd[:, None] * qw)
 
 
 def optimal_state(idx: IndexSextuple, d) -> OptimalState:
@@ -201,15 +192,7 @@ def optimal_state(idx: IndexSextuple, d) -> OptimalState:
     d = check_canonical_args(idx, d)
     l1 = np.sqrt(d) / (1.0 + d)
     l3 = np.sqrt((1.0 - d) / (1.0 + d))
-    return OptimalState(
-        l1=l1,
-        l2=l1.copy(),
-        l3=l3,
-        qz=np.diag(1.0 - d),
-        identical_dim=idx.p11,
-        idx=idx,
-        d=d,
-    )
+    return OptimalState(l1=l1, l2=l1.copy(), l3=l3, idx=idx, d=d)
 
 
 def optimal_triple_cov(idx: IndexSextuple, d) -> np.ndarray:
@@ -243,13 +226,13 @@ def encoder_split(triple: GaussianTriple) -> CIRealization:
     construction; Z1 and Z2 are mutually uncorrelated exactly when the
     triple makes the pair conditionally independent given W.
     """
-    qw = triple.qw.entries
+    qw = triple.qw
     if triple.n == 0:
         raise DimensionMismatch("state vector must have positive dimension")
     c1 = np.linalg.solve(qw, triple.q1w.T).T
     c2 = np.linalg.solve(qw, triple.q2w.T).T
-    qz1 = symmetrize(triple.pair.q11.entries - c1 @ triple.q1w.T)
-    qz2 = symmetrize(triple.pair.q22.entries - c2 @ triple.q2w.T)
+    qz1 = symmetrize(triple.pair.q11 - c1 @ triple.q1w.T)
+    qz2 = symmetrize(triple.pair.q22 - c2 @ triple.q2w.T)
     return CIRealization(n=triple.n, c1=c1, c2=c2, qz1=qz1, qz2=qz2, qw=qw.copy())
 
 
@@ -285,17 +268,16 @@ def test_channel(d, q, alloc1, alloc2) -> TestChannel:
     uncorrelated with the reconstruction.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    qw = assert_in_state_family(q, d)
+    base = family_realization(d, q)
     alloc1 = np.atleast_1d(np.asarray(alloc1, dtype=float))
     alloc2 = np.atleast_1d(np.asarray(alloc2, dtype=float))
     if alloc1.size != d.size or alloc2.size != d.size:
         raise DimensionMismatch("allocations must have one entry per coefficient")
-    base = family_realization(d, qw)
     a1, qe1, qv1 = _channel_noise(base.qz1, alloc1, "branch 1")
     a2, qe2, qv2 = _channel_noise(base.qz2, alloc2, "branch 2")
     return TestChannel(
         a1=a1, a2=a2, qv1=qv1, qv2=qv2, qe1=qe1, qe2=qe2,
-        qz1=base.qz1, qz2=base.qz2, qw=qw.copy(), d=d.copy(),
+        qz1=base.qz1, qz2=base.qz2, qw=base.qw, d=d.copy(),
     )
 
 

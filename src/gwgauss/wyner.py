@@ -111,10 +111,12 @@ def in_state_family(q, d) -> bool:
         return False
     if d.size == 0:
         return True
-    dm = np.diag(d)
-    lower = np.linalg.eigvalsh(symmetrize(qw - dm))
-    upper = np.linalg.eigvalsh(symmetrize(np.diag(1.0 / d) - qw))
-    return bool(lower[0] >= -tol and upper[0] >= -tol)
+    lower = np.linalg.eigvalsh(symmetrize(qw - np.diag(d)))
+    # a zero coefficient bounds its coordinate of Q_W by nothing above, so
+    # the upper test runs over the coordinates with d_j > 0
+    pos = d > 0.0
+    upper = np.linalg.eigvalsh(symmetrize(np.diag(1.0 / d[pos]) - qw[np.ix_(pos, pos)]))
+    return bool(lower[0] >= -tol and np.all(upper >= -tol))
 
 
 def assert_in_state_family(q, d) -> np.ndarray:
@@ -125,8 +127,9 @@ def assert_in_state_family(q, d) -> np.ndarray:
 
 
 def common_information_terms(d: np.ndarray) -> np.ndarray:
-    """Per-component common information ``0.5 log((1 + d_j) / (1 - d_j))``, nats."""
-    return 0.5 * np.log((1.0 + d) / (1.0 - d))
+    """Per-component common information ``0.5 log((1 + d_j) / (1 - d_j))``,
+    nats, as ``arctanh(d_j)``, which stays within an ulp for small d_j."""
+    return np.arctanh(d)
 
 
 def common_information(idx: IndexSextuple, d) -> CommonInfoResult:
@@ -140,15 +143,18 @@ def common_information(idx: IndexSextuple, d) -> CommonInfoResult:
     return CommonInfoResult(0.0, "independent", terms)
 
 
-def _conditional_factors(d: np.ndarray, qw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two conditional covariances I - D^{1/2} Q_W^{-1} D^{1/2} and
-    I - D^{1/2} Q_W D^{1/2}."""
+def conditional_covariances(
+    d: np.ndarray, qw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gain ``C1 = D^{1/2} Q_W^{-1}`` of Y1 on a family state W and the
+    covariances of Y1 and Y2 given W, ``I - C1 D^{1/2}`` and
+    ``I - D^{1/2} Q_W D^{1/2}``, as ``(c1, qz1, qz2)``."""
     rd = np.sqrt(d)
     n = d.size
-    qwinv_scaled = np.linalg.solve(qw, np.diag(rd))
-    m1 = np.eye(n) - (rd[:, None] * qwinv_scaled)
-    m2 = np.eye(n) - (rd[:, None] * qw * rd[None, :])
-    return symmetrize(m1), symmetrize(m2)
+    c1 = np.linalg.solve(qw, np.diag(rd)).T
+    qz1 = symmetrize(np.eye(n) - c1 @ np.diag(rd))
+    qz2 = symmetrize(np.eye(n) - rd[:, None] * qw * rd[None, :])
+    return c1, qz1, qz2
 
 
 def diagonal_state_mi(d: np.ndarray, log_v1: np.ndarray, log_v2: np.ndarray) -> float:
@@ -187,7 +193,7 @@ def mi_given_state(d, q) -> float:
     qw = assert_in_state_family(q, d)
     if d.size == 0:
         return 0.0
-    m1, m2 = _conditional_factors(d, qw)
+    _, m1, m2 = conditional_covariances(d, qw)
     ld1 = logdet_or_neginf(m1)
     ld2 = logdet_or_neginf(m2)
     if not (math.isfinite(ld1) and math.isfinite(ld2)):

@@ -100,8 +100,8 @@ def test_transform_whitens_marginals(rng):
     pair = random_pair(rng, 4, 3)
     cf = gw.decompose(pair)
     out = gw.apply_transform(pair, cf)
-    np.testing.assert_allclose(out.q11.entries, np.eye(4), atol=1e-10)
-    np.testing.assert_allclose(out.q22.entries, np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(out.q11, np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(out.q22, np.eye(3), atol=1e-10)
 
 
 def test_correlations_invariant_under_basis_change(rng):
@@ -112,8 +112,8 @@ def test_correlations_invariant_under_basis_change(rng):
         t1 = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
         t2 = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
         moved = gw.JointGaussianPair(
-            t1 @ pair.q11.entries @ t1.T,
-            t2 @ pair.q22.entries @ t2.T,
+            t1 @ pair.q11 @ t1.T,
+            t2 @ pair.q22 @ t2.T,
             t1 @ pair.q12 @ t2.T,
         )
         np.testing.assert_allclose(gw.decompose(moved).d, base, rtol=0, atol=1e-8)
@@ -160,8 +160,8 @@ def test_singular_values_clipped_to_unit_interval(rng):
 def validated_decompose(pair, thresholds=gw.Thresholds()):
     """The joint-eigensolve path: validated(), two eigh calls, the SVD."""
     pair = pair.validated()
-    lam1, u1 = np.linalg.eigh(pair.q11.entries)
-    lam2, u2 = np.linalg.eigh(pair.q22.entries)
+    lam1, u1 = np.linalg.eigh(pair.q11)
+    lam2, u2 = np.linalg.eigh(pair.q22)
     w1 = u1 / np.sqrt(lam1)
     w2 = u2 / np.sqrt(lam2)
     u3, sv, u4t = np.linalg.svd(w1.T @ pair.q12 @ w2, full_matrices=True)
@@ -204,7 +204,7 @@ def rotated(pair, rng):
     t1 = np.linalg.qr(rng.standard_normal((pair.p1, pair.p1)))[0]
     t2 = np.linalg.qr(rng.standard_normal((pair.p2, pair.p2)))[0]
     return gw.JointGaussianPair(
-        t1 @ pair.q11.entries @ t1.T, t2 @ pair.q22.entries @ t2.T, t1 @ pair.q12 @ t2.T
+        t1 @ pair.q11 @ t1.T, t2 @ pair.q22 @ t2.T, t1 @ pair.q12 @ t2.T
     )
 
 
@@ -258,7 +258,7 @@ def spectrum_pairs():
         q = (v * np.geomspace(1.0, 1.0 / cond, 12)) @ v.T
         pairs += [gw.JointGaussianPair.from_joint(symmetrize(q), 5), tight_pair(cond, rng)]
     good = random_pair(rng, 3, 2)
-    q11, q22, q12 = good.q11.entries, good.q22.entries, good.q12
+    q11, q22, q12 = good.q11, good.q22, good.q12
     indefinite = q11.copy()
     indefinite[0, 0] = -1.0
     pairs.append(gw.JointGaussianPair(indefinite, q22, q12))

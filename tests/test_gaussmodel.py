@@ -21,7 +21,24 @@ def test_validate_covariance_rejects_asymmetry():
 def test_validate_covariance_symmetrizes_roundoff():
     q = np.array([[1.0, 0.3 + 1e-14], [0.3, 1.0]])
     cov = gw.validate_covariance(q)
-    assert np.array_equal(cov.entries, cov.entries.T)
+    assert np.array_equal(cov, cov.T)
+
+
+def test_blocks_must_be_square():
+    pair = gw.JointGaussianPair(np.eye(2), np.eye(3), np.zeros((2, 3)))
+    cases = [
+        lambda: gw.validate_covariance(np.ones((2, 3))),
+        lambda: gw.validate_covariance(np.ones(3)),
+        lambda: gw.JointGaussianPair(np.ones((2, 3)), np.eye(3), np.zeros((2, 3))),
+        lambda: gw.JointGaussianPair(np.eye(2), np.ones((3, 2)), np.zeros((2, 3))),
+        lambda: gw.JointGaussianPair(np.eye(2), np.eye(3), np.zeros((3, 2))),
+        lambda: gw.GaussianTriple(pair, np.ones((1, 2)), np.zeros((2, 1)), np.zeros((3, 1))),
+        lambda: gw.GaussianTriple(pair, np.eye(1), np.zeros((2, 2)), np.zeros((3, 1))),
+        lambda: gw.GaussianTriple(pair, np.eye(1), np.zeros((2, 1)), np.zeros((1, 3))),
+    ]
+    for case in cases:
+        with pytest.raises(gw.DimensionMismatch):
+            case()
 
 
 def test_validate_covariance_strict_rejects_indefinite():
@@ -94,7 +111,7 @@ def test_mi_nonnegative_and_symmetric(p1, p2, seed):
     q = pair.joint()
     mi = gw.gaussian_mi(q, (p1, p2))
     assert mi >= -1e-12
-    swapped = np.block([[pair.q22.entries, pair.q12.T], [pair.q12, pair.q11.entries]])
+    swapped = np.block([[pair.q22, pair.q12.T], [pair.q12, pair.q11]])
     assert math.isclose(mi, gw.gaussian_mi(swapped, (p2, p1)), rel_tol=0, abs_tol=1e-10)
 
 
@@ -147,8 +164,8 @@ def test_nats_conversions():
 def test_json_round_trip_is_lossless(p1, p2, seed):
     pair = random_pair(np.random.default_rng(seed), p1, p2)
     back = gw.pair_from_json(gw.pair_to_json(pair))
-    assert np.array_equal(back.q11.entries, pair.q11.entries)
-    assert np.array_equal(back.q22.entries, pair.q22.entries)
+    assert np.array_equal(back.q11, pair.q11)
+    assert np.array_equal(back.q22, pair.q22)
     assert np.array_equal(back.q12, pair.q12)
 
 

@@ -31,11 +31,11 @@ def test_state_triple_reproduces_pair_and_ci(d, seed):
     qw = reference.sample_state_matrix(d, np.random.default_rng(seed))
     triple = gw.state_triple(d, qw)
     n = d.size
-    np.testing.assert_allclose(triple.pair.q11.entries, np.eye(n), atol=1e-12)
-    np.testing.assert_allclose(triple.pair.q22.entries, np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(triple.pair.q11, np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(triple.pair.q22, np.eye(n), atol=1e-12)
     np.testing.assert_allclose(triple.pair.q12, np.diag(d), atol=1e-12)
     # conditional independence: Q12 = Q1W QW^{-1} Q2W.T exactly
-    ci = triple.q1w @ np.linalg.solve(triple.qw.entries, triple.q2w.T)
+    ci = triple.q1w @ np.linalg.solve(triple.qw, triple.q2w.T)
     np.testing.assert_allclose(ci, np.diag(d), atol=1e-10)
     # the whole triple is a covariance
     ev = np.linalg.eigvalsh(triple.joint())

@@ -165,6 +165,33 @@ def test_sampled_state_outside_the_family_is_pulled_to_radius_0999():
     assert max(abs(r - 0.999) for r in pulled) <= 1e-12
 
 
+def test_dense_family_test_leaves_a_zero_coefficient_open_above():
+    q = np.array([[1.0, 0.01], [0.01, 1.0]])
+    d = np.array([0.5, 0.0])
+    assert gw.in_state_family(q, d)
+    assert gw.in_state_family(np.array([[1.0, 0.01], [0.01, 1e6]]), d)
+    assert not gw.in_state_family(np.array([[3.0, 0.01], [0.01, 1.0]]), d)
+    assert not gw.in_state_family(np.array([[1.0, 0.01], [0.01, 3.0]]), d[::-1])
+    assert gw.in_state_family(np.array([[1.0, 0.5], [0.5, 1.0]]), np.zeros(2))
+    # only the first coordinate is coupled: M1 = Diag(1 - 0.5 / (1 - 1e-4), 1)
+    # and M2 = Diag(0.5, 1)
+    want = 0.5 * math.log(0.75) - 0.5 * (math.log(1.0 - 0.5 / (1.0 - 1e-4)) + math.log(0.5))
+    assert math.isclose(gw.mi_given_state(d, q), want, rel_tol=1e-12)
+    assert math.isclose(want, 0.54936, rel_tol=1e-5)
+
+
+def test_common_information_terms_against_mpmath():
+    # 0.5 log((1 + d) / (1 - d)) rounds (1 + d) / (1 - d) near 1 and is off
+    # by ~1e-7 relative at d = 1e-9; each term stays within 2 eps
+    mp = pytest.importorskip("mpmath")
+    d = np.array([1.0 - 1e-6, 0.3, 1e-3, 1e-6, 1e-9])
+    terms = gw.common_information(gw.IndexSextuple(0, 5, 0, 0, 5, 0), d).per_coefficient_terms
+    with mp.workdps(50):
+        for x, got in zip(d, terms):
+            want = mp.atanh(mp.mpf(x))
+            assert abs(got - want) <= 2 * np.finfo(float).eps * abs(want), x
+
+
 def test_family_tolerance_scales_with_conditioning():
     loose = state_family_tolerance(np.array([0.9]))
     tight = state_family_tolerance(np.array([0.01]))
