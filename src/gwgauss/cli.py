@@ -36,7 +36,7 @@ from .realize import (
     optimal_state,
     optimal_triple_cov,
     sample,
-    state_triple,
+    state_triple_cov,
 )
 from .wyner import common_information
 
@@ -150,9 +150,12 @@ def main():
 def cvf_cmd(in_path, h1, h2, out):
     """Canonical variable form of a covariance pair."""
     defaults = Thresholds()
-    th = Thresholds(
-        h1 if h1 is not None else defaults.h1, h2 if h2 is not None else defaults.h2
-    )
+    try:
+        th = Thresholds(
+            h1 if h1 is not None else defaults.h1, h2 if h2 is not None else defaults.h2
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     pair = _read_pair(in_path)
     body = _cvf_to_dict(decompose(pair, th), th)
     Path(out).write_text(json.dumps(body))
@@ -252,15 +255,16 @@ def simulate_cmd(real_path, n_samples, seed, report_path):
         block = sample(optimal_state(idx, d), n_samples, seed)
     elif obj["kind"] == "ci-family":
         qw = np.asarray(obj["qw"], dtype=float)
-        target = state_triple(d, qw).joint()
+        target = state_triple_cov(d, qw)
         real = CIRealization(
-            n=int(obj["n"]),
             c1=np.asarray(obj["c1"], dtype=float),
             c2=np.asarray(obj["c2"], dtype=float),
             qz1=np.asarray(obj["qz1"], dtype=float),
             qz2=np.asarray(obj["qz2"], dtype=float),
             qw=qw,
         )
+        if obj["n"] != real.n:
+            raise err.DimensionMismatch(f"\"n\" is {obj['n']} but qw is {real.n} x {real.n}")
         block = sample(real, n_samples, seed)
     else:
         raise click.UsageError(f"unknown realization kind {obj['kind']!r}")

@@ -15,7 +15,8 @@ class AsymmetricMatrix(GwgaussError):
 
 class NotPositiveDefinite(GwgaussError):
     """Matrix fails the strict positive-definiteness floor or has a
-    non-finite entry, or component variances are negative or NaN."""
+    non-finite entry, a family state is singular, or component variances
+    are negative or NaN."""
 
 
 class DimensionMismatch(GwgaussError):

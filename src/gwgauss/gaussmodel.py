@@ -2,9 +2,9 @@
 
 Everything downstream treats a zero-mean jointly Gaussian vector as fully
 described by its covariance, a plain float array, so this module owns the
-pair and triple containers of covariance blocks, the covariance validation
-and the entropy and mutual-information formulas, and it fixes the
-numerical conventions used everywhere else:
+pair container of covariance blocks, the covariance validation and the
+entropy and mutual-information formulas, and it fixes the numerical
+conventions used everywhere else:
 
 * symmetry is enforced up to ``1e-10 * (1 + max|Q|)`` and computations see
   the symmetrized matrix ``(Q + Q.T) / 2``;
@@ -150,41 +150,6 @@ class JointGaussianPair:
         """Symmetrize and require the assembled joint covariance strictly PD."""
         c = validate_covariance(self.joint(), strict=True)
         return JointGaussianPair.from_joint(c, self.p1)
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianTriple:
-    """A pair (Y1, Y2) together with a third jointly Gaussian vector W."""
-
-    pair: JointGaussianPair
-    qw: np.ndarray
-    q1w: np.ndarray
-    q2w: np.ndarray
-
-    def __post_init__(self):
-        qw = _as_matrix(np.array(self.qw, dtype=float))
-        q1w = np.array(self.q1w, dtype=float)
-        q2w = np.array(self.q2w, dtype=float)
-        n = qw.shape[0]
-        if q1w.shape != (self.pair.p1, n) or q2w.shape != (self.pair.p2, n):
-            raise DimensionMismatch("state cross blocks disagree with pair/state dims")
-        object.__setattr__(self, "qw", qw)
-        object.__setattr__(self, "q1w", q1w)
-        object.__setattr__(self, "q2w", q2w)
-
-    @property
-    def n(self) -> int:
-        return self.qw.shape[0]
-
-    def joint(self) -> np.ndarray:
-        p = self.pair
-        return np.block(
-            [
-                [p.q11, p.q12, self.q1w],
-                [p.q12.T, p.q22, self.q2w],
-                [self.q1w.T, self.q2w.T, self.qw],
-            ]
-        )
 
 
 def gaussian_entropy(q) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (NonpositiveDistortion, NotPositiveDefinite, OutsideDW, QWNotDiagonal,
                      QWOutOfFamily)
 from .gaussmodel import log_one_minus_square
-from .wyner import as_state_covariance, coefficients, in_state_family
+from .wyner import as_state_covariance, coefficients, diagonal_entries, in_state_family
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +107,9 @@ def _diagonal_state(d: np.ndarray, q) -> np.ndarray:
     qw = as_state_covariance(q)
     if qw.shape != (d.size, d.size):
         raise QWNotDiagonal(f"state covariance must be {d.size} x {d.size}")
-    off = np.max(np.abs(qw - np.diag(np.diag(qw))), initial=0.0)
-    if off > 1e-10 * max(1.0, float(np.max(np.abs(qw), initial=0.0))):
+    qd = diagonal_entries(qw)
+    if qd is None:
         raise QWNotDiagonal("conditional rates require a diagonal state covariance")
-    qd = np.diag(qw).copy()
     if not in_state_family(qd, d):
         raise QWOutOfFamily("diagonal entries must satisfy d_j <= q_j <= 1/d_j")
     return qd

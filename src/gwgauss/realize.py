@@ -49,9 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllocationOutOfRange, DimensionMismatch, NotPositiveDefinite
-from .gaussmodel import GaussianTriple, JointGaussianPair, check_canonical_args, symmetrize
+from .gaussmodel import check_canonical_args, symmetrize
 from .cvf import IndexSextuple, canonical_cross_pattern
-from .wyner import assert_in_state_family, conditional_covariances
+from .wyner import assert_in_state_family, conditional_covariances, diagonal_entries
 
 _STREAMS = {"w": 0, "z1": 1, "z2": 2, "v": 3, "v1": 4, "v2": 5, "p1": 6, "p2": 7}
 # rows of a stream drawn per chunk, and columns per chunk of the combine
@@ -108,12 +108,24 @@ def sqrt_psd(q: np.ndarray) -> np.ndarray:
 class CIRealization:
     """Linear-plus-noise realization Y_i = C_i W + Z_i with independent parts."""
 
-    n: int
     c1: np.ndarray
     c2: np.ndarray
     qz1: np.ndarray
     qz2: np.ndarray
     qw: np.ndarray
+
+    def __post_init__(self):
+        shapes = [np.shape(a) for a in (self.c1, self.c2, self.qz1, self.qz2, self.qw)]
+        p1, p2, n = (s[0] if s else 0 for s in (shapes[0], shapes[1], shapes[4]))
+        if shapes != [(p1, n), (p2, n), (p1, p1), (p2, p2), (n, n)]:
+            raise DimensionMismatch(
+                f"c1, c2, qz1, qz2, qw must be p1 x n, p2 x n, p1 x p1, p2 x p2, n x n, "
+                f"got {shapes}"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.qw.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +149,7 @@ class TestChannel:
     qv2: np.ndarray
     qe1: np.ndarray
     qe2: np.ndarray
-    qz1: np.ndarray = field(repr=False)
-    qz2: np.ndarray = field(repr=False)
-    qw: np.ndarray = field(repr=False)
-    d: np.ndarray = field(repr=False)
+    base: CIRealization = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,18 +176,17 @@ def family_realization(d, q) -> CIRealization:
     d = np.atleast_1d(np.asarray(d, dtype=float))
     qw = assert_in_state_family(q, d)
     c1, qz1, qz2 = conditional_covariances(d, qw)
-    return CIRealization(n=d.size, c1=c1, c2=np.diag(np.sqrt(d)), qz1=qz1, qz2=qz2,
-                         qw=qw.copy())
+    return CIRealization(c1=c1, c2=np.diag(np.sqrt(d)), qz1=qz1, qz2=qz2, qw=qw.copy())
 
 
-def state_triple(d, q) -> GaussianTriple:
-    """Joint covariance of (Y1, Y2, W) for the correlated parts and a family state."""
+def state_triple_cov(d, q) -> np.ndarray:
+    """Covariance of (Y1, Y2, W) for the correlated parts and a family state."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     qw = assert_in_state_family(q, d)
-    n = d.size
+    eye, q12 = np.eye(d.size), np.diag(d)
     rd = np.sqrt(d)
-    pair = JointGaussianPair(np.eye(n), np.eye(n), np.diag(d))
-    return GaussianTriple(pair=pair, qw=qw, q1w=np.diag(rd), q2w=rd[:, None] * qw)
+    q1w, q2w = np.diag(rd), rd[:, None] * qw
+    return np.block([[eye, q12, q1w], [q12.T, eye, q2w], [q1w.T, q2w.T, qw]])
 
 
 def optimal_state(idx: IndexSextuple, d) -> OptimalState:
@@ -219,29 +227,32 @@ def optimal_triple_cov(idx: IndexSextuple, d) -> np.ndarray:
     return symmetrize(q + q.T - np.diag(np.diag(q)))
 
 
-def encoder_split(triple: GaussianTriple) -> CIRealization:
-    """Split any jointly Gaussian triple into state gains and residual noise.
+def encoder_split(q, p1: int, p2: int) -> CIRealization:
+    """Split the covariance ``q`` of any jointly Gaussian triple (Y1, Y2, W),
+    W in the rows after the leading ``p1 + p2``, into state gains and
+    residual noise.
 
     ``Z_i = Y_i - Q_{Yi,W} Q_W^{-1} W`` is uncorrelated with W by
     construction; Z1 and Z2 are mutually uncorrelated exactly when the
     triple makes the pair conditionally independent given W.
     """
-    qw = triple.qw
-    if triple.n == 0:
-        raise DimensionMismatch("state vector must have positive dimension")
-    c1 = np.linalg.solve(qw, triple.q1w.T).T
-    c2 = np.linalg.solve(qw, triple.q2w.T).T
-    qz1 = symmetrize(triple.pair.q11 - c1 @ triple.q1w.T)
-    qz2 = symmetrize(triple.pair.q22 - c2 @ triple.q2w.T)
-    return CIRealization(n=triple.n, c1=c1, c2=c2, qz1=qz1, qz2=qz2, qw=qw.copy())
+    q = np.asarray(q, dtype=float)
+    s = p1 + p2
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] <= s or min(p1, p2) < 0:
+        raise DimensionMismatch(f"no state rows after {p1} + {p2} in a {q.shape} matrix")
+    q1w, q2w, qw = q[:p1, s:], q[p1:s, s:], q[s:, s:]
+    c1 = np.linalg.solve(qw, q1w.T).T
+    c2 = np.linalg.solve(qw, q2w.T).T
+    qz1 = symmetrize(q[:p1, :p1] - c1 @ q1w.T)
+    qz2 = symmetrize(q[p1:s, p1:s] - c2 @ q2w.T)
+    return CIRealization(c1=c1, c2=c2, qz1=qz1, qz2=qz2, qw=qw.copy())
 
 
 def _channel_noise(qz: np.ndarray, alloc: np.ndarray, label: str):
     """Error covariance in the conditional eigenbasis plus the channel gain."""
     n = qz.shape[0]
-    offdiag = np.max(np.abs(qz - np.diag(np.diag(qz))), initial=0.0)
-    if offdiag <= 1e-12 * max(1.0, float(np.max(np.abs(qz)))):
-        lam = np.diag(qz).copy()
+    lam = diagonal_entries(qz)
+    if lam is not None:
         u = np.eye(n)
     else:
         lam, u = np.linalg.eigh(qz)
@@ -267,18 +278,14 @@ def test_channel(d, q, alloc1, alloc2) -> TestChannel:
     the reconstruction error has covariance exactly Q_{Ei} and is
     uncorrelated with the reconstruction.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
     base = family_realization(d, q)
     alloc1 = np.atleast_1d(np.asarray(alloc1, dtype=float))
     alloc2 = np.atleast_1d(np.asarray(alloc2, dtype=float))
-    if alloc1.size != d.size or alloc2.size != d.size:
+    if alloc1.size != base.n or alloc2.size != base.n:
         raise DimensionMismatch("allocations must have one entry per coefficient")
     a1, qe1, qv1 = _channel_noise(base.qz1, alloc1, "branch 1")
     a2, qe2, qv2 = _channel_noise(base.qz2, alloc2, "branch 2")
-    return TestChannel(
-        a1=a1, a2=a2, qv1=qv1, qv2=qv2, qe1=qe1, qe2=qe2,
-        qz1=base.qz1, qz2=base.qz2, qw=base.qw, d=d.copy(),
-    )
+    return TestChannel(a1=a1, a2=a2, qv1=qv1, qv2=qv2, qe1=qe1, qe2=qe2, base=base)
 
 
 def _chunks(n: int):
@@ -356,7 +363,7 @@ def sample(obj, n_samples: int, seed: int) -> SampleBlock:
     if isinstance(obj, OptimalState):
         return _sample_optimal(obj, n_samples, seed)
     if isinstance(obj, TestChannel):
-        return _sample_family(family_realization(obj.d, obj.qw), n_samples, seed, obj)
+        return _sample_family(obj.base, n_samples, seed, obj)
     raise TypeError(f"cannot sample object of type {type(obj).__name__}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, QWOutOfFamily
+from .errors import DimensionMismatch, NotPositiveDefinite, QWOutOfFamily
 from .gaussmodel import (
     check_canonical_args,
     eig_floor,
@@ -148,10 +148,14 @@ def conditional_covariances(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gain ``C1 = D^{1/2} Q_W^{-1}`` of Y1 on a family state W and the
     covariances of Y1 and Y2 given W, ``I - C1 D^{1/2}`` and
-    ``I - D^{1/2} Q_W D^{1/2}``, as ``(c1, qz1, qz2)``."""
+    ``I - D^{1/2} Q_W D^{1/2}``, as ``(c1, qz1, qz2)``.  A singular Q_W,
+    which a zero coefficient admits, raises :class:`NotPositiveDefinite`."""
     rd = np.sqrt(d)
     n = d.size
-    c1 = np.linalg.solve(qw, np.diag(rd)).T
+    try:
+        c1 = np.linalg.solve(qw, np.diag(rd)).T
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("family state covariance Q_W is singular") from exc
     qz1 = symmetrize(np.eye(n) - c1 @ np.diag(rd))
     qz2 = symmetrize(np.eye(n) - rd[:, None] * qw * rd[None, :])
     return c1, qz1, qz2

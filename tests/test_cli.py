@@ -280,12 +280,15 @@ def test_error_exit_codes(runner, cvf_file, tmp_path):
     assert res.exit_code == 9
 
     offdiag = tmp_path / "offdiag.json"
-    m = np.eye(3)
-    m[0, 1] = m[1, 0] = 0.2
-    offdiag.write_text(json.dumps(m.tolist()))
-    res = runner.invoke(main, ["rdf", "conditional", "--in", cvf_file,
-                               "--delta1", "0.3", "--qw", str(offdiag)])
-    assert res.exit_code == 12
+    # a diagonal state has exactly zero off-diagonal entries, as in
+    # mi_given_state; small ones are not dropped
+    for coupling in (0.2, 1e-13):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = coupling
+        offdiag.write_text(json.dumps(m.tolist()))
+        res = runner.invoke(main, ["rdf", "conditional", "--in", cvf_file,
+                                   "--delta1", "0.3", "--qw", str(offdiag)])
+        assert res.exit_code == 12, coupling
 
     asym = tmp_path / "asym.json"
     q = np.eye(4)
@@ -398,6 +401,29 @@ def test_simulate_indefinite_noise_exit_code(runner, cvf_file, tmp_path):
                                "--seed", "1", "--report", str(tmp_path / "rep.json")])
     assert res.exit_code == 5
     assert json.loads(res.stderr)["error"] == "NotPositiveDefinite"
+
+
+@pytest.mark.parametrize("field, value", [("n", 2), ("c1", [[0.5, 0.0, 0.0]] * 2)])
+def test_simulate_tampered_realization_exit_code(runner, cvf_file, tmp_path, field, value):
+    qw = tmp_path / "qw.json"
+    qw.write_text(json.dumps({"Q": np.diag([1.1, 1.0, 0.9]).tolist()}))
+    real = tmp_path / "real.json"
+    res = runner.invoke(main, ["realize", "--in", cvf_file, "--qw", str(qw), "--out", str(real)])
+    assert res.exit_code == 0
+    real.write_text(json.dumps({**json.loads(real.read_text()), field: value}))
+    res = runner.invoke(main, ["simulate", "--realization", str(real), "-N", "4000",
+                               "--seed", "1", "--report", str(tmp_path / "rep.json")])
+    assert res.exit_code == 6, res.output
+    assert json.loads(res.stderr)["error"] == "DimensionMismatch"
+
+
+def test_cvf_bad_thresholds_are_a_usage_error(runner, pair_file, tmp_path):
+    out = tmp_path / "cvf.json"
+    res = runner.invoke(main, ["cvf", "--in", pair_file, "--h1", "1e-6", "--h2", "1e-3",
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "need 0 < h2 < h1 < 1" in res.stderr
+    assert not out.exists()
 
 
 def test_import_starts_no_sampling_lanes():

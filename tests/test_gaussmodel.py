@@ -25,16 +25,15 @@ def test_validate_covariance_symmetrizes_roundoff():
 
 
 def test_blocks_must_be_square():
-    pair = gw.JointGaussianPair(np.eye(2), np.eye(3), np.zeros((2, 3)))
     cases = [
         lambda: gw.validate_covariance(np.ones((2, 3))),
         lambda: gw.validate_covariance(np.ones(3)),
         lambda: gw.JointGaussianPair(np.ones((2, 3)), np.eye(3), np.zeros((2, 3))),
         lambda: gw.JointGaussianPair(np.eye(2), np.ones((3, 2)), np.zeros((2, 3))),
         lambda: gw.JointGaussianPair(np.eye(2), np.eye(3), np.zeros((3, 2))),
-        lambda: gw.GaussianTriple(pair, np.ones((1, 2)), np.zeros((2, 1)), np.zeros((3, 1))),
-        lambda: gw.GaussianTriple(pair, np.eye(1), np.zeros((2, 2)), np.zeros((3, 1))),
-        lambda: gw.GaussianTriple(pair, np.eye(1), np.zeros((2, 1)), np.zeros((1, 3))),
+        lambda: gw.encoder_split(np.ones((6, 5)), 2, 3),
+        lambda: gw.encoder_split(np.ones(6), 2, 3),
+        lambda: gw.encoder_split(np.eye(5), 2, 3),
     ]
     for case in cases:
         with pytest.raises(gw.DimensionMismatch):
@@ -195,16 +194,16 @@ def test_pair_rejects_cross_shape_mismatch():
         gw.JointGaussianPair(np.eye(2), np.eye(3), np.zeros((3, 2)))
 
 
-def test_triple_joint_layout(rng):
-    pair = random_pair(rng, 2, 2)
-    qw = np.eye(2)
-    q1w = 0.1 * np.ones((2, 2))
-    q2w = 0.2 * np.ones((2, 2))
-    triple = gw.GaussianTriple(pair=pair, qw=qw, q1w=q1w, q2w=q2w)
-    j = triple.joint()
+def test_triple_joint_layout():
+    d = np.array([0.8, 0.3])
+    qw = np.array([[1.1, 0.1], [0.1, 0.9]])
+    j = gw.state_triple_cov(d, qw)
     assert j.shape == (6, 6)
-    assert np.array_equal(j[:2, 4:], q1w)
-    assert np.array_equal(j[2:4, 4:], q2w)
+    assert np.array_equal(j[:2, :2], np.eye(2)) and np.array_equal(j[2:4, 2:4], np.eye(2))
+    assert np.array_equal(j[:2, 2:4], np.diag(d))
+    assert np.array_equal(j[:2, 4:], np.diag(np.sqrt(d)))
+    assert np.array_equal(j[2:4, 4:], np.sqrt(d)[:, None] * qw)
+    assert np.array_equal(j[4:, 4:], qw)
     assert np.array_equal(j, j.T)
 
 

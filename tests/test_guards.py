@@ -46,7 +46,7 @@ D_ENTRY_POINTS = {
     "sample_state_matrix": (lambda d: reference.sample_state_matrix(d, np.random.default_rng(0)),
                             ValueError),
     "family_realization": (lambda d: gw.family_realization(d, np.eye(2)), gw.QWOutOfFamily),
-    "state_triple": (lambda d: gw.state_triple(d, np.eye(2)), gw.QWOutOfFamily),
+    "state_triple": (lambda d: gw.state_triple_cov(d, np.eye(2)), gw.QWOutOfFamily),
     "test_channel": (lambda d: gw.test_channel(d, np.eye(2), [0.1, 0.1], [0.1, 0.1]),
                      gw.QWOutOfFamily),
     "common_information": (lambda d: gw.common_information(IDX2, d), gw.InconsistentIndices),

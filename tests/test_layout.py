@@ -74,3 +74,59 @@ def test_package_imports_are_used_and_public():
         for finding in _import_findings(path)
     ]
     assert findings == []
+
+
+# raises of a class outside the GwgaussError tree, which the CLI could not
+# map to an exit code: (module, enclosing scope, class) -> why no CLI run
+# ends in its traceback
+FOREIGN_RAISES = {
+    ("cvf.py", "Thresholds.__post_init__", "ValueError"):
+        "cvf_cmd turns it into a usage error (exit 2)",
+    ("gaussmodel.py", "nats_to", "ValueError"):
+        "the --units options offer only the three known units",
+    ("graywyner.py", "region_sweep", "ValueError"):
+        "the region command builds its weights in [0, 1]",
+    ("rdf.py", "conditional_rdf", "ValueError"):
+        "the --branch option offers only 1 and 2",
+    ("realize.py", "sample", "TypeError"):
+        "simulate samples only the realizations and states it builds",
+}
+
+
+def _foreign_raises(name: str, source: str) -> set[tuple[str, str, str]]:
+    """``(module, scope, class)`` of each ``raise`` in ``source`` whose class
+    is neither a :class:`GwgaussError` subclass nor click's usage error,
+    which click reports with exit 2."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                cls = ast.unparse(exc)
+                known = getattr(gw.errors, cls.split(".")[-1], None)
+                packaged = isinstance(known, type) and issubclass(known, gw.GwgaussError)
+                if not packaged and cls != "click.UsageError":
+                    found.add((name, ".".join(scope), cls))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_package_raises_only_its_own_errors():
+    package = Path(gw.__file__).resolve().parent
+    found = set().union(
+        *(_foreign_raises(path.name, path.read_text()) for path in package.glob("*.py"))
+    )
+    assert found == set(FOREIGN_RAISES)
+
+
+def test_foreign_raise_check_sees_a_new_bare_error():
+    source = "def decompose(pair, thresholds=None):\n    raise ValueError('no')\n"
+    assert _foreign_raises("cvf.py", source) == {("cvf.py", "decompose", "ValueError")}
+    packaged = "def decompose(pair):\n    raise err.DimensionMismatch('no')\n"
+    assert _foreign_raises("cvf.py", packaged) == set()

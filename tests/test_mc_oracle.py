@@ -10,7 +10,7 @@ def family_block(n_samples=50000, seed=11):
     d = np.array([0.8, 0.3])
     qw = np.diag([1.1, 0.9])
     blk = gw.sample(gw.family_realization(d, qw), n_samples, seed)
-    target = gw.state_triple(d, qw).joint()
+    target = gw.state_triple_cov(d, qw)
     return blk, target
 
 
@@ -49,7 +49,7 @@ def test_distortion_validation_paths():
     assert e1 < 0.05 and e2 < 0.05
 
     rep = gw.validate_realization(
-        blk, gw.state_triple(d, np.ones((1, 1))).joint(), distortion_targets=(0.2, 0.3)
+        blk, gw.state_triple_cov(d, np.ones((1, 1))), distortion_targets=(0.2, 0.3)
     )
     assert rep.distortion_errs is not None
     assert max(rep.distortion_errs) < 0.05
@@ -137,7 +137,7 @@ def test_hand_built_block_reports_like_the_sampler_views():
            for k in ("y1", "y2", "w", "z1", "z2", "v", "yhat1", "yhat2")},
     )
     assert copied.y1.flags.c_contiguous and not blk.y1.flags.c_contiguous
-    target = gw.state_triple(d, np.diag(q)).joint()
+    target = gw.state_triple_cov(d, np.diag(q))
     a = gw.validate_realization(blk, target, distortion_targets=(0.3, 0.25))
     b = gw.validate_realization(copied, target, distortion_targets=(0.3, 0.25))
     assert vars(a) == vars(b)

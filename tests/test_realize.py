@@ -29,16 +29,17 @@ def test_family_realization_scalar_values():
 @given(d_vectors, st.integers(0, 2**32 - 1))
 def test_state_triple_reproduces_pair_and_ci(d, seed):
     qw = reference.sample_state_matrix(d, np.random.default_rng(seed))
-    triple = gw.state_triple(d, qw)
+    triple = gw.state_triple_cov(d, qw)
     n = d.size
-    np.testing.assert_allclose(triple.pair.q11, np.eye(n), atol=1e-12)
-    np.testing.assert_allclose(triple.pair.q22, np.eye(n), atol=1e-12)
-    np.testing.assert_allclose(triple.pair.q12, np.diag(d), atol=1e-12)
+    np.testing.assert_allclose(triple[:n, :n], np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(triple[n : 2 * n, n : 2 * n], np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(triple[:n, n : 2 * n], np.diag(d), atol=1e-12)
     # conditional independence: Q12 = Q1W QW^{-1} Q2W.T exactly
-    ci = triple.q1w @ np.linalg.solve(triple.qw, triple.q2w.T)
+    q1w, q2w, qw_ = triple[:n, 2 * n :], triple[n : 2 * n, 2 * n :], triple[2 * n :, 2 * n :]
+    ci = q1w @ np.linalg.solve(qw_, q2w.T)
     np.testing.assert_allclose(ci, np.diag(d), atol=1e-10)
     # the whole triple is a covariance
-    ev = np.linalg.eigvalsh(triple.joint())
+    ev = np.linalg.eigvalsh(triple)
     assert ev.min() > -1e-10
 
 
@@ -54,7 +55,7 @@ def test_encoder_split_inverts_family_construction():
     d = np.array([0.8, 0.3])
     qw = np.diag([1.1, 0.9])
     real = gw.family_realization(d, qw)
-    split = gw.encoder_split(gw.state_triple(d, qw))
+    split = gw.encoder_split(gw.state_triple_cov(d, qw), 2, 2)
     np.testing.assert_allclose(split.c1, real.c1, atol=1e-12)
     np.testing.assert_allclose(split.c2, real.c2, atol=1e-12)
     np.testing.assert_allclose(split.qz1, real.qz1, atol=1e-12)
@@ -102,7 +103,7 @@ def test_optimal_state_information_matches_common_information():
 
 def test_test_channel_scalar_values():
     ch = gw.test_channel([0.5], 1.0, [0.25], [0.25])
-    np.testing.assert_allclose(ch.qz1, [[0.5]], rtol=1e-14)
+    np.testing.assert_allclose(ch.base.qz1, [[0.5]], rtol=1e-14)
     np.testing.assert_allclose(ch.a1, [[0.5]], rtol=1e-14)
     np.testing.assert_allclose(ch.qv1, [[0.125]], rtol=1e-14)
     np.testing.assert_allclose(ch.qe1, [[0.25]], rtol=1e-14)
@@ -114,7 +115,8 @@ def test_test_channel_second_moment_identity(d, seed):
     rng = np.random.default_rng(seed)
     q = np.ones(d.size)
     ch = gw.test_channel(d, q, 0.3 * (1 - d), 0.4 * (1 - d))
-    for a, qv, qe, qz in ((ch.a1, ch.qv1, ch.qe1, ch.qz1), (ch.a2, ch.qv2, ch.qe2, ch.qz2)):
+    for a, qv, qe, qz in ((ch.a1, ch.qv1, ch.qe1, ch.base.qz1),
+                          (ch.a2, ch.qv2, ch.qe2, ch.base.qz2)):
         recon_cov = a @ qz @ a.T + qv
         np.testing.assert_allclose(recon_cov + qe, qz, atol=1e-10)
         assert np.linalg.eigvalsh(gw.sqrt_psd(qv) @ gw.sqrt_psd(qv)).min() > -1e-10
@@ -170,7 +172,7 @@ def test_family_samples_match_target_moments():
     d = np.array([0.8, 0.3])
     qw = np.diag([1.2, 0.8])
     blk = gw.sample(gw.family_realization(d, qw), 60000, seed=77)
-    rep = gw.validate_realization(blk, gw.state_triple(d, qw).joint())
+    rep = gw.validate_realization(blk, gw.state_triple_cov(d, qw))
     assert rep.cov_rel_err < 0.05
     assert rep.ci_residual < 0.05
 
@@ -368,17 +370,28 @@ def test_traced_functions_run_in_the_calling_thread(monkeypatch):
     for obj in objs:
         gw.sample(obj, 2 * _CHUNK, seed=3)
     assert [c[0] for c in calls].count("sqrt_psd") == 3 + 5
-    assert [c[0] for c in calls].count("family_realization") == 1
+    assert [c[0] for c in calls].count("family_realization") == 0
     assert {c[1] for c in calls} == {threading.get_ident()}
     assert any(t.name.startswith("gwgauss-lane") for t in threading.enumerate())
 
 
 def test_sampling_an_indefinite_noise_covariance_raises():
     real = gw.family_realization([0.6, 0.2], np.eye(2))
-    bad = gw.CIRealization(n=2, c1=real.c1, c2=real.c2, qz1=np.diag([0.5, -0.5]),
+    bad = gw.CIRealization(c1=real.c1, c2=real.c2, qz1=np.diag([0.5, -0.5]),
                            qz2=real.qz2, qw=real.qw)
     with pytest.raises(gw.NotPositiveDefinite):
         gw.sample(bad, 2 * _CHUNK, seed=1)
+
+
+
+def test_realization_blocks_must_agree():
+    real = gw.family_realization([0.6, 0.2], np.eye(2))
+    assert real.n == 2
+    blocks = dict(c1=real.c1, c2=real.c2, qz1=real.qz1, qz2=real.qz2, qw=real.qw)
+    for name, bad in [("c1", real.c1[:1]), ("c2", real.c2[:, :1]), ("qz1", np.eye(3)),
+                      ("qz2", np.eye(1)), ("qw", np.eye(3)), ("qw", np.float64(1.0))]:
+        with pytest.raises(gw.DimensionMismatch):
+            gw.CIRealization(**{**blocks, name: bad})
 
 
 def test_block_fields_are_views_of_one_component_major_buffer():

@@ -180,6 +180,20 @@ def test_dense_family_test_leaves_a_zero_coefficient_open_above():
     assert math.isclose(want, 0.54936, rel_tol=1e-5)
 
 
+
+def test_singular_family_state_is_not_positive_definite():
+    # a zero coefficient admits a singular Q_W into the family, where the
+    # conditional covariances have no solve
+    calls = [
+        lambda: gw.family_realization([0.0], [[0.0]]),
+        lambda: gw.test_channel([0.5, 0.0], [1.0, 0.0], [0.1, 0.1], [0.1, 0.1]),
+        lambda: gw.mi_given_state([0.5, 0.4, 0.0], [[1, 0.1, 0], [0.1, 1, 0], [0, 0, 0]]),
+    ]
+    for call in calls:
+        with pytest.raises(gw.NotPositiveDefinite, match="singular"):
+            call()
+
+
 def test_common_information_terms_against_mpmath():
     # 0.5 log((1 + d) / (1 - d)) rounds (1 + d) / (1 - d) near 1 and is off
     # by ~1e-7 relative at d = 1e-9; each term stays within 2 eps
