@@ -28,14 +28,13 @@ from .gaussmodel import (
 )
 from .cvf import CanonicalForm, IndexSextuple, Thresholds, decompose
 from .graywyner import lossy_common_information, region_csv, region_sweep
-from .mc_oracle import validate_realization
+from .mc_oracle import validate_stream
 from .rdf import conditional_rdf, gray_lower_bound, joint_rdf, marginal_rdf
 from .realize import (
     CIRealization,
     family_realization,
     optimal_state,
     optimal_triple_cov,
-    sample,
     state_triple_cov,
 )
 from .wyner import common_information
@@ -248,27 +247,24 @@ def realize_cmd(in_path, qw_spec, out):
 def simulate_cmd(real_path, n_samples, seed, report_path):
     """Draw samples from a realization and validate the second moments."""
     obj = json.loads(Path(real_path).read_text())
+    blocks = ("c1", "c2", "qz1", "qz2", "qw")
+    keys = {"optimal-state": ("d", "idx"), "ci-family": ("d", "n", *blocks)}
+    for key in ("kind", *keys.get(obj.get("kind"), ())):
+        if key not in obj:
+            raise click.UsageError(f"realization file has no {key!r}")
+    if obj["kind"] not in keys:
+        raise click.UsageError(f"unknown realization kind {obj['kind']!r}")
     d = np.asarray(obj["d"], dtype=float)
     if obj["kind"] == "optimal-state":
         idx = IndexSextuple(**obj["idx"])
         target = optimal_triple_cov(idx, d)
-        block = sample(optimal_state(idx, d), n_samples, seed)
-    elif obj["kind"] == "ci-family":
-        qw = np.asarray(obj["qw"], dtype=float)
-        target = state_triple_cov(d, qw)
-        real = CIRealization(
-            c1=np.asarray(obj["c1"], dtype=float),
-            c2=np.asarray(obj["c2"], dtype=float),
-            qz1=np.asarray(obj["qz1"], dtype=float),
-            qz2=np.asarray(obj["qz2"], dtype=float),
-            qw=qw,
-        )
-        if obj["n"] != real.n:
-            raise err.DimensionMismatch(f"\"n\" is {obj['n']} but qw is {real.n} x {real.n}")
-        block = sample(real, n_samples, seed)
+        source = optimal_state(idx, d)
     else:
-        raise click.UsageError(f"unknown realization kind {obj['kind']!r}")
-    rep = validate_realization(block, target)
+        target = state_triple_cov(d, np.asarray(obj["qw"], dtype=float))
+        source = CIRealization(**{k: np.asarray(obj[k], dtype=float) for k in blocks})
+        if obj["n"] != source.n:
+            raise err.DimensionMismatch(f"\"n\" is {obj['n']} but qw is {source.n} x {source.n}")
+    rep = validate_stream(source, n_samples, seed, target)
     body = {
         "n_samples": rep.n_samples,
         "cov_rel_err": rep.cov_rel_err,

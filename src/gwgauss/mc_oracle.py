@@ -8,9 +8,11 @@ information of the empirical pair covariance gives a consistency estimate
 whose error shrinks like N^{-1/2}.  Both errors are also reported in
 units of their own standard deviation at N rows.
 
-Blocks from :func:`gwgauss.sample` are component-major: Y1, Y2 and W are
-consecutive (p, N) rows of one buffer, and the empirical covariance is one
-product of those rows with their transpose.
+The raw second moments and squared reconstruction errors are summed chunk
+by chunk over the spans of :func:`gwgauss.realize.chunk_spans`, in order.
+So :func:`validate_stream`, which draws the chunks one window at a time and
+never holds the (N, p) block, reports what :func:`validate_realization`
+reports on the block, bit for bit, in memory that does not grow with N.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingReconstruction, TooFewSamples
 from .gaussmodel import gaussian_mi, symmetrize
-from .realize import SampleBlock
+from .realize import SampleBlock, chunk_spans, sample_chunks
 
 MIN_SAMPLES = 1000
 
@@ -71,18 +73,26 @@ def _residual_scale(target: np.ndarray, p1: int, p2: int, n: int) -> np.ndarray:
     return np.sqrt(np.outer(v1, v2) / n)
 
 
-def _component_rows(samples: SampleBlock, widths: list[int]) -> np.ndarray:
-    """The (p1 + p2 + nw, N) rows of Y1, Y2 and W: the sampler's buffer
-    when the fields are its consecutive rows, else a stacked copy."""
-    fields = [samples.y1, samples.y2, samples.w][: len(widths)]
-    x = fields[0].base
-    edges = np.cumsum([0, *widths])
-    if isinstance(x, np.ndarray) and x.shape[0] == edges[-1] and all(
-        f.__array_interface__ == x[a:b].T.__array_interface__
-        for f, a, b in zip(fields, edges, edges[1:])
-    ):
-        return x
-    return np.vstack([f.T for f in fields])
+def _slices(samples: SampleBlock):
+    """The block's (p, m) rows by field per chunk, as :func:`sample_chunks`."""
+    fields = {k: v for k, v in vars(samples).items() if k != "n_samples" and v is not None}
+    for a, b in chunk_spans(samples.n_samples):
+        yield {k: v[a:b].T for k, v in fields.items()}
+
+
+def _squared_errors(rows: dict) -> np.ndarray:
+    """Summed squared reconstruction error of each branch over a chunk."""
+    if "yhat1" not in rows or "yhat2" not in rows:
+        raise MissingReconstruction("sample block carries no reconstructions")
+    # one difference of the (p, m) component rows, summed without a squared copy
+    diffs = (rows["y1"] - rows["yhat1"], rows["y2"] - rows["yhat2"])
+    return np.array([float(np.vdot(diff, diff)) for diff in diffs])
+
+
+def _relative_errors(errors: np.ndarray, n: int, targets) -> tuple[float, float]:
+    """Relative error of each branch's mean squared error ``errors / n``."""
+    mse = errors.tolist()
+    return tuple(abs(m / n - t) / t if t > 0.0 else m / n for m, t in zip(mse, map(float, targets)))
 
 
 def validate_realization(
@@ -98,20 +108,37 @@ def validate_realization(
     When ``distortion_targets`` is given and reconstructions are present,
     the per-branch distortion errors are included.
     """
-    n = samples.n_samples
+    return _validate(_slices(samples), samples.n_samples, target, distortion_targets)
+
+
+def validate_stream(obj, n_samples: int, seed: int, target, distortion_targets=None):
+    """``validate_realization(sample(obj, n_samples, seed), target,
+    distortion_targets)``, bit for bit, from the chunks of
+    :func:`sample_chunks`, so memory does not grow with ``n_samples``."""
+    n = int(n_samples)
+    return _validate(sample_chunks(obj, n, seed), n, target, distortion_targets)
+
+
+def _validate(chunks, n: int, target, distortion_targets) -> ValidationReport:
+    """The report on the chunk-ordered sums over ``chunks``, ``n`` rows in
+    all; the row count is checked before the first chunk is drawn."""
     if n < MIN_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_SAMPLES} rows, got {n}")
+    moments = errors = 0
+    for chunk in chunks:
+        # the sampler's joint rows, else the Y1, Y2 and W rows stacked
+        x = chunk.get("joint")
+        if x is None:
+            x = np.concatenate([chunk[k] for k in ("y1", "y2", "w") if k in chunk])
+        moments = moments + x @ x.T
+        if distortion_targets is not None:
+            errors = errors + _squared_errors(chunk)
     t = np.asarray(target, dtype=float)
-    p1 = samples.y1.shape[1]
-    p2 = samples.y2.shape[1]
-    nw = samples.w.shape[1] if samples.w is not None else 0
-    if t.shape != (p1 + p2 + nw, p1 + p2 + nw):
-        raise DimensionMismatch(
-            f"target has shape {t.shape}, samples imply {(p1 + p2 + nw,) * 2}"
-        )
-    x = _component_rows(samples, [p1, p2] + ([nw] if nw else []))
+    if t.shape != moments.shape:
+        raise DimensionMismatch(f"target has shape {t.shape}, samples imply {moments.shape}")
+    p1, p2 = len(chunk["y1"]), len(chunk["y2"])
     # sources are zero mean by construction, so use raw second moments
-    emp = symmetrize(x @ x.T / x.shape[1])
+    emp = symmetrize(moments / n)
     diff = float(np.linalg.norm(emp - t))
     denom = float(np.linalg.norm(t))
     cov_rel_err = diff / denom if denom > 0.0 else diff
@@ -129,7 +156,7 @@ def validate_realization(
 
     errs = None
     if distortion_targets is not None:
-        errs = validate_distortion(samples, *distortion_targets)
+        errs = _relative_errors(errors, n, distortion_targets)
     return ValidationReport(
         n_samples=n,
         cov_rel_err=cov_rel_err,
@@ -148,17 +175,5 @@ def validate_distortion(
 
     A zero target switches to absolute error (degenerate passthrough).
     """
-    if samples.yhat1 is None or samples.yhat2 is None:
-        raise MissingReconstruction("sample block carries no reconstructions")
-
-    def _err(y, yhat, target):
-        # one difference of the (p, N) component rows, summed without a
-        # squared copy in component-major order whatever the block's layout
-        diff = y.T - yhat.T
-        mse = float(np.vdot(diff, diff)) / diff.shape[1]
-        return abs(mse - target) / target if target > 0.0 else mse
-
-    return (
-        _err(samples.y1, samples.yhat1, float(target1)),
-        _err(samples.y2, samples.yhat2, float(target2)),
-    )
+    errors = sum(map(_squared_errors, _slices(samples)))
+    return _relative_errors(errors, samples.n_samples, (target1, target2))

@@ -17,12 +17,12 @@ Sampling derives one random stream per role from the master seed, by
 ``SeedSequence(seed, spawn_key=(i,))`` with i the role's index in
 ``_STREAMS``, and draws each as an (N, p) standard normal matrix, one row
 per sample.  The rows are therefore prefix-stable in N, and no role's draws
-depend on the dimensions of another.  The role streams are drawn on
-parallel lanes, one thread per usable core, each stream in chunks of a
-fixed number of rows; the arithmetic that combines them then runs on the
-lanes over column chunks.  Neither changes the draw-to-entry map, the
-prefix stability or any output bit.  With ``G(0, Q) = G Q^{1/2}`` for the
-symmetric square root:
+depend on the dimensions of another.  The streams are drawn chunk by
+chunk on parallel lanes, one thread per usable core, and each chunk is
+then combined on a lane: :func:`sample` into the (N, p) block, and
+:func:`sample_chunks` into buffers ``_WINDOW`` chunks wide that it reuses.
+Neither changes the draw-to-entry map, the prefix stability or any output
+bit.  With ``G(0, Q) = G Q^{1/2}`` for the symmetric square root:
 
 - a family realization draws W, Z1 and Z2 from ``w``, ``z1`` and ``z2``;
 - the optimal state draws the identical coordinates from ``w``,
@@ -56,6 +56,9 @@ from .wyner import assert_in_state_family, conditional_covariances, diagonal_ent
 _STREAMS = {"w": 0, "z1": 1, "z2": 2, "v": 3, "v1": 4, "v2": 5, "p1": 6, "p2": 7}
 # rows of a stream drawn per chunk, and columns per chunk of the combine
 _CHUNK = 32768
+# chunks per window of sample_chunks: each holds _CHUNK columns of every
+# buffer row, so a wider window keeps the lanes busier but costs memory
+_WINDOW = 1
 # (pid, executor) of the lane pool; a forked child makes its own
 _POOL = None
 _POOL_LOCK = threading.Lock()
@@ -84,12 +87,6 @@ def run_on_lanes(tasks) -> list:
     for f in futures:
         f.exception()
     return [f.result() for f in futures]
-
-
-def _rng(seed: int, stream: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_STREAMS[stream],))
-    )
 
 
 def sqrt_psd(q: np.ndarray) -> np.ndarray:
@@ -154,7 +151,8 @@ class TestChannel:
 
 @dataclass(frozen=True, eq=False)
 class SampleBlock:
-    """Matrices of zero-mean draws, one row per sample."""
+    """Matrices of zero-mean draws, one row per sample.  ``joint``, when
+    set, is ``[y1 y2 w]`` as one matrix, whose column blocks they are."""
 
     n_samples: int
     y1: np.ndarray
@@ -165,6 +163,7 @@ class SampleBlock:
     v: np.ndarray | None = None
     yhat1: np.ndarray | None = None
     yhat2: np.ndarray | None = None
+    joint: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -234,15 +233,18 @@ def encoder_split(q, p1: int, p2: int) -> CIRealization:
 
     ``Z_i = Y_i - Q_{Yi,W} Q_W^{-1} W`` is uncorrelated with W by
     construction; Z1 and Z2 are mutually uncorrelated exactly when the
-    triple makes the pair conditionally independent given W.
+    triple makes the pair conditionally independent given W.  A singular
+    Q_W raises :class:`NotPositiveDefinite`.
     """
     q = np.asarray(q, dtype=float)
     s = p1 + p2
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] <= s or min(p1, p2) < 0:
         raise DimensionMismatch(f"no state rows after {p1} + {p2} in a {q.shape} matrix")
     q1w, q2w, qw = q[:p1, s:], q[p1:s, s:], q[s:, s:]
-    c1 = np.linalg.solve(qw, q1w.T).T
-    c2 = np.linalg.solve(qw, q2w.T).T
+    try:
+        c1, c2 = np.linalg.solve(qw, q1w.T).T, np.linalg.solve(qw, q2w.T).T
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("state covariance Q_W is singular") from exc
     qz1 = symmetrize(q[:p1, :p1] - c1 @ q1w.T)
     qz2 = symmetrize(q[p1:s, p1:s] - c2 @ q2w.T)
     return CIRealization(c1=c1, c2=c2, qz1=qz1, qz2=qz2, qw=qw.copy())
@@ -288,7 +290,7 @@ def test_channel(d, q, alloc1, alloc2) -> TestChannel:
     return TestChannel(a1=a1, a2=a2, qv1=qv1, qv2=qv2, qe1=qe1, qe2=qe2, base=base)
 
 
-def _chunks(n: int):
+def chunk_spans(n: int):
     """Consecutive (a, b) ranges over n rows or columns, ``_CHUNK`` long
     except the last.  A lone trailing column joins the chunk before it:
     numpy multiplies a single column by a matrix-vector product, which
@@ -299,29 +301,24 @@ def _chunks(n: int):
     return zip(edges, edges[1:])
 
 
-def _draw(seed: int, jobs) -> None:
-    """Fill the rows of every job ``(stream, root or None, out)`` from its
-    role stream: the (k, N) rows ``out`` become ``root @ G.T``, or ``G.T``
-    when ``root`` is None, for the stream's (N, k) standard normals G.
+def _draw(jobs, spans) -> None:
+    """Fill the columns ``spans`` of every job ``(rng, root, out)`` from its
+    role stream: the (k, m) columns of ``out`` become ``root @ G.T``, or
+    ``G.T`` when ``root`` is None, for the stream's next (m, k) standard
+    normals G.
 
-    G is drawn chunk by chunk.  Each lane takes the next stream in turn,
-    draws one chunk of it and puts it back, so the lanes stay busy until
-    fewer streams than lanes have chunks left.  A stream is with one lane
-    at a time and its chunks are consecutive, so sample r takes draws
-    r k .. r k + k - 1 whatever N is, and the first rows of a longer draw
-    are the same.
+    Each lane takes the next stream in turn, draws one span of it and puts
+    it back, so the lanes stay busy until fewer streams than lanes have
+    spans left.  A stream is with one lane at a time and draws its spans in
+    order from a generator that persists across calls, so sample r takes
+    draws r k .. r k + k - 1 whatever N is, and the first rows of a longer
+    draw are the same.
     """
-    n = jobs[0][2].shape[1]
-    width = max(out.shape[0] for _, _, out in jobs)
-    todo = collections.deque(
-        (_rng(seed, stream), root, out, _chunks(n))
-        for stream, root, out in jobs
-        if out.shape[0]
-    )
+    todo = collections.deque((rng, root, out, iter(spans)) for rng, root, out in jobs)
     lock = threading.Lock()
 
     def lane():
-        scratch = np.empty(min(n, _CHUNK + 1) * width)
+        scratch = np.empty(max(b - a for a, b in spans) * max(o.shape[0] for _, _, o in jobs))
         while True:
             with lock:
                 if not todo:
@@ -343,66 +340,77 @@ def _draw(seed: int, jobs) -> None:
     run_on_lanes([lane] * len(todo))
 
 
-def _by_columns(n_samples: int, combine) -> None:
-    """Run ``combine(cols)`` over the column slices of :func:`_chunks` on
-    the lanes; the combine must be elementwise or per column."""
-    run_on_lanes(functools.partial(combine, slice(a, b)) for a, b in _chunks(n_samples))
+def _windows(obj, n_samples: int, seed: int, window: int):
+    """Fill buffers ``window`` chunks wide with ``obj``'s rows, window by
+    window; yield their (p, width) rows by :class:`SampleBlock` field and
+    the window's chunks as (a, b) column ranges.  Each chunk is combined
+    alone, so its bits do not depend on the window."""
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise DimensionMismatch("need at least one sample")
+    width = min(n_samples, window * _CHUNK + 1)
+    if isinstance(obj, CIRealization):
+        rows, jobs, combine = _family_rows(obj, width)
+    elif isinstance(obj, OptimalState):
+        rows, jobs, combine = _optimal_rows(obj, width)
+    elif isinstance(obj, TestChannel):
+        rows, jobs, combine = _family_rows(obj.base, width, obj)
+    else:
+        raise TypeError(f"cannot sample object of type {type(obj).__name__}")
+    roles = np.random.SeedSequence(seed).spawn(len(_STREAMS))
+    jobs = [(np.random.default_rng(roles[_STREAMS[k]]), root, out)
+            for k, root, out in jobs if out.shape[0]]
+    spans = list(chunk_spans(n_samples))
+    for i in range(0, len(spans), window):
+        start = spans[i][0]
+        local = [(a - start, b - start) for a, b in spans[i : i + window]]
+        _draw(jobs, local)
+        run_on_lanes(functools.partial(combine, slice(a, b)) for a, b in local)
+        yield rows, local
 
 
 def sample(obj, n_samples: int, seed: int) -> SampleBlock:
     """Draw ``n_samples`` rows from a realization, state, or test channel.
 
     Every field of the block is the transpose of component-major (p, N)
-    rows, and Y1, Y2 and W are consecutive rows of one buffer.
+    rows, and Y1, Y2 and W are consecutive rows of one buffer, ``joint``.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise DimensionMismatch("need at least one sample")
-    if isinstance(obj, CIRealization):
-        return _sample_family(obj, n_samples, seed)
-    if isinstance(obj, OptimalState):
-        return _sample_optimal(obj, n_samples, seed)
-    if isinstance(obj, TestChannel):
-        return _sample_family(obj.base, n_samples, seed, obj)
-    raise TypeError(f"cannot sample object of type {type(obj).__name__}")
+    rows, _ = next(_windows(obj, n_samples, seed, int(n_samples)))
+    return SampleBlock(n_samples=int(n_samples), **{k: v.T for k, v in rows.items()})
 
 
-def _block(x: np.ndarray, p1: int, p2: int, **rows) -> SampleBlock:
-    """A block over the (Y1; Y2; W) buffer ``x`` and further (p, N) rows."""
-    return SampleBlock(
-        n_samples=x.shape[1],
-        y1=x[:p1].T,
-        y2=x[p1 : p1 + p2].T,
-        w=x[p1 + p2 :].T,
-        **{k: v.T for k, v in rows.items()},
-    )
+def sample_chunks(obj, n_samples: int, seed: int):
+    """The rows of ``sample(obj, n_samples, seed)`` over each span of
+    :func:`chunk_spans`, as (p, m) rows by :class:`SampleBlock` field, each
+    chunk valid until the next is drawn into the same buffers, so memory
+    does not grow with ``n_samples``."""
+    for rows, spans in _windows(obj, n_samples, seed, _WINDOW):
+        for a, b in spans:
+            yield {k: v[:, a:b] for k, v in rows.items()}
 
 
-def _sample_family(
-    real: CIRealization, n_samples: int, seed: int, ch: TestChannel | None = None
-) -> SampleBlock:
-    """A family realization's block, or with ``ch`` the test channel's on
-    the same source draws."""
+def _family_rows(real: CIRealization, width: int, ch: TestChannel | None = None):
+    """A family realization's rows, or with ``ch`` the test channel's on
+    the same source draws, with their jobs and combine."""
     p1, p2 = real.c1.shape[0], real.c2.shape[0]
-    x = np.empty((p1 + p2 + real.n, n_samples))
+    x = np.empty((p1 + p2 + real.n, width))
     y1, y2, w = x[:p1], x[p1 : p1 + p2], x[p1 + p2 :]
-    z1, z2 = np.empty((p1, n_samples)), np.empty((p2, n_samples))
+    z1, z2 = np.empty((p1, width)), np.empty((p2, width))
     jobs = [
         ("w", sqrt_psd(real.qw), w),
         ("z1", sqrt_psd(real.qz1), z1),
         ("z2", sqrt_psd(real.qz2), z2),
     ]
-    rows = {"z1": z1, "z2": z2}
+    rows = {"joint": x, "y1": y1, "y2": y2, "w": w, "z1": z1, "z2": z2}
     recon = []
     if ch is not None:
-        v, yhat = np.empty((2, p1 + p2, n_samples))
+        v, yhat = np.empty((2, p1 + p2, width))
         jobs += [("v1", sqrt_psd(ch.qv1), v[:p1]), ("v2", sqrt_psd(ch.qv2), v[p1:])]
         recon = [
             (yhat[:p1], real.c1, ch.a1, z1, v[:p1]),
             (yhat[p1:], real.c2, ch.a2, z2, v[p1:]),
         ]
         rows.update(v=v, yhat1=yhat[:p1], yhat2=yhat[p1:])
-    _draw(seed, jobs)
 
     def combine(s):
         for y, c, z in ((y1, real.c1, z1), (y2, real.c2, z2)):
@@ -415,19 +423,18 @@ def _sample_family(
             yh[:, s] += a @ z[:, s]
             yh[:, s] += vi[:, s]
 
-    _by_columns(n_samples, combine)
-    return _block(x, p1, p2, **rows)
+    return rows, jobs, combine
 
 
-def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
+def _optimal_rows(st: OptimalState, width: int):
     idx = st.idx
     p11, n, p1, p2 = idx.p11, st.d.size, idx.p1, idx.p2
     d, rd = st.d[:, None], np.sqrt(st.d)[:, None]
     g2_scale = np.sqrt(1.0 - d * d)
     l1, l2, l3 = st.l1[:, None], st.l2[:, None], st.l3[:, None]
-    x = np.empty((p1 + p2 + p11 + n, n_samples))
-    z = np.zeros((p1 + p2, n_samples))  # Z of the identical parts is 0
-    v = np.empty((n, n_samples))
+    x = np.empty((p1 + p2 + p11 + n, width))
+    z = np.zeros((p1 + p2, width))  # Z of the identical parts is 0
+    v = np.empty((n, width))
     # row blocks y_ij, z_ij of branch i; part j is identical (1),
     # correlated (2) or private (3); W = (W1; W2)
     y11, y12, y13 = x[:p11], x[p11 : p11 + n], x[p11 + n : p1]
@@ -435,8 +442,8 @@ def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
     w1, w2 = x[p1 + p2 : p1 + p2 + p11], x[p1 + p2 + p11 :]
     z12, z13 = z[p11 : p11 + n], z[p11 + n : p1]
     z22, z23 = z[p1 + p11 : p1 + p11 + n], z[p1 + p11 + n :]
-    _draw(seed, [("w", None, w1), ("z1", None, y12), ("z2", None, z22),
-                 ("v", None, v), ("p1", None, y13), ("p2", None, y23)])
+    jobs = [("w", None, w1), ("z1", None, y12), ("z2", None, z22),
+            ("v", None, v), ("p1", None, y13), ("p2", None, y23)]
 
     def combine(s):
         y11[:, s] = y21[:, s] = w1[:, s]
@@ -456,5 +463,6 @@ def _sample_optimal(st: OptimalState, n_samples: int, seed: int) -> SampleBlock:
         z13[:, s] = y13[:, s]
         z23[:, s] = y23[:, s]
 
-    _by_columns(n_samples, combine)
-    return _block(x, p1, p2, z1=z[:p1], z2=z[p1:], v=v)
+    rows = {"joint": x, "y1": x[:p1], "y2": x[p1 : p1 + p2], "w": x[p1 + p2 :],
+            "z1": z[:p1], "z2": z[p1:], "v": v}
+    return rows, jobs, combine

@@ -417,6 +417,26 @@ def test_simulate_tampered_realization_exit_code(runner, cvf_file, tmp_path, fie
     assert json.loads(res.stderr)["error"] == "DimensionMismatch"
 
 
+@pytest.mark.parametrize("state, key", [
+    *((False, key) for key in ("kind", "d", "idx")),
+    *((True, key) for key in ("kind", "d", "qw", "c1", "c2", "qz1", "qz2", "n")),
+])
+def test_simulate_realization_without_a_key_is_a_usage_error(runner, cvf_file, tmp_path,
+                                                              state, key):
+    qw = tmp_path / "qw.json"
+    qw.write_text(json.dumps({"Q": np.diag([1.1, 1.0, 0.9]).tolist()}))
+    real = tmp_path / "real.json"
+    args = ["realize", "--in", cvf_file, "--out", str(real)] + (["--qw", str(qw)] if state else [])
+    assert runner.invoke(main, args).exit_code == 0
+    body = json.loads(real.read_text())
+    del body[key]
+    real.write_text(json.dumps(body))
+    res = runner.invoke(main, ["simulate", "--realization", str(real), "-N", "4000",
+                               "--seed", "1", "--report", str(tmp_path / "rep.json")])
+    assert res.exit_code == 2, res.output
+    assert f"realization file has no {key!r}" in res.stderr
+
+
 def test_cvf_bad_thresholds_are_a_usage_error(runner, pair_file, tmp_path):
     out = tmp_path / "cvf.json"
     res = runner.invoke(main, ["cvf", "--in", pair_file, "--h1", "1e-6", "--h2", "1e-3",

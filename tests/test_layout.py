@@ -88,7 +88,7 @@ FOREIGN_RAISES = {
         "the region command builds its weights in [0, 1]",
     ("rdf.py", "conditional_rdf", "ValueError"):
         "the --branch option offers only 1 and 2",
-    ("realize.py", "sample", "TypeError"):
+    ("realize.py", "_windows", "TypeError"):
         "simulate samples only the realizations and states it builds",
 }
 

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gwgauss as gw
+from gwgauss import realize
+from gwgauss.mc_oracle import MIN_SAMPLES
+from gwgauss.realize import _CHUNK, _WINDOW
 
 
 def family_block(n_samples=50000, seed=11):
@@ -141,3 +145,65 @@ def test_hand_built_block_reports_like_the_sampler_views():
     a = gw.validate_realization(blk, target, distortion_targets=(0.3, 0.25))
     b = gw.validate_realization(copied, target, distortion_targets=(0.3, 0.25))
     assert vars(a) == vars(b)
+
+
+def _stream_cases():
+    d = np.array([0.8, 0.5, 0.3])
+    q = np.array([1.1, 1.0, 0.9])
+    u = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    dense = (u * np.array([1.05, 0.95, 1.1])) @ u.T
+    dense = 0.5 * (dense + dense.T)
+    # identical, correlated and private parts on both sides
+    idx = gw.IndexSextuple(1, 3, 1, 1, 3, 2)
+    return {
+        "optimal": (gw.optimal_state(idx, d), gw.optimal_triple_cov(idx, d), None),
+        "diagonal": (gw.family_realization(d, np.diag(q)), gw.state_triple_cov(d, np.diag(q)),
+                     None),
+        "dense": (gw.family_realization(d, dense), gw.state_triple_cov(d, dense), None),
+        "channel": (gw.test_channel(d, q, [0.05, 0.1, 0.2], [0.1, 0.1, 0.1]),
+                    gw.state_triple_cov(d, np.diag(q)), (0.35, 0.3)),
+    }
+
+
+@pytest.mark.parametrize("n", [1000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("kind", ["optimal", "diagonal", "dense", "channel"])
+def test_streamed_report_is_the_block_report(kind, n):
+    obj, target, distortion = _stream_cases()[kind]
+    block = gw.validate_realization(gw.sample(obj, n, 31), target, distortion)
+    streamed = gw.validate_stream(obj, n, 31, target, distortion)
+    assert vars(streamed) == vars(block)
+    assert (streamed.distortion_errs is None) == (distortion is None)
+
+
+def test_streamed_validation_runs_in_constant_memory():
+    obj, target, distortion = _stream_cases()["channel"]
+    # every buffer the sampler fills; "joint" is a view of three of them
+    window = sum(
+        a.nbytes for k, a in vars(gw.sample(obj, _WINDOW * _CHUNK, 1)).items()
+        if isinstance(a, np.ndarray) and k != "joint"
+    )
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            gw.validate_stream(obj, n, 2, target, distortion)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2 * _CHUNK), peak(16 * _CHUNK)
+    assert long - short < window
+    assert long < 16 * _CHUNK * target.shape[0] * 8
+
+
+def test_streamed_validation_checks_the_row_count_before_drawing(monkeypatch):
+    obj, target, _ = _stream_cases()["diagonal"]
+
+    def no_draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(realize, "_draw", no_draw)
+    with pytest.raises(gw.TooFewSamples):
+        gw.validate_stream(obj, MIN_SAMPLES - 1, 3, target)
+    with pytest.raises(AssertionError):
+        gw.validate_stream(obj, MIN_SAMPLES, 3, target)

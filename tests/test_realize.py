@@ -384,6 +384,11 @@ def test_sampling_an_indefinite_noise_covariance_raises():
 
 
 
+def test_encoder_split_of_a_singular_state_is_not_positive_definite():
+    with pytest.raises(gw.NotPositiveDefinite):
+        gw.encoder_split(np.zeros((3, 3)), 1, 1)
+
+
 def test_realization_blocks_must_agree():
     real = gw.family_realization([0.6, 0.2], np.eye(2))
     assert real.n == 2
@@ -407,3 +412,5 @@ def test_block_fields_are_views_of_one_component_major_buffer():
         assert x.shape == (p1 + p2 + blk.w.shape[1], 1200)
         np.testing.assert_array_equal(x, np.hstack([blk.y1, blk.y2, blk.w]).T)
         assert blk.y2.base is x and blk.w.base is x
+        assert blk.joint.base is x and blk.joint.shape == (1200, x.shape[0])
+        np.testing.assert_array_equal(blk.joint, x.T)
