@@ -58,6 +58,7 @@ EXIT_FILE_NOT_FOUND = 3
 EXIT_OTHER = 18
 
 UNITS_CHOICE = click.Choice(["nats", "bits", "paper-example-bits"])
+IDX_KEYS = ("p11", "p12", "p13", "p21", "p22", "p23")
 
 
 def _default_units() -> str:
@@ -86,11 +87,22 @@ def _guarded(fn):
     return wrapper
 
 
+def _require(obj, what: str, *keys: str, exact: bool = False):
+    """``obj`` if a JSON object with ``keys`` (no other if ``exact``), else a usage error."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise click.UsageError(f"{what} has no {key!r}")
+    stray = sorted(set(obj) - set(keys)) if exact else []
+    if stray:
+        raise click.UsageError(f"{what} has the unknown key {stray[0]!r}")
+    return obj
+
+
 def _read_pair(path: str) -> JointGaussianPair:
     text = Path(path).read_text()
     if path.endswith(".csv"):
         return pair_from_csv(text)
-    return pair_from_dict(json.loads(text))
+    return pair_from_dict(_require(json.loads(text), "pair file", "p1", "p2", "Q"))
 
 
 def _write_or_echo(out: str | None, text: str) -> None:
@@ -105,7 +117,7 @@ def _cvf_to_dict(cf: CanonicalForm, thresholds: Thresholds) -> dict:
         "p1": cf.idx.p1,
         "p2": cf.idx.p2,
         "thresholds": {"h1": thresholds.h1, "h2": thresholds.h2},
-        "idx": {k: getattr(cf.idx, k) for k in ("p11", "p12", "p13", "p21", "p22", "p23")},
+        "idx": {k: getattr(cf.idx, k) for k in IDX_KEYS},
         "d": cf.d.tolist(),
         "s1": cf.s1.tolist(),
         "s2": cf.s2.tolist(),
@@ -122,8 +134,8 @@ def _cvf_to_dict(cf: CanonicalForm, thresholds: Thresholds) -> dict:
 
 
 def _load_cvf(path: str) -> dict:
-    obj = json.loads(Path(path).read_text())
-    obj["idx_tuple"] = IndexSextuple(**obj["idx"])
+    obj = _require(json.loads(Path(path).read_text()), "canonical-form file", "idx", "d")
+    obj["idx_tuple"] = IndexSextuple(**_require(obj["idx"], '"idx"', *IDX_KEYS, exact=True))
     obj["d_array"] = check_canonical_args(obj["idx_tuple"], obj["d"])
     return obj
 
@@ -249,14 +261,12 @@ def simulate_cmd(real_path, n_samples, seed, report_path):
     obj = json.loads(Path(real_path).read_text())
     blocks = ("c1", "c2", "qz1", "qz2", "qw")
     keys = {"optimal-state": ("d", "idx"), "ci-family": ("d", "n", *blocks)}
-    for key in ("kind", *keys.get(obj.get("kind"), ())):
-        if key not in obj:
-            raise click.UsageError(f"realization file has no {key!r}")
+    _require(obj, "realization file", "kind", *keys.get(obj.get("kind"), ()))
     if obj["kind"] not in keys:
         raise click.UsageError(f"unknown realization kind {obj['kind']!r}")
     d = np.asarray(obj["d"], dtype=float)
     if obj["kind"] == "optimal-state":
-        idx = IndexSextuple(**obj["idx"])
+        idx = IndexSextuple(**_require(obj["idx"], '"idx"', *IDX_KEYS, exact=True))
         target = optimal_triple_cov(idx, d)
         source = optimal_state(idx, d)
     else:
@@ -306,9 +316,9 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
             "water_level": res.water_level,
             "active_set": res.active_set.tolist(),
         }
+    elif delta2 is None:
+        raise click.UsageError(f"{kind} requires --delta2")
     elif kind == "joint":
-        if delta2 is None:
-            raise click.UsageError("joint rate requires --delta2")
         res = joint_rdf(d, delta1, delta2)
         body = {
             "rate": nats_to(res.rate, units),
@@ -320,8 +330,6 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
             "dual_gap": nats_to(res.dual_gap, units),
         }
     else:
-        if delta2 is None:
-            raise click.UsageError("gray-bound requires --delta2")
         body = {"rate": nats_to(gray_lower_bound(d, delta1, delta2), units)}
     body["units"] = units
     click.echo(json.dumps(body))

@@ -269,7 +269,7 @@ _LINE_STEPS = 100
 _G_ROUND = 1e-10
 # a residual within this many of the rounding size its oracle reports is met
 _FLOOR = 4.0
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _SGN = np.array([[1.0], [-1.0]])  # dv_i/du = sgn_i w_i in ci_dual, w_i = 1 - v_i
 
 
@@ -282,63 +282,63 @@ def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
 def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
     """Minimize a convex dual over its two budget multipliers by damped
     Newton steps projected onto lam >= 0 (Boyd & Vandenberghe, Convex
-    Optimization, 9.5 and 10.2).
+    Optimization, 9.5 and 10.2) in floats, cheaper than numpy on 2-vectors.
 
-    ``oracle(lam)`` returns the dual's Hessian and value, the relative
-    budget residuals ``res`` (a slack budget whose multiplier is 0 counts as
-    met; the gradient is ``res * delta``), the rounding size of each
-    residual and the primal state at lam.  The solve stops once every
-    ``|res_i|`` is within ``_BUDGET_RTOL`` or within ``_FLOOR`` times its
-    rounding size.  The Newton system gets a ridge of 1e-14 times each
-    diagonal entry (the trace where an entry is 0), so the step does not
-    depend on the scale of either multiplier.  Returns the last accepted
-    lam and state, the Newton steps taken and the oracle calls made.
+    ``oracle(lam)`` takes lam as a length-2 float array (nats per unit of
+    distortion) and returns ``((h11, h12), (h21, h22)), g, (res1, res2),
+    (size1, size2), state``: floats for the dual's Hessian (squared
+    distortion per nat), its value (nats), the relative budget residuals
+    ``1 - sum_i / delta_i`` (0 on a slack budget whose multiplier is 0; the
+    gradient is ``res * delta``) and their rounding sizes, and the primal
+    state.  The solve stops once every ``|res_i|`` is within ``_BUDGET_RTOL``
+    or ``_FLOOR`` times its size.  Returns the last accepted lam (``start``
+    if no step is taken) and state, the Newton steps and the oracle calls.
     """
-    lam = start
-    hess, g, res, size, state = oracle(lam)
+    lam, (s1, s2), (d1, d2) = start, start.tolist(), delta.tolist()
+    l1, l2 = s1, s2
+    ((h11, h12), (_, h22)), g, (r1, r2), (z1, z2), state = oracle(lam)
     steps, evals = 0, 1
-    while steps < _NEWTON_STEPS and np.any(np.abs(res) > np.maximum(_BUDGET_RTOL, _FLOOR * size)):
-        (h11, h12), (_, h22) = hess.tolist()
+    while steps < _NEWTON_STEPS and (abs(r1) > max(_FLOOR * z1, _BUDGET_RTOL)
+                                     or abs(r2) > max(_FLOOR * z2, _BUDGET_RTOL)):
         ridge = 1e-14 * (h11 + h22)
         if ridge == 0.0:
             break  # no multiplier moves the budget sums
-        # a near-singular Hessian along a valley of the dual would make the
-        # step infinite; a ridge of 1e-14 of each diagonal entry keeps it
-        # finite there without swamping the curvature of a multiplier
-        # decades below the other (a ridge of the trace did)
+        # a near-singular Hessian along a valley would make the step
+        # infinite; a ridge of 1e-14 of each diagonal entry (the trace where
+        # one is 0) keeps it finite and free of either multiplier's scale,
+        # where a ridge of the trace swamped a multiplier decades below
         h11 += 1e-14 * h11 or ridge
         h22 += 1e-14 * h22 or ridge
-        grad = res * delta
-        g1, g2 = grad.tolist()
+        g1, g2 = r1 * d1, r2 * d2
         # a zero multiplier whose budget is slack stays at 0
-        move1, move2 = (lam > 0.0) | (res < 0.0)
+        move1, move2 = l1 > 0.0 or r1 < 0.0, l2 > 0.0 or r2 < 0.0
         if move1 and move2:
             det = h11 * h22 - h12 * h12
-            step = np.array([(h22 * g1 - h12 * g2) / det, (h11 * g2 - h12 * g1) / det])
+            p1, p2 = (h22 * g1 - h12 * g2) / det, (h11 * g2 - h12 * g1) / det
         else:
-            step = np.array([g1 / h11 if move1 else 0.0, g2 / h22 if move2 else 0.0])
+            p1, p2 = g1 / h11 if move1 else 0.0, g2 / h22 if move2 else 0.0
         # a positive multiplier stops at 0 when the step reaches it, and
         # none grows by more than its value plus its start, which bounds
         # the long steps the ridge allows along a valley
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.where(step > 0.0, lam, lam + start) / np.abs(step)
-        t = min(1.0, reach[(lam > 0.0) | (step < 0.0)].min(initial=np.inf))
-        norm = np.linalg.norm(res)
+        e1, e2 = ((lm if p > 0.0 else lm + s) / abs(p) if p else math.inf
+                  for lm, s, p in ((l1, s1, p1), (l2, s2, p2)))
+        t = min(1.0, *(e for e, lm, p in ((e1, l1, p1), (e2, l2, p2)) if lm > 0.0 or p < 0.0))
         stalls = halvings = 0
         while stalls <= _HALVINGS and halvings < _LINE_STEPS:
-            trial = np.where((step > 0.0) & (t >= reach), 0.0, np.maximum(lam - t * step, 0.0))
-            bhess, bg, bres, bsize, bstate = oracle(trial)
+            q1 = 0.0 if p1 > 0.0 and t >= e1 else max(l1 - t * p1, 0.0)
+            q2 = 0.0 if p2 > 0.0 and t >= e2 else max(l2 - t * p2, 0.0)
+            out = oracle(trial := np.array([q1, q2]))
             evals += 1
             # Armijo on the dual value while its predicted decrease is above
             # the rounding of g: on a flat stretch of the dual the residual
             # norm can stall while g still falls.  Below that rounding only
             # the residual norm can tell progress, and halvings that lower
             # nothing mark the rounding floor of the budget sums.
-            drop = float(grad @ (lam - trial))
+            drop = g1 * (l1 - q1) + g2 * (l2 - q2)
             if drop > _G_ROUND * (1.0 + abs(g)):
-                if bg <= g - 1e-4 * drop:
+                if out[1] <= g - 1e-4 * drop:
                     break
-            elif np.linalg.norm(bres) <= (1.0 - 1e-4 * t) * norm:
+            elif math.hypot(*out[2]) <= (1.0 - 1e-4 * t) * math.hypot(r1, r2):
                 break
             else:
                 stalls += 1
@@ -346,7 +346,7 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
             halvings += 1
         else:
             break  # no trial lowers the residual: it is at the rounding floor
-        lam, hess, g, res, size, state = trial, bhess, bg, bres, bsize, bstate
+        lam, l1, l2, (((h11, h12), (_, h22)), g, (r1, r2), (z1, z2), state) = trial, q1, q2, out
         steps += 1
     return lam, state, steps, evals
 
@@ -406,15 +406,14 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     pos = d > 0.0
     with np.errstate(divide="ignore"):
         ld = np.log(d)  # -inf where d = 0
-    k = (1.0 - alpha)[:, None]
-    on = alpha > 0.0
+    kh = 0.5 * (1.0 - alpha)[:, None]
+    weights, (d1, d2) = alpha.tolist(), delta.tolist()
     u = np.zeros(d.size)
     # the multipliers of the last family evaluation and its du/dmu
     last_mu, slope = np.zeros(2), np.zeros((2, d.size))
-    kh = 0.5 * k
 
     def terms(w, v, active, m):
-        # h' = psi_1 w_1 - psi_2 w_2 with psi_i = b_i - a_i / v_i: a = k/2
+        # h' = psi_1 w_1 - psi_2 w_2 with psi_i = b_i - a_i / v_i: a = kh
         # and b = 0 on an active piece, a = 1/2 and b = mu on a saturated
         # one.  Returns the terms psi_i w_i, the size of those terms (for
         # the rounding of h') and h'' = sum_i (a_i w_i^2 / v_i^2 - psi_i w_i)
@@ -426,10 +425,10 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
         sz = (0.5 * r + b) * w
         return pw, sz[0] + sz[1], ct[0] + ct[1]
 
-    def residuals(mu, sums):
+    def residuals(mu1, mu2, sum1, sum2):
         # a slack budget whose multiplier is 0 counts as met
-        r = 1.0 - sums / delta
-        return np.where(mu > 0.0, r, np.minimum(r, 0.0))
+        r1, r2 = 1.0 - sum1 / d1, 1.0 - sum2 / d2
+        return r1 if mu1 > 0.0 else min(r1, 0.0), r2 if mu2 > 0.0 else min(r2, 0.0)
 
     def unit_oracle(mu):
         mu1, mu2 = mu.tolist()
@@ -439,8 +438,8 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
         cap = pos & (dd > (1.0 - c1) * (1.0 - c2)) if c1 < 1.0 and c2 < 1.0 else pos
         free = d.size - np.count_nonzero(cap)
         # each active piece adds c_i / mu_i = 2 c_i^2
-        hess = np.array([[2.0 * free * c1 * c1 if c1 < 1.0 else 0.0, 0.0],
-                         [0.0, 2.0 * free * c2 * c2 if c2 < 1.0 else 0.0]])
+        h11, h22 = (2.0 * free * ci * ci if ci < 1.0 else 0.0 for ci in (c1, c2))
+        h12 = 0.0
         if free < d.size:
             # 1 minus the cap root's iterate, the larger multiplier's
             # allocation, keeps its precision where the other runs to 1
@@ -451,19 +450,23 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
             w[i] = 1.0 - xc[i]
             w[1 - i] = cc / w[i]
             s = _SGN * w / np.sqrt(terms(w, xc, False, mu[:, None])[2])
-            hess += s @ s.T
-        sums = x.sum(1)
-        g = float(mu @ (delta - sums) + 0.5 * np.log(x).sum())
-        return hess, g, residuals(mu, sums), 4.0 * _EPS * sums / delta, (x, u, g)
+            (s11, h12), (_, s22) = (s @ s.T).tolist()
+            h11, h22 = h11 + s11, h22 + s22
+        sum1, sum2 = x.sum(1).tolist()
+        g = mu1 * (d1 - sum1) + mu2 * (d2 - sum2) + 0.5 * float(np.log(x).sum())
+        size = (4.0 * _EPS * sum1 / d1, 4.0 * _EPS * sum2 / d2)
+        return ((h11, h12), (h12, h22)), g, residuals(mu1, mu2, sum1, sum2), size, (x, u, g)
 
     def family_oracle(mu):
         nonlocal u, last_mu, slope
-        m = mu[:, None]
+        (mu1, mu2), m = mu.tolist(), mu[:, None]
+        c1, c2 = (a / (2.0 * mi) if mi > 0.0 else math.inf if a > 0.0 else 0.0
+                  for a, mi in zip(weights, (mu1, mu2)))  # inf on a weighted branch with mu = 0
+        c = np.array([[c1], [c2]])
+        # -alpha/2 log c + mu c, the value of a weighted active piece
+        pinned = np.array([[0.5 * a * (1.0 - math.log(ci)) if 0.0 < ci < math.inf else 0.0]
+                           for a, ci in zip(weights, (c1, c2))])
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(on, alpha / (2.0 * mu), 0.0)  # inf on a weighted branch with mu = 0
-            # -alpha/2 log c + mu c, the value of a weighted active piece
-            pinned = np.where(on & (mu > 0.0), 0.5 * alpha * (1.0 - np.log(c)), 0.0)[:, None]
-            c = c[:, None]
             # the last roots moved to first order in mu, at most halfway to
             # the family boundary
             u = np.clip(u - (mu - last_mu) @ slope, 0.5 * (ld + u), 0.5 * (u - ld))
@@ -482,21 +485,25 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
                 if done.all() or it == _INNER_STEPS - 1:
                     break
                 u = np.where(done, u, nxt)
-            sat = ~active & on[:, None]
+            sat = ~active & (c > 0.0)  # a branch with zero weight has no allocation
             # dh'/dmu_i = sgn_i w_i on a saturated branch, so a root moves by
             # du/dmu_i = -sgn_i w_i / h''; s = that times sqrt(h'')
             root = np.sqrt(np.where(curv > 0.0, curv, 1.0))
             s = np.where(sat, _SGN * w, 0.0) / root
             last_mu, slope = mu, s / root
-            drift = np.where(on & (mu > 0.0), active.sum(1) * c[:, 0] / mu, 0.0)
         lv = np.log(v)
         value = np.where(active, pinned - kh * lv, m * v - 0.5 * lv)
-        g = float(mu @ delta - value.sum())
+        g = mu1 * d1 + mu2 * d2 - float(value.sum())
         x = np.where(active, c, v)
-        rounding = np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u)) / delta
-        return np.diag(drift) + s @ s.T, g, residuals(mu, x.sum(1)), rounding, (x, u, g)
+        res = residuals(mu1, mu2, *x.sum(1).tolist())
+        z1, z2 = (np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u))).tolist()
+        (s11, h12), (_, s22) = (s @ s.T).tolist()
+        # each active piece of a priced branch adds c_i / mu_i to the diagonal
+        h11, h22 = (sii + n * ci / mi if mi > 0.0 else sii for sii, n, ci, mi
+                    in zip((s11, s22), active.sum(1).tolist(), (c1, c2), (mu1, mu2)))
+        return ((h11, h12), (h12, h22)), g, res, (z1 / d1, z2 / d2), (x, u, g)
 
-    unit = alpha.tolist() == [1.0, 1.0]
+    unit = weights == [1.0, 1.0]
     mu, (x, u, g), steps, evals = _dual_newton(unit_oracle if unit else family_oracle, delta, start)
     if unit:
         # the state of least R0 with x_i <= v_i(u) on both branches, u = 0

@@ -437,6 +437,48 @@ def test_simulate_realization_without_a_key_is_a_usage_error(runner, cvf_file, t
     assert f"realization file has no {key!r}" in res.stderr
 
 
+IDX = {"p11": 0, "p12": 3, "p13": 0, "p21": 0, "p22": 3, "p23": 0}
+
+
+@pytest.mark.parametrize("reader, change, message", [
+    # the pair reader of cvf and common-info
+    ("pair", {"Q": None}, "pair file has no 'Q'"),
+    ("pair", {"p1": None}, "pair file has no 'p1'"),
+    # the canonical-form reader of common-info, realize, rdf and region
+    ("cvf", {"d": None}, "canonical-form file has no 'd'"),
+    ("cvf", {"idx": None}, "canonical-form file has no 'idx'"),
+    ("cvf", {"idx": {"p12": 3}}, "\"idx\" has no 'p11'"),
+    ("cvf", {"idx": {**IDX, "p14": 0}}, "\"idx\" has the unknown key 'p14'"),
+    # simulate's reader of an optimal-state realization
+    ("realization", {"idx": {"p12": 3}}, "\"idx\" has no 'p11'"),
+    ("realization", {"idx": {**IDX, "p14": 0}}, "\"idx\" has the unknown key 'p14'"),
+])
+def test_input_file_without_a_key_is_a_usage_error(runner, pair_file, cvf_file, tmp_path,
+                                                   reader, change, message):
+    # a missing key, or an idx that does not hold exactly the six counts,
+    # once ended in a KeyError or TypeError traceback (exit 1)
+    path = {"pair": pair_file, "cvf": cvf_file, "realization": str(tmp_path / "real.json")}[reader]
+    if reader == "realization":
+        assert runner.invoke(main, ["realize", "--in", cvf_file, "--out", path]).exit_code == 0
+    body = json.loads(Path(path).read_text())
+    assert body.get("idx", IDX) == IDX
+    for key, value in change.items():
+        if value is None:
+            del body[key]
+        else:
+            body[key] = value
+    Path(path).write_text(json.dumps(body))
+    args = {
+        "pair": ["cvf", "--in", path, "--out", str(tmp_path / "out.json")],
+        "cvf": ["rdf", "joint", "--in", path, "--delta1", "0.3", "--delta2", "0.3"],
+        "realization": ["simulate", "--realization", path, "-N", "4000", "--seed", "1",
+                        "--report", str(tmp_path / "rep.json")],
+    }[reader]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
+
+
 def test_cvf_bad_thresholds_are_a_usage_error(runner, pair_file, tmp_path):
     out = tmp_path / "cvf.json"
     res = runner.invoke(main, ["cvf", "--in", pair_file, "--h1", "1e-6", "--h2", "1e-3",

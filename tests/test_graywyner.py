@@ -480,3 +480,23 @@ def test_region_sweep_gap_allowance_off_unit_weights():
         for pt in gw.region_sweep(d, delta1, delta2, alphas=alphas):
             assert pt.converged
             assert 0.0 < pt.gap <= 1e-12 * (1.0 + abs(pt.objective)), (d.tolist(), delta1, delta2)
+
+
+def test_region_sweep_evaluations_on_benchmark_like_instances():
+    # a deterministic stand-in for the sweep's speed, on instances like the
+    # benchmark's sweep workload: jittered n = 1, 2, 3 bases, budgets at
+    # 0.5-0.8 of the D_W edge.  Equal weights start at their optimum, the
+    # identity state with the equal split, and no point takes more than 6
+    # dual evaluations
+    rng = np.random.default_rng(30)
+    bases = ([(x,) for x in np.linspace(0.2, 0.85, 14)]
+             + [(x, r * x) for x, r in zip(np.linspace(0.4, 0.9, 14), [0.3, 0.5, 0.7] * 5)]
+             + [(0.8, 0.5, 0.1)])
+    for _ in range(5):
+        for base in bases:
+            d = np.sort(np.asarray(base) + rng.uniform(-0.03, 0.03, len(base)))[::-1]
+            delta1, delta2 = rng.uniform(0.5, 0.8, 2) * gw.dw_bound(d)
+            for pt in gw.region_sweep(d, delta1, delta2, alphas=BENCH_WEIGHTS):
+                assert pt.iterations <= 6, (d, delta1, delta2, pt.alpha1, pt.alpha2)
+                if pt.alpha1 == pt.alpha2:
+                    assert pt.iterations == 1, (d, delta1, delta2, pt.alpha1)

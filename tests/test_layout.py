@@ -2,11 +2,13 @@
 test oracles."""
 
 import ast
+import json
 from pathlib import Path
 
 import gwgauss as gw
 
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_reference_oracles_import_nothing_from_gwgauss():
@@ -130,3 +132,23 @@ def test_foreign_raise_check_sees_a_new_bare_error():
     assert _foreign_raises("cvf.py", source) == {("cvf.py", "decompose", "ValueError")}
     packaged = "def decompose(pair):\n    raise err.DimensionMismatch('no')\n"
     assert _foreign_raises("cvf.py", packaged) == set()
+
+
+def test_every_bench_record_is_valid():
+    # each recorded run names its side and a workload of BENCHMARK.json,
+    # passed its checks, and carries exactly the declared end-to-end metrics
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        runs = json.loads(path.read_text())["runs"]
+        assert runs, path.name
+        for run in runs:
+            where = (path.name, run["side"], run["workload"], run["seed"])
+            assert run["side"] in ("parent", "change"), where
+            assert run["workload"] in workloads, where
+            result = run["result"]
+            assert result["correct"] is True and result["failed"] == 0, where
+            assert {k: v["unit"] for k, v in result["metrics"].items()} == units, where

@@ -563,6 +563,58 @@ def test_dual_line_search_halvings_are_bounded():
     assert steps == 0 and lam is start
 
 
+def _quadratic_oracle(hess, target, calls):
+    # the dual 0.5 (lam - target)' H (lam - target) over unit budgets: the
+    # residual is the gradient, and a slack budget whose multiplier is 0
+    # counts as met
+    def oracle(lam):
+        calls.append(lam.copy())
+        grad = hess @ (lam - target)
+        res = np.where(lam > 0.0, grad, np.minimum(grad, 0.0))
+        return hess, 0.5 * float((lam - target) @ grad), res, np.zeros(2), lam
+
+    return oracle
+
+
+def test_dual_zero_multiplier_on_a_slack_budget_stays_at_zero():
+    # at lam1 = 0 the first budget is slack (gradient 0.7 > 0), so its
+    # residual reads 0; the coupled Newton step would raise lam1, but lam1
+    # stays at 0 and lam2 takes the 1-d step to the constrained optimum 0.9
+    calls = []
+    hess = np.array([[1.0, 0.5], [0.5, 1.0]])
+    oracle = _quadratic_oracle(hess, np.array([-0.2, 1.0]), calls)
+    lam, _, steps, evals = rdf._dual_newton(oracle, np.ones(2), np.array([0.0, 2.0]))
+    assert all(trial[0] == 0.0 for trial in calls)
+    assert steps == 1 and evals == len(calls) == 2
+    assert lam[0] == 0.0 and abs(lam[1] - 0.9) <= 1e-12
+
+
+def test_dual_step_that_reaches_a_multiplier_clamps_it_at_zero():
+    # the Newton step 1.6 / (1 + 1e-14) overshoots lam1 = 0.9, so t stops at
+    # its reach 0.9 / step, where 0.9 - t * step rounds to 1.1e-16, not 0;
+    # the trial sets lam1 to exactly 0, where the budget is slack and met
+    calls = []
+    oracle = _quadratic_oracle(np.eye(2), np.array([-0.7, 1.0]), calls)
+    lam, _, steps, evals = rdf._dual_newton(oracle, np.ones(2), np.array([0.9, 1.0]))
+    assert calls[1][0] == 0.0 and calls[1][1] == 1.0
+    assert steps == 1 and evals == 2
+    assert lam.tolist() == [0.0, 1.0]
+
+
+def test_dual_zero_hessian_exits_at_the_start():
+    # no multiplier moves the budget sums (ridge == 0): one evaluation, no step
+    calls = []
+
+    def oracle(lam):
+        calls.append(lam)
+        return np.zeros((2, 2)), 0.0, np.array([0.5, -0.5]), np.zeros(2), lam
+
+    start = np.array([0.3, 0.4])
+    lam, state, steps, evals = rdf._dual_newton(oracle, np.ones(2), start)
+    assert steps == 0 and evals == len(calls) == 1
+    assert lam is start and state is start
+
+
 # ---------------------------------------------------------------- cap solve
 
 
