@@ -59,6 +59,7 @@ EXIT_OTHER = 18
 
 UNITS_CHOICE = click.Choice(["nats", "bits", "paper-example-bits"])
 IDX_KEYS = ("p11", "p12", "p13", "p21", "p22", "p23")
+BLOCKS = ("c1", "c2", "qz1", "qz2", "qw")  # of a family realization
 
 
 def _default_units() -> str:
@@ -87,22 +88,43 @@ def _guarded(fn):
     return wrapper
 
 
-def _require(obj, what: str, *keys: str, exact: bool = False):
-    """``obj`` if a JSON object with ``keys`` (no other if ``exact``), else a usage error."""
-    for key in keys:
-        if not isinstance(obj, dict) or key not in obj:
+def _numeric(value) -> bool:
+    try:
+        return np.asarray(value).dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting
+        return False
+
+
+def _require(obj, what: str, *keys: str, counts=(), arrays=(), exact: bool = False):
+    """``obj`` if a JSON object with ``keys``, integer ``counts`` and numeric
+    ``arrays`` (no other key if ``exact``), else a usage error naming the key."""
+    if not isinstance(obj, dict):
+        raise click.UsageError(f"{what} is not a JSON object")
+    for key in (*keys, *counts, *arrays):
+        if key not in obj:
             raise click.UsageError(f"{what} has no {key!r}")
-    stray = sorted(set(obj) - set(keys)) if exact else []
+        if key in counts and type(obj[key]) is not int:
+            raise click.UsageError(f"{what}: {key!r} is not an integer")
+        if key in arrays and not _numeric(obj[key]):
+            raise click.UsageError(f"{what}: {key!r} is not numeric")
+    stray = sorted(set(obj) - {*keys, *counts, *arrays}) if exact else []
     if stray:
         raise click.UsageError(f"{what} has the unknown key {stray[0]!r}")
     return obj
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise click.UsageError(f"{what} is not JSON ({exc})") from exc
+
+
 def _read_pair(path: str) -> JointGaussianPair:
-    text = Path(path).read_text()
     if path.endswith(".csv"):
-        return pair_from_csv(text)
-    return pair_from_dict(_require(json.loads(text), "pair file", "p1", "p2", "Q"))
+        return pair_from_csv(Path(path).read_text())
+    obj = _read_json(path, "pair file")
+    return pair_from_dict(_require(obj, "pair file", counts=("p1", "p2"), arrays=("Q",)))
 
 
 def _write_or_echo(out: str | None, text: str) -> None:
@@ -121,30 +143,25 @@ def _cvf_to_dict(cf: CanonicalForm, thresholds: Thresholds) -> dict:
         "d": cf.d.tolist(),
         "s1": cf.s1.tolist(),
         "s2": cf.s2.tolist(),
-        "audit": {
-            "u1": cf.u1.tolist(),
-            "u2": cf.u2.tolist(),
-            "u3": cf.u3.tolist(),
-            "u4": cf.u4.tolist(),
-            "d1": cf.d1.tolist(),
-            "d2": cf.d2.tolist(),
-            "sv": cf.sv.tolist(),
-        },
+        "audit": {k: getattr(cf, k).tolist() for k in ("u1", "u2", "u3", "u4", "d1", "d2", "sv")},
     }
 
 
 def _load_cvf(path: str) -> dict:
-    obj = _require(json.loads(Path(path).read_text()), "canonical-form file", "idx", "d")
-    obj["idx_tuple"] = IndexSextuple(**_require(obj["idx"], '"idx"', *IDX_KEYS, exact=True))
+    what = "canonical-form file"
+    obj = _require(_read_json(path, what), what, "idx", arrays=("d",))
+    idx = _require(obj["idx"], f'{what} "idx"', counts=IDX_KEYS, exact=True)
+    obj["idx_tuple"] = IndexSextuple(**idx)
     obj["d_array"] = check_canonical_args(obj["idx_tuple"], obj["d"])
     return obj
 
 
 def _load_state_matrix(path: str) -> np.ndarray:
-    obj = json.loads(Path(path).read_text())
-    if isinstance(obj, dict):
-        obj = obj.get("Q", obj.get("qw"))
-    return np.asarray(obj, dtype=float)
+    obj = _read_json(path, "state file")
+    # a bare matrix, or an object that holds it as "Q" or "qw"
+    obj = obj if isinstance(obj, dict) else {"qw": obj}
+    key = "Q" if "Q" in obj else "qw"
+    return np.asarray(_require(obj, "state file", arrays=(key,))[key], dtype=float)
 
 
 @click.group()
@@ -228,9 +245,7 @@ def realize_cmd(in_path, qw_spec, out):
             "kind": "optimal-state",
             "idx": cf["idx"],
             "d": d.tolist(),
-            "l1": st.l1.tolist(),
-            "l2": st.l2.tolist(),
-            "l3": st.l3.tolist(),
+            **{k: getattr(st, k).tolist() for k in ("l1", "l2", "l3")},
         }
     else:
         qw = _load_state_matrix(qw_spec)
@@ -240,11 +255,7 @@ def realize_cmd(in_path, qw_spec, out):
             "scope": "correlated-part",
             "n": real.n,
             "d": d.tolist(),
-            "c1": real.c1.tolist(),
-            "c2": real.c2.tolist(),
-            "qz1": real.qz1.tolist(),
-            "qz2": real.qz2.tolist(),
-            "qw": real.qw.tolist(),
+            **{k: getattr(real, k).tolist() for k in BLOCKS},
         }
     Path(out).write_text(json.dumps(body))
     click.echo(json.dumps({"kind": body["kind"], "out": out}))
@@ -258,22 +269,21 @@ def realize_cmd(in_path, qw_spec, out):
 @_guarded
 def simulate_cmd(real_path, n_samples, seed, report_path):
     """Draw samples from a realization and validate the second moments."""
-    obj = json.loads(Path(real_path).read_text())
-    blocks = ("c1", "c2", "qz1", "qz2", "qw")
-    keys = {"optimal-state": ("d", "idx"), "ci-family": ("d", "n", *blocks)}
-    _require(obj, "realization file", "kind", *keys.get(obj.get("kind"), ()))
-    if obj["kind"] not in keys:
-        raise click.UsageError(f"unknown realization kind {obj['kind']!r}")
-    d = np.asarray(obj["d"], dtype=float)
+    what = "realization file"
+    obj = _require(_read_json(real_path, what), what, "kind")
     if obj["kind"] == "optimal-state":
-        idx = IndexSextuple(**_require(obj["idx"], '"idx"', *IDX_KEYS, exact=True))
+        d = np.asarray(_require(obj, what, "idx", arrays=("d",))["d"], dtype=float)
+        idx = IndexSextuple(**_require(obj["idx"], f'{what} "idx"', counts=IDX_KEYS, exact=True))
         target = optimal_triple_cov(idx, d)
         source = optimal_state(idx, d)
-    else:
-        target = state_triple_cov(d, np.asarray(obj["qw"], dtype=float))
-        source = CIRealization(**{k: np.asarray(obj[k], dtype=float) for k in blocks})
+    elif obj["kind"] == "ci-family":
+        _require(obj, what, counts=("n",), arrays=("d", *BLOCKS))
+        target = state_triple_cov(*(np.asarray(obj[k], dtype=float) for k in ("d", "qw")))
+        source = CIRealization(**{k: np.asarray(obj[k], dtype=float) for k in BLOCKS})
         if obj["n"] != source.n:
             raise err.DimensionMismatch(f"\"n\" is {obj['n']} but qw is {source.n} x {source.n}")
+    else:
+        raise click.UsageError(f"unknown realization kind {obj['kind']!r}")
     rep = validate_stream(source, n_samples, seed, target)
     body = {
         "n_samples": rep.n_samples,
@@ -306,7 +316,9 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
     branch = int(branch)
     if kind in ("marginal", "conditional"):
         if kind == "marginal":
-            res = marginal_rdf(np.asarray(cf["audit"][f"d{branch}"], dtype=float), delta1)
+            key = f"d{branch}"
+            audit = _require(cf.get("audit"), 'canonical-form file "audit"', arrays=(key,))
+            res = marginal_rdf(np.asarray(audit[key], dtype=float), delta1)
         else:
             q = _load_state_matrix(qw_path) if qw_path else np.ones(d.size)
             res = conditional_rdf(d, q, branch, delta1)

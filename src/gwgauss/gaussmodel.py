@@ -2,9 +2,10 @@
 
 Everything downstream treats a zero-mean jointly Gaussian vector as fully
 described by its covariance, a plain float array, so this module owns the
-pair container of covariance blocks, the covariance validation and the
-entropy and mutual-information formulas, and it fixes the numerical
-conventions used everywhere else:
+pair container of covariance blocks, the covariance validation, the
+entropy and mutual-information formulas and the per-component algebra of
+a canonical block, and it fixes the numerical conventions used everywhere
+else:
 
 * symmetry is enforced up to ``1e-10 * (1 + max|Q|)`` and computations see
   the symmetrized matrix ``(Q + Q.T) / 2``;
@@ -199,15 +200,47 @@ def check_canonical_args(idx: "IndexSextuple", d) -> np.ndarray:
     return d
 
 
-def log_one_minus_square(d: np.ndarray) -> np.ndarray:
-    """``log(1 - d^2)`` for d in [0, 1), within ~3 eps relative.
+SGN = np.array([[1.0], [-1.0]])  # branch signs of a block: v_i = 1 - d e^{-sgn_i u}
 
-    ``log1p(-d * d)`` is exact for small d, but near 1 the rounding of
-    ``d * d`` costs ~eps / (1 - d) relative (2e-10 at 1 - d = 1e-9); from
-    d = 1/2 on, ``1 - d`` is exact and the log of ``(1 - d)(1 + d)`` is
-    taken instead.
-    """
-    return np.where(d < 0.5, np.log1p(-d * d), np.log((1.0 - d) * (1.0 + d)))
+
+def one_minus_square(d):
+    """``1 - d^2`` for d in [0, 1) as ``(1 - d)(1 + d)``, within ~2 eps
+    relative: ``1 - d * d`` loses ~eps / (1 - d) to the rounding of d * d."""
+    return (1.0 - d) * (1.0 + d)
+
+
+def log_one_minus_square(d: np.ndarray) -> np.ndarray:
+    """``log(1 - d^2)`` for d in [0, 1), within ~3 eps relative:
+    ``log1p(-d * d)`` below d = 1/2, the log of :func:`one_minus_square` on."""
+    return np.where(d < 0.5, np.log1p(-d * d), np.log(one_minus_square(d)))
+
+
+def common_information_terms(d: np.ndarray) -> np.ndarray:
+    """Per-component common information ``0.5 log((1 + d_j) / (1 - d_j))``,
+    nats, as ``arctanh(d_j)``, which stays within an ulp for small d_j."""
+    return np.arctanh(d)
+
+
+def branch_variances(log_d: np.ndarray, u: np.ndarray):
+    """``(w, v)`` at the diagonal state ``q = e^u``, each (2, n): ``w = d e^{-+u}``
+    and the branch variances ``v = 1 - w``, ``1 - d/q`` and ``1 - d q``, as
+    ``-expm1(log d -+ u)``, exact but for the rounding of ``log d -+ u``."""
+    e = log_d - SGN * u
+    return np.exp(e), -np.expm1(e)
+
+
+def log_branch_variances(log_d: np.ndarray, u: np.ndarray):
+    """``(v, log v)`` of :func:`branch_variances`; ``log1p(-w)`` keeps log v's
+    ulps where v > 1/2, and w is clipped at 1/2 elsewhere to stay finite."""
+    e = log_d - SGN * u
+    v = -np.expm1(e)
+    return v, np.where(e < -LN2, np.log1p(-np.exp(np.minimum(e, -LN2))), np.log(v))
+
+
+def pair_rate(d: np.ndarray, log_a1: np.ndarray, log_a2: np.ndarray) -> float:
+    """``0.5 sum[log(1 - d^2) - log a1 - log a2]``, nats: the joint rate at branch
+    errors (a1, a2), and the information about a state with branch variances (a1, a2)."""
+    return float(0.5 * np.sum(log_one_minus_square(d) - log_a1 - log_a2))
 
 
 def mi_canonical(idx: "IndexSextuple", d) -> float:

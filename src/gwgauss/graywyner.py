@@ -25,14 +25,14 @@ the same minimum over diagonal CI states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QWOutOfFamily
+from .gaussmodel import common_information_terms, log_branch_variances
 from .rdf import ci_dual, marginal_rdf, require_dw, require_positive, slack_budgets
-from .wyner import coefficients, common_information_terms, diagonal_state_mi
+from .wyner import coefficients, diagonal_state_mi
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,11 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
     )
 
 
-# gap rounding allowance, in eps per unit of the spread of the terms behind
-# T and the bound.  Off unit weights T is built from the dual's own branch
-# variances v, and the spread is |T| + sum |log v|: raw gaps were seen down
-# to -1.7 of that unit over 8000 random points.  At unit weights u is
-# rebuilt from allocations on the cap of the rounded d^2, which moves each
-# v by ~eps and its log by ~eps / v, so the spread stays |T| + sum 1 / v
-# there: raw gaps were seen down to -0.51 of that unit over 1600 points
+# gap rounding allowance, in eps per unit of |T| + sum |log v|, the spread of
+# the terms behind T and the bound at the dual's own branch variances v:
+# raw gaps were seen down to -1.9 of that unit over 5600 random points
 _GAP_ROUNDING = 4.0
 _EPS = np.finfo(float).eps
-_LN2 = math.log(2.0)
 
 
 def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoint]:
@@ -114,13 +109,14 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     weighted rate is convex in ``log q``.  Each pair is solved by its
     two-multiplier dual (:func:`rdf.ci_dual`), and the triple is built from
     the dual's own state ``u = log q``, with no state validation: the
-    branch variances ``v1 = 1 - d/q`` and ``v2 = 1 - d q`` as the dual forms
-    them, ``-expm1(log d -+ u)``; R0 by :func:`wyner.diagonal_state_mi` from
-    their logs; R1 and R2 as the water-fills of v1 and v2 at the budgets
-    (:func:`rdf.marginal_rdf`).  ``gap`` is the objective minus the dual
-    bound at ``multipliers``, plus an allowance for the rounding of both,
-    so it is a positive upper bound on the objective minus the family
-    minimum.  ``iterations`` counts the dual evaluations.
+    branch variances ``v1 = 1 - d/q``, ``v2 = 1 - d q`` and their logs by
+    :func:`gaussmodel.log_branch_variances`; R0 by
+    :func:`wyner.diagonal_state_mi` from the logs; R1 and R2 as the
+    water-fills of v1 and v2 (:func:`rdf.marginal_rdf`).  ``gap`` is the
+    objective minus the dual bound at ``multipliers``, plus an allowance
+    for the rounding of both, so it is a positive upper bound on the
+    objective minus the family minimum.  ``iterations`` counts the dual
+    evaluations.
 
     Where the minimum is not unique the state of least R0 is returned.  At
     unit weights T is flat in ``q_j`` wherever both branch allocations of
@@ -148,10 +144,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
             _, u, mu, bound, _, evals, converged = ci_dual(d, delta, alpha, start)
         else:
             u, mu, bound, evals, converged = np.zeros(0), np.zeros(2), 0.0, 0, True
-        e = np.stack([ld - u, ld + u])
-        v = -np.expm1(e)
-        # log v = log(-expm1(e)), through log1p(-exp(e)) where v > 1/2
-        lv = np.where(e < -_LN2, np.log1p(-np.exp(e)), np.log(v))
+        v, lv = log_branch_variances(ld, u)
         triple = RateTriple(
             r0=diagonal_state_mi(d, lv[0], lv[1]),
             r1=marginal_rdf(v[0], delta1).rate,
@@ -160,7 +153,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
             delta2=float(delta2),
         )
         objective = triple.r0 + a1 * triple.r1 + a2 * triple.r2
-        spread = abs(objective) + np.sum(1.0 / v if (a1, a2) == (1.0, 1.0) else np.abs(lv))
+        spread = abs(objective) + np.sum(np.abs(lv))
         gap = float(objective - bound + _GAP_ROUNDING * _EPS * spread)
         points.append(SweepPoint(alpha1=a1, alpha2=a2, objective=objective, triple=triple,
                                  q=np.exp(u), iterations=evals, converged=converged, gap=gap,

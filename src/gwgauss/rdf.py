@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (NonpositiveDistortion, NotPositiveDefinite, OutsideDW, QWNotDiagonal,
                      QWOutOfFamily)
-from .gaussmodel import log_one_minus_square
+from .gaussmodel import SGN, branch_variances, log_one_minus_square, one_minus_square, pair_rate
 from .wyner import as_state_covariance, coefficients, diagonal_entries, in_state_family
 
 
@@ -163,7 +163,7 @@ def slack_budgets(d: np.ndarray, delta1: float, delta2: float) -> np.ndarray:
     No allocation exceeds ``1 - d_j^2``, so that sum is as slack as an
     infinite budget, and a dual solved at it keeps its terms finite.
     """
-    s = float(np.sum(1.0 - d * d))
+    s = float(np.sum(one_minus_square(d)))
     return np.array([s if x == math.inf else x for x in (delta1, delta2)], dtype=float)
 
 
@@ -178,10 +178,10 @@ def require_dw(d, delta1: float, delta2: float) -> None:
 _CAP_STEPS = 100
 
 
-def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
+def _capped_pairs(d: np.ndarray, lam1: float, lam2: float):
     """Boundary optima of the per-component Lagrangian.
 
-    On the cap curve (1-a1)(1-a2) = c, with u = 1 - a1, the Lagrangian is
+    On the cap curve (1-a1)(1-a2) = c = d^2, with u = 1 - a1, the Lagrangian is
 
         phi(u) = ln(1-u) + ln(1-c/u) - lam1 (1-u) - lam2 (1-c/u).
 
@@ -198,41 +198,40 @@ def _capped_pairs(c: np.ndarray, lam1: float, lam2: float):
 
     which keeps the sign of phi', has no poles, and runs from
     chi(c) = 1-c > 0 to chi(1) = -(1-c).  The solve iterates on a1 itself,
-    with the cap written as a1 + a2 - a1 a2 = s = 1 - c, so that
-    u - c = s - a1 and a2 = (s - a1) / (1 - a1) keep their relative
-    precision when s is tiny (d near 1); for c >= 1/2, 1 - c is exact.
-    With lam1 >= lam2 the iterate a1 is the smaller allocation, so s - a1
-    does not cancel either; otherwise the branches swap roles.  With
-    lam1 = lam2 (both 0 on slack budgets) the root is the symmetric point
-    a1 = a2 = 1 - d, taken in closed form, since s - a1 cancels there.
-    It is a safeguarded Newton iteration on chi, batched over components:
-    the bracket starts at (0, s) and shrinks on the sign of chi, and a step
-    that leaves it or meets chi' >= 0 bisects instead.  It starts from the
-    root of the quadratic obtained by freezing c/u at sqrt(c), which is
-    exact as the interval narrows, and an iterate is final once chi is zero
-    to the rounding of its terms.
+    with the cap written as a1 + a2 - a1 a2 = s = 1 - d^2, the exact
+    ``one_minus_square(d)``: u - c = s - a1 and a2 = (s - a1) / (1 - a1)
+    keep their relative precision when s is tiny (d near 1), and the pair
+    sits on the exact cap.  With lam1 >= lam2 the iterate a1 is the smaller
+    allocation, so s - a1 does not cancel either; otherwise the branches
+    swap roles.  With lam1 = lam2 (both 0 on slack budgets) the root is the
+    symmetric point a1 = a2 = 1 - d, taken in closed form, since s - a1
+    cancels there.  It is a safeguarded Newton iteration on chi, batched
+    over components: the bracket starts at (0, s) and shrinks on the sign
+    of chi, and a step that leaves it or meets chi' >= 0 bisects instead.
+    It starts from the root of the quadratic obtained by freezing c/u at d,
+    exact as the interval narrows, and an iterate is final once chi is
+    zero to the rounding of its terms.
     """
     if lam2 > lam1:
-        b2, b1 = _capped_pairs(c, lam2, lam1)
+        b2, b1 = _capped_pairs(d, lam2, lam1)
         return b1, b2
-    r = np.sqrt(c)
-    s = 1.0 - c
+    c, s = d * d, one_minus_square(d)
     if lam1 == lam2:
-        a = s / (1.0 + r)  # the symmetric point a1 = a2 = 1 - d, exact
+        a = s / (1.0 + d)  # the symmetric point a1 = a2 = 1 - d
         return a, a.copy()
-    # start: the root in (0, s) of k x^2 - (k s + 1 + r) x + s, which is
-    # chi with c/u frozen at sqrt(c) and x = a1; q is the cancellation-free
+    # start: the root in (0, s) of k x^2 - (k s + 1 + d) x + s, which is
+    # chi with c/u frozen at d and x = a1; q is the cancellation-free
     # form (k > 0, so the linear coefficient is negative).  A NaN or an
     # infinity from a rounded or overflowing discriminant, or a zero slope,
     # fails the range and bracket tests below and falls back to the
     # symmetric point 1 - d or to bisection.
     k = lam1 - lam2
-    b = k * s + 1.0 + r
+    b = k * s + 1.0 + d
     lo, hi = np.zeros_like(c), s
     tol = 4.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         x = s / (0.5 * (b + np.sqrt(b * b - 4.0 * k * s)))
-        x = np.where((x > 0.0) & (x < s), x, s / (1.0 + r))
+        x = np.where((x > 0.0) & (x < s), x, s / (1.0 + d))
         for _ in range(_CAP_STEPS):
             # chi, its derivative in u and the size of its terms, from
             # u = 1 - x, a1 = x and u - c = s - x
@@ -270,7 +269,6 @@ _G_ROUND = 1e-10
 # a residual within this many of the rounding size its oracle reports is met
 _FLOOR = 4.0
 _EPS = float(np.finfo(float).eps)
-_SGN = np.array([[1.0], [-1.0]])  # dv_i/du = sgn_i w_i in ci_dual, w_i = 1 - v_i
 
 
 def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
@@ -445,11 +443,11 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
             # allocation, keeps its precision where the other runs to 1
             i = int(mu2 > mu1)
             cc = dd[cap]
-            x[:, cap] = xc = np.array(_capped_pairs(cc, 2.0 * mu1, 2.0 * mu2))
+            x[:, cap] = xc = np.array(_capped_pairs(d[cap], 2.0 * mu1, 2.0 * mu2))
             w = np.empty_like(xc)
             w[i] = 1.0 - xc[i]
             w[1 - i] = cc / w[i]
-            s = _SGN * w / np.sqrt(terms(w, xc, False, mu[:, None])[2])
+            s = SGN * w / np.sqrt(terms(w, xc, False, mu[:, None])[2])
             (s11, h12), (_, s22) = (s @ s.T).tolist()
             h11, h22 = h11 + s11, h22 + s22
         sum1, sum2 = x.sum(1).tolist()
@@ -472,8 +470,7 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
             u = np.clip(u - (mu - last_mu) @ slope, 0.5 * (ld + u), 0.5 * (u - ld))
             lo, hi = ld, -ld
             for it in range(_INNER_STEPS):
-                e = ld - _SGN * u
-                w, v = np.exp(e), -np.expm1(e)
+                w, v = branch_variances(ld, u)
                 active = v > c
                 pw, size, curv = terms(w, v, active, m)
                 grad = pw[0] - pw[1]
@@ -489,7 +486,7 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
             # dh'/dmu_i = sgn_i w_i on a saturated branch, so a root moves by
             # du/dmu_i = -sgn_i w_i / h''; s = that times sqrt(h'')
             root = np.sqrt(np.where(curv > 0.0, curv, 1.0))
-            s = np.where(sat, _SGN * w, 0.0) / root
+            s = np.where(sat, SGN * w, 0.0) / root
             last_mu, slope = mu, s / root
         lv = np.log(v)
         value = np.where(active, pinned - kh * lv, m * v - 0.5 * lv)
@@ -519,15 +516,14 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
 
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
     # start at 1 / the water level of each budget over the ceilings
-    # e_ij = max(p_ij, 1 - d_j), with p_j where the ray a2 = rho a1 meets
-    # the cap (1 - a1)(1 - a2) = d_j^2 (the root in cancellation-free form;
-    # rho as a ratio of roots, since delta2 / delta1 can overflow).
-    # At delta1 = delta2 below sum(1 - d) that is the restricted optimum,
-    # and inside D_W it is the equal split n / delta.  No allocation
-    # exceeds 1 - d^2, so a budget of sum(1 - d^2) or more is slack and
-    # its multiplier starts at its optimum, 0; an infinite budget is solved
-    # and certified as that sum (slack_budgets).
-    s = 1.0 - d * d
+    # max(p_ij, 1 - d_j), p_j where the ray a2 = rho a1 meets the cap (in
+    # cancellation-free form; rho = sqrt(delta2 / delta1) as a ratio of
+    # roots, which cannot overflow): at delta1 = delta2 that is the optimum,
+    # a water-fill of delta over 1 - d, and inside D_W the equal split
+    # n / delta.  No allocation exceeds 1 - d^2, so a budget of sum(1 - d^2)
+    # or more is slack and its multiplier starts at its optimum, 0; an
+    # infinite budget is solved and certified as that sum (slack_budgets).
+    s = one_minus_square(d)
     delta = slack_budgets(d, delta1, delta2)
     delta1, delta2 = delta.tolist()
     rho = math.sqrt(delta2) / math.sqrt(delta1)
@@ -536,7 +532,7 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
                       for p, x in ((p1, delta1), (rho * p1, delta2))])
     start[delta >= s.sum()] = 0.0
     (a1, a2), _, mu, _, steps, _, _ = ci_dual(d, delta, np.ones(2), 0.5 * start)
-    rate = float(0.5 * (np.sum(log_one_minus_square(d)) - np.sum(np.log(a1 * a2))))
+    rate = pair_rate(d, np.log(a1), np.log(a2))
     slack = delta - [a1.sum(), a2.sum()]
     regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"
     return _certified(rate, a1, a2, 2.0 * mu, delta, regime, steps)
@@ -550,12 +546,9 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     it the result is the optimum of the restricted program (errors
     independent across branches and diagonal per component), an upper
     bound on the Gaussian joint rate-distortion function: :func:`ci_dual`
-    at unit weights, with ``multipliers = 2 mu``.  The solve starts at 1 /
-    the water level of each budget over the ceilings ``max(p_ij, 1 - d_j)``,
-    with p_j the point of the cap curve on the ray
-    ``a2 = sqrt(delta2 / delta1) a1``; at ``delta1 = delta2`` that is the
-    optimum, a water-fill of delta over ``1 - d``, and takes 0 steps.
-    ``regime`` records which path produced the result;
+    at unit weights, with ``multipliers = 2 mu``; at ``delta1 = delta2`` its
+    start is the optimum and it takes 0 steps.  ``regime`` records which
+    path produced the result;
     ``infeasible-region`` means a budget is left slack because every
     component sits at its cap in the restricted program, not that the pair
     is unreachable.  ``iterations`` counts the Newton steps, 0 on the
@@ -578,7 +571,7 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     if in_dw(d, delta1, delta2):
         delta = np.array([delta1, delta2], dtype=float)
         a1, a2 = np.full(n, delta1) / n, np.full(n, delta2) / n
-        rate = float(0.5 * np.sum(log_one_minus_square(d) - np.log(a1) - np.log(a2)))
+        rate = pair_rate(d, np.log(a1), np.log(a2))
         return _certified(rate, a1, a2, n / delta, delta, "closed-form-DW", 0)
     return _joint_numerical(d, float(delta1), float(delta2))
 
@@ -592,5 +585,5 @@ def gray_lower_bound(d, delta1: float, delta2: float) -> float:
     """
     d = coefficients(d)
     r1 = marginal_rdf(np.ones(d.size), delta1).rate
-    r2 = marginal_rdf((1.0 - d) * (1.0 + d), delta2).rate
+    r2 = marginal_rdf(one_minus_square(d), delta2).rate
     return r1 + r2

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllocationOutOfRange, DimensionMismatch, NotPositiveDefinite
-from .gaussmodel import check_canonical_args, symmetrize
+from .gaussmodel import check_canonical_args, one_minus_square, symmetrize
 from .cvf import IndexSextuple, canonical_cross_pattern
 from .wyner import assert_in_state_family, conditional_covariances, diagonal_entries
 
@@ -430,7 +430,7 @@ def _optimal_rows(st: OptimalState, width: int):
     idx = st.idx
     p11, n, p1, p2 = idx.p11, st.d.size, idx.p1, idx.p2
     d, rd = st.d[:, None], np.sqrt(st.d)[:, None]
-    g2_scale = np.sqrt(1.0 - d * d)
+    g2_scale = np.sqrt(one_minus_square(d))
     l1, l2, l3 = st.l1[:, None], st.l2[:, None], st.l3[:, None]
     x = np.empty((p1 + p2 + p11 + n, width))
     z = np.zeros((p1 + p2, width))  # Z of the identical parts is 0

@@ -25,9 +25,11 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositiveDefinite, QWOutOfFamily
 from .gaussmodel import (
     check_canonical_args,
+    common_information_terms,
     eig_floor,
     log_one_minus_square,
     logdet_or_neginf,
+    pair_rate,
     symmetrize,
     symmetry_tolerance,
 )
@@ -126,12 +128,6 @@ def assert_in_state_family(q, d) -> np.ndarray:
     return qw
 
 
-def common_information_terms(d: np.ndarray) -> np.ndarray:
-    """Per-component common information ``0.5 log((1 + d_j) / (1 - d_j))``,
-    nats, as ``arctanh(d_j)``, which stays within an ulp for small d_j."""
-    return np.arctanh(d)
-
-
 def common_information(idx: IndexSextuple, d) -> CommonInfoResult:
     """Common information in nats from the canonical indices and coefficients."""
     d = check_canonical_args(idx, d)
@@ -164,13 +160,13 @@ def conditional_covariances(
 def diagonal_state_mi(d: np.ndarray, log_v1: np.ndarray, log_v2: np.ndarray) -> float:
     """``mi_given_state`` of a diagonal state from the logs of its branch
     variances ``v1 = 1 - d/q`` and ``v2 = 1 - d q``, the eigenvalues of M1
-    and M2: ``0.5 sum[log(1 - d^2) - log v1 - log v2]``, and ``inf`` where
-    a factor is singular by the dense path's eigenvalue floor."""
+    and M2: their :func:`gaussmodel.pair_rate`, and ``inf`` where a factor
+    is singular by the dense path's eigenvalue floor."""
     for lv in (log_v1, log_v2):
         ev = np.exp(np.sort(lv))
         if ev.size and ev[0] <= eig_floor(ev):
             return math.inf
-    return float(0.5 * np.sum(log_one_minus_square(d) - log_v1 - log_v2))
+    return pair_rate(d, log_v1, log_v2)
 
 
 def mi_given_state(d, q) -> float:

@@ -479,6 +479,68 @@ def test_input_file_without_a_key_is_a_usage_error(runner, pair_file, cvf_file, 
     assert message in res.stderr
 
 
+def _replace(**change):
+    return lambda body: json.dumps({**body, **change})
+
+
+def _malformed(reader, make, message):
+    return pytest.param(reader, make, message, id=message)
+
+
+@pytest.mark.parametrize("reader, make, message", [
+    # the top level is not an object
+    _malformed("realization", lambda body: json.dumps([body]),
+               "realization file is not a JSON object"),
+    _malformed("pair", lambda body: json.dumps([body]), "pair file is not a JSON object"),
+    _malformed("cvf", lambda body: json.dumps([body]), "canonical-form file is not a JSON object"),
+    # a count that is not an integer
+    _malformed("cvf", _replace(idx={**IDX, "p11": "a"}),
+               "canonical-form file \"idx\": 'p11' is not an integer"),
+    _malformed("realization", _replace(idx={**IDX, "p12": "a"}),
+               "realization file \"idx\": 'p12' is not an integer"),
+    _malformed("pair", _replace(p1="a"), "pair file: 'p1' is not an integer"),
+    # an array that is not numeric
+    _malformed("cvf", _replace(d=["a", 0.5, 0.1]), "canonical-form file: 'd' is not numeric"),
+    _malformed("pair", _replace(Q=[["a"] * 6] * 6), "pair file: 'Q' is not numeric"),
+    _malformed("realization", _replace(d=[0.8, None, 0.1]),
+               "realization file: 'd' is not numeric"),
+    _malformed("state", lambda body: json.dumps({"Q": [[1.0, 0, 0], [0, "a", 0], [0, 0, 1.0]]}),
+               "state file: 'Q' is not numeric"),
+    _malformed("state", lambda body: json.dumps([1.0, "1", 1.0]),
+               "state file: 'qw' is not numeric"),
+    # the marginal rate reads the audit block of a canonical-form file
+    _malformed("marginal", _replace(audit=None),
+               "canonical-form file \"audit\" is not a JSON object"),
+    _malformed("marginal", _replace(audit={"d1": ["a"]}),
+               "canonical-form file \"audit\": 'd1' is not numeric"),
+    # not JSON at all
+    *(_malformed(reader, lambda body: "{\"d\": [0.8,", f"{what} is not JSON")
+      for reader, what in (("pair", "pair file"), ("cvf", "canonical-form file"),
+                           ("realization", "realization file"), ("state", "state file"))),
+])
+def test_malformed_input_file_is_a_usage_error(runner, pair_file, cvf_file, tmp_path,
+                                                reader, make, message):
+    # each of these once ended in an AttributeError, TypeError, ValueError
+    # or JSONDecodeError traceback (exit 1)
+    path = {"pair": pair_file, "cvf": cvf_file, "marginal": cvf_file,
+            "realization": str(tmp_path / "real.json"), "state": str(tmp_path / "qw.json")}[reader]
+    if reader == "realization":
+        assert runner.invoke(main, ["realize", "--in", cvf_file, "--out", path]).exit_code == 0
+    body = json.loads(Path(path).read_text()) if reader != "state" else None
+    Path(path).write_text(make(body))
+    args = {
+        "pair": ["cvf", "--in", path, "--out", str(tmp_path / "out.json")],
+        "cvf": ["rdf", "joint", "--in", path, "--delta1", "0.3", "--delta2", "0.3"],
+        "marginal": ["rdf", "marginal", "--in", path, "--delta1", "0.3"],
+        "realization": ["simulate", "--realization", path, "-N", "4000", "--seed", "1",
+                        "--report", str(tmp_path / "rep.json")],
+        "state": ["realize", "--in", cvf_file, "--qw", path, "--out", str(tmp_path / "r.json")],
+    }[reader]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
+
+
 def test_cvf_bad_thresholds_are_a_usage_error(runner, pair_file, tmp_path):
     out = tmp_path / "cvf.json"
     res = runner.invoke(main, ["cvf", "--in", pair_file, "--h1", "1e-6", "--h2", "1e-3",

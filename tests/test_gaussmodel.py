@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gwgauss as gw
-from gwgauss.gaussmodel import LOG_2PIE, log_one_minus_square, logdet_or_neginf, symmetrize
+from gwgauss.gaussmodel import (LOG_2PIE, branch_variances, log_branch_variances,
+                                 log_one_minus_square, logdet_or_neginf, one_minus_square,
+                                 symmetrize)
 
 from conftest import random_pair
 
@@ -127,6 +129,57 @@ def test_log_one_minus_square_against_mpmath():
                     want = mp.log(1 - mp.mpf(x) ** 2)
                     assert abs(g - want) <= 4 * np.finfo(float).eps * abs(want), x
         assert log_one_minus_square(np.zeros(1))[0] == 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+def _near_unit_d(rng, size):
+    # 1 - d from 1e-12 to ~1, and d from 1e-6 to 1/2
+    return np.concatenate([1.0 - 10.0 ** rng.uniform(-12.0, -0.01, size),
+                           10.0 ** rng.uniform(-6.0, -0.3, size)])
+
+
+def test_one_minus_square_against_mpmath():
+    # (1 - d)(1 + d) stays within 2 eps relative; 1 - d * d is off by up to
+    # ~eps / (1 - d) relative, 1e-4 at 1 - d = 1e-12
+    mp = pytest.importorskip("mpmath")
+    d = _near_unit_d(np.random.default_rng(12), 400)
+    with mp.workdps(50):
+        for x, got in zip(d, one_minus_square(d)):
+            want = 1 - mp.mpf(x) ** 2
+            assert abs(got - want) <= 2 * EPS * want, x
+    assert one_minus_square(0.0) == 1.0
+
+
+def test_branch_variances_against_mpmath():
+    # at the diagonal state e^u, |u| up to -log d, w = d e^{-+u} and
+    # v = 1 - w, with log v, are exact but for the rounding of log d -+ u,
+    # at most eps (|log d| + |u|): that moves w by w times it, v by as much
+    # and log v by that over v.  At v near 1, log(v) alone would be off by
+    # eps absolute, which is far more than eps |log v| there
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(13)
+    d = _near_unit_d(rng, 200)
+    ld = np.log(d)
+    # u across the whole family, its ends approached to 1e-12 relative
+    edge = rng.choice([-1.0, 1.0], d.size) * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0, d.size))
+    t = np.where(rng.random(d.size) < 0.5, rng.uniform(-1.0, 1.0, d.size), edge)
+    u = -t * ld
+    w, v = branch_variances(ld, u)
+    v2, lv = log_branch_variances(ld, u)
+    np.testing.assert_array_equal(v2, v)
+    with mp.workdps(50):
+        for j in range(d.size):
+            for i, sgn in enumerate((1, -1)):
+                e = mp.log(mp.mpf(d[j])) - sgn * mp.mpf(u[j])
+                ww, vv = mp.exp(e), -mp.expm1(e)
+                rounding = EPS * (abs(ld[j]) + abs(u[j]))
+                where = (d[j], u[j], i)
+                assert abs(w[i, j] - ww) <= 2 * EPS * ww + ww * rounding, where
+                assert abs(v[i, j] - vv) <= 2 * EPS * vv + ww * rounding, where
+                lvv = mp.log(vv)
+                assert abs(lv[i, j] - lvv) <= 4 * EPS * abs(lvv) + ww * rounding / vv, where
 
 
 def test_mi_canonical_cases():

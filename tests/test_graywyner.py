@@ -109,17 +109,16 @@ def test_region_sweep_unit_weights_equal_joint_rate_outside_region(rng):
     # outside D_W joint_rdf solves the restricted program, whose cap
     # (1 - a1)(1 - a2) >= d^2 is the set of allocation pairs that some
     # diagonal CI state admits, so T(1, 1) is the same minimum.  The sweep
-    # evaluates T exactly at its state; joint_rdf's allocations lie on the
-    # cap of the rounded d^2, off the exact cap by ~eps / (1 - d) relative,
-    # so with every 1 - d below ~1e-5 the two drift apart beyond 1e-12
-    # (3.5e-10 at 1 - d ~ 1e-9); these draws reach 10^-5.5
+    # evaluates T exactly at its state, and joint_rdf's allocations lie on
+    # the exact cap, so the two agree to 1e-12 with 1 - d down to 1e-9 (a
+    # cap of the rounded d^2 sets them up to 1.7e-10 apart on these draws)
     checked = 0
     while checked < 600:
         n = int(rng.integers(1, 6))
         if rng.random() < 0.5:
             d = rng.uniform(0.05, 0.99, n)
         else:
-            d = 1.0 - 10.0 ** rng.uniform(-5.5, -0.05, n)
+            d = 1.0 - 10.0 ** rng.uniform(-9.0, -0.05, n)
         d = np.sort(d)[::-1]
         delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.0, 2)
         if gw.in_dw(d, delta1, delta2):
@@ -129,6 +128,28 @@ def test_region_sweep_unit_weights_equal_joint_rate_outside_region(rng):
         assert joint.regime != "closed-form-DW"
         assert math.isclose(pt.objective, joint.rate, rel_tol=1e-12), (d.tolist(), delta1, delta2)
         checked += 1
+
+
+def test_region_sweep_mirrors_under_a_branch_swap():
+    # a law that needs no solver: swapping the budgets and the weights maps
+    # each state q of the family to 1/q and leaves T as it is
+    rng = np.random.default_rng(43)
+    for _ in range(80):
+        n = int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            d = rng.uniform(0.02, 0.98, n)
+        else:
+            d = 1.0 - 10.0 ** rng.uniform(-9.0, -0.05, n)
+        d = np.sort(d)[::-1]
+        delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.0, 2)
+        alphas = CORNERS + [(1.0, 0.5), tuple(rng.uniform(0.0, 1.0, 2))]
+        pts = gw.region_sweep(d, delta1, delta2, alphas=alphas)
+        mirrored = gw.region_sweep(d, delta2, delta1, alphas=[(a2, a1) for a1, a2 in alphas])
+        for p, m in zip(pts, mirrored):
+            where = (d.tolist(), delta1, delta2, p.alpha1, p.alpha2)
+            assert math.isclose(m.objective, p.objective, rel_tol=1e-14), where
+            lq = np.log(p.q)
+            assert np.all(np.abs(np.log(m.q) + lq) <= 1e-14 * (1.0 + np.abs(lq))), where
 
 
 def test_region_sweep_never_beats_shared_rate_lower_bound():
@@ -348,8 +369,9 @@ def test_region_sweep_stops_at_the_rounding_floor_of_its_budget():
     (pt,) = gw.region_sweep(d, *delta, alphas=[(1.0, 1.0)])
     assert pt.converged and pt.iterations <= 10
     assert math.isclose(pt.objective, 29.035332339457543, rel_tol=1e-12)
-    # the dual bound closes the objective; the reported gap adds ~5e-10 of
-    # rounding allowance on these near-unit coefficients
+    # the dual bound closes the objective, and the reported gap closes to
+    # rounding on these near-unit coefficients too
+    assert pt.gap <= 1e-12 * (1.0 + abs(pt.objective))
     with np.errstate(divide="ignore", invalid="ignore"):  # grid ends at v = 0
         bound = _lagrangian_inf(d, delta, (1.0, 1.0), pt.multipliers)
     assert pt.objective - bound <= min(pt.gap, 1e-10)
@@ -464,19 +486,19 @@ def test_region_sweep_builds_the_triple_from_the_dual_state(monkeypatch):
     assert all(p.converged and p.gap > 0.0 for p in pts)
 
 
-def test_region_sweep_gap_allowance_off_unit_weights():
-    # off unit weights T comes from the dual's own branch variances, so the
-    # rounding allowance scales with |T| + sum |log v|, not with sum 1 / v:
-    # the raw gap stays above it (the gap is positive), and with budgets of
-    # at least 1e-3 n, where the dual's rounding floor stays below 1e-12,
-    # the gap closes to 1e-12 even with 1 - d down to 1e-9
+def test_region_sweep_gap_allowance_at_every_weight():
+    # at every weight, (1, 1) included, T comes from the dual's own branch
+    # variances, so the rounding allowance scales with |T| + sum |log v|,
+    # not with sum 1 / v: the raw gap stays above it (the gap is positive),
+    # and with budgets of at least 1e-3 n, where the dual's rounding floor
+    # stays below 1e-12, the gap closes to 1e-12 even with 1 - d down to 1e-9
     rng = np.random.default_rng(29)
     for _ in range(40):
         n = int(rng.integers(1, 5))
         near = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n)
         d = np.sort(np.where(rng.random(n) < 0.5, rng.uniform(0.02, 0.98, n), near))[::-1]
         delta1, delta2 = n * 10.0 ** rng.uniform(-3.0, 0.0, 2)
-        alphas = [w for w in BENCH_WEIGHTS if w != (1.0, 1.0)] + [tuple(rng.uniform(0.0, 1.0, 2))]
+        alphas = BENCH_WEIGHTS + [tuple(rng.uniform(0.0, 1.0, 2))]
         for pt in gw.region_sweep(d, delta1, delta2, alphas=alphas):
             assert pt.converged
             assert 0.0 < pt.gap <= 1e-12 * (1.0 + abs(pt.objective)), (d.tolist(), delta1, delta2)

@@ -152,3 +152,66 @@ def test_every_bench_record_is_valid():
             result = run["result"]
             assert result["correct"] is True and result["failed"] == 0, where
             assert {k: v["unit"] for k, v in result["metrics"].items()} == units, where
+
+
+# the per-component algebra lives in gaussmodel: elsewhere no expm1 or
+# arctanh call and no spelling of 1 - x^2, which gaussmodel.one_minus_square
+# forms exactly
+HOME = "gaussmodel.py"
+
+
+def _is_one(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def _one_and(node, op) -> str | None:
+    """``x`` if ``node`` is ``1 <op> x`` for a name x."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, op) and _is_one(node.left):
+        return node.right.id if isinstance(node.right, ast.Name) else None
+    return None
+
+
+def _algebra_findings(name: str, source: str) -> list[str]:
+    """``name:line: spelling`` of each expm1 or arctanh call and each
+    ``1 - x * x`` or ``(1 - x)(1 + x)`` in ``source``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called in ("expm1", "arctanh"):
+                found.append((node.lineno, called))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and _is_one(node.left):
+            sq = node.right
+            if (isinstance(sq, ast.BinOp) and isinstance(sq.op, ast.Mult)
+                    and isinstance(sq.left, ast.Name) and isinstance(sq.right, ast.Name)
+                    and sq.left.id == sq.right.id):
+                found.append((node.lineno, f"1 - {sq.left.id}^2"))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                x = _one_and(a, ast.Sub)
+                if x is not None and x == _one_and(b, ast.Add):
+                    found.append((node.lineno, f"(1 - {x})(1 + {x})"))
+    return [f"{name}:{line}: {spelling}" for line, spelling in sorted(found)]
+
+
+def test_per_component_algebra_lives_in_gaussmodel():
+    package = Path(gw.__file__).resolve().parent
+    found = [f for path in sorted(package.glob("*.py")) if path.name != HOME
+             for f in _algebra_findings(path.name, path.read_text())]
+    assert found == []
+
+
+def test_algebra_fence_sees_a_planted_copy():
+    planted = "\n".join([
+        "def rate(d, e):",
+        "    v = -np.expm1(e)",
+        "    c = np.arctanh(d)",
+        "    s = 1.0 - d * d",
+        "    t = (1.0 - d) * (1.0 + d)",
+        "    r = (1 + d) * (1 - d)",
+        "    return 1.0 - d * e, (1.0 - d) * (1.0 + e), np.exp(e)",
+    ])
+    assert _algebra_findings("rdf.py", planted) == [
+        "rdf.py:2: expm1", "rdf.py:3: arctanh", "rdf.py:4: 1 - d^2",
+        "rdf.py:5: (1 - d)(1 + d)", "rdf.py:6: (1 - d)(1 + d)"]

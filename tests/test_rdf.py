@@ -508,9 +508,7 @@ def test_joint_equal_budgets_outside_region_water_fill_one_minus_d(d, share):
     d = np.array(d)
     b, top = gw.dw_bound(d), float(np.sum(1.0 - d))
     delta = b + share * (top - b)
-    # 1 - d on the cap of the rounded d^2, which sets 1 - d = 1e-9 apart
-    # from the true one by 5e-10 relative; the rate's log(1 - d^2) is exact
-    ceil = (1.0 - d * d) / (1.0 + d)
+    ceil = 1.0 - d
     level = _waterfill_level(ceil, delta)
     want = np.minimum(level, ceil)
     res = gw.joint_rdf(d, delta, delta)
@@ -619,26 +617,71 @@ def test_dual_zero_hessian_exits_at_the_start():
 
 
 def test_capped_pairs_beat_a_dense_grid(rng):
-    # each capped component maximizes phi on its cap curve; a log-spaced
-    # grid over the whole interval (c, 1) never does better
+    # each capped component maximizes phi on its cap curve
+    # a1 + a2 - a1 a2 = 1 - d^2; a log-spaced grid over the whole curve,
+    # gridded on the exact cap (1 - d)(1 + d), never does better
     s = np.concatenate(
         [np.logspace(-16, -1, 3000), np.linspace(0.1, 0.9, 3000), 1.0 - np.logspace(-1, -16, 3000)]
     )
     checked = 0
     while checked < 60:
-        c = np.array([1.0 - 10.0 ** rng.uniform(-7, -0.01)])
+        d = np.array([1.0 - 10.0 ** rng.uniform(-7, -0.01)])
+        c, cap = d[0] * d[0], (1.0 - d[0]) * (1.0 + d[0])
         lam1, lam2 = 10.0 ** rng.uniform(-3, 7, size=2)
         f1, f2 = 1.0 / lam1, 1.0 / lam2
-        if f1 < 1.0 and f2 < 1.0 and (1.0 - f1) * (1.0 - f2) >= c[0]:
+        if f1 < 1.0 and f2 < 1.0 and (1.0 - f1) * (1.0 - f2) >= c:
             continue  # free optimum inside the cap set
-        a1, a2 = rdf._capped_pairs(c, lam1, lam2)
-        assert math.isclose((1.0 - a1[0]) * (1.0 - a2[0]), c[0], rel_tol=1e-13)
-        g1 = (1.0 - c[0]) * (1.0 - s)
-        g2 = (1.0 - c[0]) * s / (c[0] + (1.0 - c[0]) * s)
+        a1, a2 = rdf._capped_pairs(d, lam1, lam2)
+        assert math.isclose(a1[0] + a2[0] - a1[0] * a2[0], cap, rel_tol=1e-13)
+        g1 = cap * (1.0 - s)
+        g2 = cap * s / (c + cap * s)
         grid = np.log(g1) + np.log(g2) - lam1 * g1 - lam2 * g2
         best = math.log(a1[0]) + math.log(a2[0]) - lam1 * a1[0] - lam2 * a2[0]
         assert best >= grid.max() - 1e-12 * (1.0 + abs(best))
         checked += 1
+
+
+def test_joint_capped_allocations_sit_on_the_exact_cap():
+    # a capped component meets a1 + a2 - a1 a2 = 1 - d^2 to a few eps of the
+    # exact 1 - d^2, checked in 50 digits; a cap solved on the rounded d * d
+    # is off by up to 3.7e-9 relative with 1 - d in [1e-9, 1e-6]
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    capped = 0
+    with mp.workdps(50):
+        while capped < 200:
+            n = int(rng.integers(1, 5))
+            d = np.sort(1.0 - 10.0 ** rng.uniform(-9.0, -6.0, n))[::-1]
+            delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.0, 2)
+            if gw.in_dw(d, delta1, delta2):
+                continue
+            res = gw.joint_rdf(d, delta1, delta2)
+            for x, a1, a2 in zip(d, res.alloc1, res.alloc2):
+                a1, a2, cap = mp.mpf(a1), mp.mpf(a2), 1 - mp.mpf(x) ** 2
+                excess = (a1 + a2 - a1 * a2 - cap) / cap
+                assert excess <= 4 * np.finfo(float).eps, (d.tolist(), delta1, delta2)
+                capped += abs(excess) <= 1e-6
+
+
+def test_joint_rate_keeps_branch_swap_and_component_order():
+    # laws that need no solver: swapping the branches with their budgets,
+    # or permuting the components, leaves the rate as it is; half the draws
+    # have 1 - d down to 1e-9, and the budgets lie inside D_W and outside
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            d = rng.uniform(0.02, 0.98, n)
+        else:
+            d = 1.0 - 10.0 ** rng.uniform(-9.0, -0.05, n)
+        d = np.sort(d)[::-1]
+        delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.0, 2)
+        rate = gw.joint_rdf(d, delta1, delta2).rate
+        where = (d.tolist(), delta1, delta2)
+        swapped = gw.joint_rdf(d, delta2, delta1).rate
+        shuffled = gw.joint_rdf(rng.permutation(d), delta1, delta2).rate
+        assert math.isclose(swapped, rate, rel_tol=1e-14), where
+        assert math.isclose(shuffled, rate, rel_tol=1e-14), where
 
 
 def _demo_random_d(p1: int, p2: int, seed: int) -> np.ndarray:
@@ -750,18 +793,19 @@ def _lagrangian_sup(d, lam, delta):
     Per component (d > 0) the supremum is at the free point (1/lam1, 1/lam2)
     when that point keeps the cap, and otherwise on the cap curve
     (1 - a1)(1 - a2) = d^2.  The curve is gridded by s in (0, 1) as
-    a1 = (1 - c)(1 - s), a2 = (1 - c) s / (c + (1 - c) s), with s and 1 - s
+    a1 = m (1 - s), a2 = m s / (c + m s), with c = d^2 and the exact cap
+    m = (1 - d)(1 + d) = a1 + a2 - a1 a2, and with s and 1 - s
     taken from a uniform grid of x = log(s / (1 - s)) on [-740, 740], so
     both allocations reach down to ~1e-320; the grid is refined five times
     around its best point.
     """
-    c = (d * d)[:, None]
+    c, m = (d * d)[:, None], ((1.0 - d) * (1.0 + d))[:, None]
 
     def value(x):
         with np.errstate(over="ignore", divide="ignore"):
             s, r = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
-            a1 = (1.0 - c) * r
-            a2 = (1.0 - c) * s / (c + (1.0 - c) * s)
+            a1 = m * r
+            a2 = m * s / (c + m * s)
             return np.log(a1) + np.log(a2) - lam[0] * a1 - lam[1] * a2
 
     x = np.broadcast_to(np.linspace(-740.0, 740.0, 9001), (d.size, 9001))

@@ -258,7 +258,7 @@ def _assert_matches_oracle(n, seed, idx):
     y23 = _normals(seed, "p2", n, idx.p23)
     l1 = np.sqrt(d) / (1 + d)
     l3 = np.sqrt((1 - d) / (1 + d))
-    y12, y22 = g1, g1 * d + g2 * np.sqrt(1 - d * d)
+    y12, y22 = g1, g1 * d + g2 * np.sqrt((1 - d) * (1 + d))
     w2 = y12 * l1 + y22 * l1 + v * l3
     zero = np.zeros((n, idx.p11))
     want["optimal"] = dict(
