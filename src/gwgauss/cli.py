@@ -8,7 +8,9 @@ at this layer only; infinite values use the JSON ``Infinity`` literal.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -120,9 +122,29 @@ def _read_json(path: str, what: str):
         raise click.UsageError(f"{what} is not JSON ({exc})") from exc
 
 
+def _check_pair_csv(text: str) -> None:
+    """A usage error naming the row unless the first row is the two integers
+    ``p1,p2`` and every later row holds as many numbers as the second."""
+    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    for i, row in enumerate(rows, 1):
+        parse, what = (int, "the two integers p1,p2") if i == 1 else (float, "numbers")
+        try:
+            [parse(x) for x in row]
+            fits = i > 1 or len(row) == 2
+        except ValueError:
+            fits = False
+        if not fits:
+            raise click.UsageError(f"pair CSV row {i} is not {what}")
+        if i > 2 and len(row) != len(rows[1]):
+            raise click.UsageError(f"pair CSV row {i} has length {len(row)}, row 2 has "
+                                   f"length {len(rows[1])}")
+
+
 def _read_pair(path: str) -> JointGaussianPair:
     if path.endswith(".csv"):
-        return pair_from_csv(Path(path).read_text())
+        text = Path(path).read_text()
+        _check_pair_csv(text)
+        return pair_from_csv(text)
     obj = _read_json(path, "pair file")
     return pair_from_dict(_require(obj, "pair file", counts=("p1", "p2"), arrays=("Q",)))
 

@@ -19,8 +19,9 @@ which is an upper bound on the Gaussian joint rate-distortion function,
 not that function itself.  Its cap is the set of allocation pairs that
 some diagonal conditional-independence state admits, so the program is the
 CI-family weighted rate of :mod:`graywyner` at unit weights: one
-two-multiplier dual (:func:`ci_dual`) solves both, and its duality gap
-certifies the rate against the restricted optimum only.
+two-multiplier dual (:func:`ci_dual`), with the same oracle at every
+weight, solves both, and its duality gap certifies the rate against the
+restricted optimum only.
 """
 
 from __future__ import annotations
@@ -175,85 +176,6 @@ def require_dw(d, delta1: float, delta2: float) -> None:
                         f"equal-split region [0, {b}]^2", bound=b)
 
 
-_CAP_STEPS = 100
-
-
-def _capped_pairs(d: np.ndarray, lam1: float, lam2: float):
-    """Boundary optima of the per-component Lagrangian.
-
-    On the cap curve (1-a1)(1-a2) = c = d^2, with u = 1 - a1, the Lagrangian is
-
-        phi(u) = ln(1-u) + ln(1-c/u) - lam1 (1-u) - lam2 (1-c/u).
-
-    A component is capped only when its free optimum (1/lam1, 1/lam2)
-    violates the cap.  Then at any stationary point of phi on (c, 1) the
-    gradient of the Lagrangian is a positive multiple of the cap's outward
-    normal (a negative one would put the free optimum inside the cap set),
-    so the point satisfies the KKT conditions of a concave program over a
-    convex set: phi' has exactly one zero on (c, 1), the boundary maximum.
-    It is the zero of
-
-        chi(u) = (1-u)(u-c) phi'(u)
-               = (1-u)(u-c)(lam1 - lam2 c/u^2) - (u-c) + c(1-u)/u,
-
-    which keeps the sign of phi', has no poles, and runs from
-    chi(c) = 1-c > 0 to chi(1) = -(1-c).  The solve iterates on a1 itself,
-    with the cap written as a1 + a2 - a1 a2 = s = 1 - d^2, the exact
-    ``one_minus_square(d)``: u - c = s - a1 and a2 = (s - a1) / (1 - a1)
-    keep their relative precision when s is tiny (d near 1), and the pair
-    sits on the exact cap.  With lam1 >= lam2 the iterate a1 is the smaller
-    allocation, so s - a1 does not cancel either; otherwise the branches
-    swap roles.  With lam1 = lam2 (both 0 on slack budgets) the root is the
-    symmetric point a1 = a2 = 1 - d, taken in closed form, since s - a1
-    cancels there.  It is a safeguarded Newton iteration on chi, batched
-    over components: the bracket starts at (0, s) and shrinks on the sign
-    of chi, and a step that leaves it or meets chi' >= 0 bisects instead.
-    It starts from the root of the quadratic obtained by freezing c/u at d,
-    exact as the interval narrows, and an iterate is final once chi is
-    zero to the rounding of its terms.
-    """
-    if lam2 > lam1:
-        b2, b1 = _capped_pairs(d, lam2, lam1)
-        return b1, b2
-    c, s = d * d, one_minus_square(d)
-    if lam1 == lam2:
-        a = s / (1.0 + d)  # the symmetric point a1 = a2 = 1 - d
-        return a, a.copy()
-    # start: the root in (0, s) of k x^2 - (k s + 1 + d) x + s, which is
-    # chi with c/u frozen at d and x = a1; q is the cancellation-free
-    # form (k > 0, so the linear coefficient is negative).  A NaN or an
-    # infinity from a rounded or overflowing discriminant, or a zero slope,
-    # fails the range and bracket tests below and falls back to the
-    # symmetric point 1 - d or to bisection.
-    k = lam1 - lam2
-    b = k * s + 1.0 + d
-    lo, hi = np.zeros_like(c), s
-    tol = 4.0 * np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = s / (0.5 * (b + np.sqrt(b * b - 4.0 * k * s)))
-        x = np.where((x > 0.0) & (x < s), x, s / (1.0 + d))
-        for _ in range(_CAP_STEPS):
-            # chi, its derivative in u and the size of its terms, from
-            # u = 1 - x, a1 = x and u - c = s - x
-            u, wc = 1.0 - x, s - x
-            cu = c / u
-            m2 = lam2 * cu / u
-            lead = x * wc * (lam1 - m2)
-            tail = cu * x
-            chi, size = lead - wc + tail, np.abs(lead) + wc + tail
-            slope = (x - wc) * (lam1 - m2) + 2.0 * m2 * x * wc / u - 1.0 - cu / u
-            lo = np.where(chi < 0.0, x, lo)
-            hi = np.where(chi > 0.0, x, hi)
-            nxt = x + chi / slope  # chi' in x is -slope
-            nxt = np.where((slope < 0.0) & (nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-            done = np.abs(chi) <= tol * size
-            done |= np.abs(nxt - x) <= tol * x
-            x = np.where(done, x, nxt)
-            if done.all():
-                break
-    return x, (s - x) / (1.0 - x)
-
-
 _BUDGET_RTOL = 1e-12
 _NEWTON_STEPS = 100
 # a line search whose residual-norm test fails this many halvings marks the
@@ -379,10 +301,13 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
 
     At unit weights this is the restricted program of :func:`joint_rdf`
     with ``lam = 2 mu``: ``x1 <= 1 - d/q`` and ``x2 <= 1 - d q`` for some
-    q is the cap ``(1 - x1)(1 - x2) >= d^2``.  There h is flat where both
-    branches are active, so a coordinate keeps ``x = (c_1, c_2)`` when that
-    point keeps the cap, and otherwise saturates both branches on the cap,
-    at the root of :func:`_capped_pairs`; q is then the state nearest 1,
+    q is the cap ``(1 - x1)(1 - x2) >= d^2``, and the same oracle solves
+    it.  There an active piece has no ``log v`` term and adds
+    ``c_i / mu_i = 2 c_i^2`` to the Hessian, and a coordinate with both
+    branches saturated sits on the cap by construction,
+    ``(1 - v_1)(1 - v_2) = d e^{-u} d e^{u} = d^2``.
+    h is flat where both branches are active, so the root found for u may
+    lie anywhere on that stretch; the state returned is the one nearest 1,
     the least R0, that admits the allocations.
 
     The dual over mu >= 0 is solved by :func:`_dual_newton`: its gradient
@@ -390,9 +315,8 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     ``diag(sum_active c_i / mu_i) + sum_j s s^T / h_j''``, with s the
     saturated slopes ``dv_i/du``.  A saturated x_ij = v_ij(u_j) inherits
     the inner roots' stopping error 2 eps |u_j|, so the budget sums round
-    by ``sum_saturated w_ij 2 eps |u_j|`` (at unit weights by 4 eps of each
-    sum, the cap roots' tolerance), and the solve stops within a few of
-    that rounding (it exceeds 1e-12 of delta_i only where delta_i is tiny
+    by ``sum_saturated w_ij 2 eps |u_j|``, and the solve stops within a few
+    of that rounding (it exceeds 1e-12 of delta_i only where delta_i is tiny
     and |u| large).
 
     Returns ``(x, u, mu, bound, steps, evals, converged)``: the
@@ -400,7 +324,6 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     on the objective, the Newton steps, the dual evaluations and whether
     the solve stopped before its step cap.
     """
-    dd = d * d
     pos = d > 0.0
     with np.errstate(divide="ignore"):
         ld = np.log(d)  # -inf where d = 0
@@ -427,33 +350,6 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
         # a slack budget whose multiplier is 0 counts as met
         r1, r2 = 1.0 - sum1 / d1, 1.0 - sum2 / d2
         return r1 if mu1 > 0.0 else min(r1, 0.0), r2 if mu2 > 0.0 else min(r2, 0.0)
-
-    def unit_oracle(mu):
-        mu1, mu2 = mu.tolist()
-        c1, c2 = (0.5 / mi if mi > 0.0 else math.inf for mi in (mu1, mu2))
-        x = np.empty((2, d.size))
-        x[0], x[1] = min(c1, 1.0), min(c2, 1.0)  # v = 1 where d = 0
-        cap = pos & (dd > (1.0 - c1) * (1.0 - c2)) if c1 < 1.0 and c2 < 1.0 else pos
-        free = d.size - np.count_nonzero(cap)
-        # each active piece adds c_i / mu_i = 2 c_i^2
-        h11, h22 = (2.0 * free * ci * ci if ci < 1.0 else 0.0 for ci in (c1, c2))
-        h12 = 0.0
-        if free < d.size:
-            # 1 minus the cap root's iterate, the larger multiplier's
-            # allocation, keeps its precision where the other runs to 1
-            i = int(mu2 > mu1)
-            cc = dd[cap]
-            x[:, cap] = xc = np.array(_capped_pairs(d[cap], 2.0 * mu1, 2.0 * mu2))
-            w = np.empty_like(xc)
-            w[i] = 1.0 - xc[i]
-            w[1 - i] = cc / w[i]
-            s = SGN * w / np.sqrt(terms(w, xc, False, mu[:, None])[2])
-            (s11, h12), (_, s22) = (s @ s.T).tolist()
-            h11, h22 = h11 + s11, h22 + s22
-        sum1, sum2 = x.sum(1).tolist()
-        g = mu1 * (d1 - sum1) + mu2 * (d2 - sum2) + 0.5 * float(np.log(x).sum())
-        size = (4.0 * _EPS * sum1 / d1, 4.0 * _EPS * sum2 / d2)
-        return ((h11, h12), (h12, h22)), g, residuals(mu1, mu2, sum1, sum2), size, (x, u, g)
 
     def family_oracle(mu):
         nonlocal u, last_mu, slope
@@ -500,9 +396,8 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
                     in zip((s11, s22), active.sum(1).tolist(), (c1, c2), (mu1, mu2)))
         return ((h11, h12), (h12, h22)), g, res, (z1 / d1, z2 / d2), (x, u, g)
 
-    unit = weights == [1.0, 1.0]
-    mu, (x, u, g), steps, evals = _dual_newton(unit_oracle if unit else family_oracle, delta, start)
-    if unit:
+    mu, (x, u, g), steps, evals = _dual_newton(family_oracle, delta, start)
+    if weights == [1.0, 1.0]:
         # the state of least R0 with x_i <= v_i(u) on both branches, u = 0
         # where d = 0; on the cap lo = hi, taken from the smaller allocation,
         # whose 1 - x keeps its precision

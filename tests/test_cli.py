@@ -54,6 +54,11 @@ def test_cvf_accepts_csv_input(runner, tmp_path):
     res = runner.invoke(main, ["cvf", "--in", str(src), "--out", out])
     assert res.exit_code == 0
     np.testing.assert_allclose(json.loads(Path(out).read_text())["d"], [0.4, 0.2], atol=1e-12)
+    # a well-formed CSV whose matrix is not (p1 + p2) square
+    src.write_text("1,2\n" + gw.pair_to_csv(pair).split("\n", 1)[1])
+    res = runner.invoke(main, ["cvf", "--in", str(src), "--out", out])
+    assert res.exit_code == 6, res.output
+    assert json.loads(res.stderr)["error"] == "DimensionMismatch"
 
 
 def test_cvf_output_is_byte_stable(runner, pair_file, tmp_path):
@@ -517,19 +522,29 @@ def _malformed(reader, make, message):
     *(_malformed(reader, lambda body: "{\"d\": [0.8,", f"{what} is not JSON")
       for reader, what in (("pair", "pair file"), ("cvf", "canonical-form file"),
                            ("realization", "realization file"), ("state", "state file"))),
+    # a pair CSV whose header is not two integers, with an entry that is
+    # not a number, or with a ragged row
+    _malformed("csv", lambda body: "a,b\n1,0.5\n0.5,1\n",
+               "pair CSV row 1 is not the two integers p1,p2"),
+    _malformed("csv", lambda body: "2\n1,0.5\n0.5,1\n",
+               "pair CSV row 1 is not the two integers p1,p2"),
+    _malformed("csv", lambda body: "1,1\n1,0.5\n0,x\n", "pair CSV row 3 is not numbers"),
+    _malformed("csv", lambda body: "1,1\n1,0.5\n0.5\n", "pair CSV row 3 has length 1, row 2 has length 2"),
 ])
 def test_malformed_input_file_is_a_usage_error(runner, pair_file, cvf_file, tmp_path,
                                                 reader, make, message):
     # each of these once ended in an AttributeError, TypeError, ValueError
     # or JSONDecodeError traceback (exit 1)
     path = {"pair": pair_file, "cvf": cvf_file, "marginal": cvf_file,
-            "realization": str(tmp_path / "real.json"), "state": str(tmp_path / "qw.json")}[reader]
+            "realization": str(tmp_path / "real.json"), "state": str(tmp_path / "qw.json"),
+            "csv": str(tmp_path / "pair.csv")}[reader]
     if reader == "realization":
         assert runner.invoke(main, ["realize", "--in", cvf_file, "--out", path]).exit_code == 0
-    body = json.loads(Path(path).read_text()) if reader != "state" else None
+    body = json.loads(Path(path).read_text()) if reader not in ("state", "csv") else None
     Path(path).write_text(make(body))
     args = {
         "pair": ["cvf", "--in", path, "--out", str(tmp_path / "out.json")],
+        "csv": ["cvf", "--in", path, "--out", str(tmp_path / "out.json")],
         "cvf": ["rdf", "joint", "--in", path, "--delta1", "0.3", "--delta2", "0.3"],
         "marginal": ["rdf", "marginal", "--in", path, "--delta1", "0.3"],
         "realization": ["simulate", "--realization", path, "-N", "4000", "--seed", "1",

@@ -427,8 +427,8 @@ def _hessian_cases(rng):
     for _ in range(100):
         d = np.append(rng.uniform(0.05, 0.99, int(rng.integers(1, 5))), 0.0)
         yield d, 10.0 ** rng.uniform(0.2, 2.0, 2)
-    # lam2 > lam1 with lam1 below 1 and a tiny d: the capped a1 runs to 1, so
-    # a Hessian built from 1 - a1 instead of 1 - a2 came out NaN
+    # lam2 > lam1 with lam1 below 1 and a tiny d: the capped a1 runs to 1,
+    # where a Hessian built from 1 - a1 came out NaN
     for _ in range(100):
         tiny = 10.0 ** rng.uniform(-9.0, -2.0, int(rng.integers(1, 4)))
         d = np.append(tiny, rng.uniform(0.05, 0.99))
@@ -439,18 +439,22 @@ def _hessian_cases(rng):
 def test_dual_hessian_matches_finite_differences(monkeypatch, rng):
     # the Hessian is minus the Jacobian of the allocation sums in the budget
     # multipliers mu = lam / 2, at unit weights (the joint program) and off
-    # them, each case with a d = 0 or a tiny d coordinate
+    # them, each case with a d = 0 or a tiny d coordinate.  Each evaluation
+    # takes a fresh oracle: a reused one warm-starts its roots from the last
+    # call, which moves u by a few ulps and the differences with it
     for (d, lam), alpha in itertools.product(_hessian_cases(rng), [(1.0, 1.0), (0.6, 0.9)]):
-        oracle = _ci_oracle(monkeypatch, d, alpha)
+        def evaluate(mu):
+            return _ci_oracle(monkeypatch, d, alpha)(mu)
+
         mu = lam / 2.0
-        hess = oracle(mu)[0]
+        hess = evaluate(mu)[0]
         assert np.all(np.isfinite(hess))
         jac = np.empty((2, 2))
         for k in range(2):
             step = np.zeros(2)
             step[k] = 1e-6 * mu[k]
-            up = oracle(mu + step)[4][0].sum(1)
-            down = oracle(mu - step)[4][0].sum(1)
+            up = evaluate(mu + step)[4][0].sum(1)
+            down = evaluate(mu - step)[4][0].sum(1)
             jac[:, k] = (up - down) / (2.0 * step[k])
         np.testing.assert_allclose(hess, -jac, rtol=0, atol=1e-4 * np.abs(hess).max())
 
@@ -475,7 +479,8 @@ def _count_dual_evaluations(monkeypatch, limit=None):
 @pytest.mark.parametrize("d, share1, share2", DUAL_CASES)
 def test_joint_dual_solve_takes_few_evaluations(monkeypatch, d, share1, share2):
     # a deterministic stand-in for a timing assert: each evaluation is one
-    # batched cap solve; alternating Brent line searches needed 80-231 here
+    # batched root solve per component; alternating Brent line searches
+    # needed 80-231 here
     calls = _count_dual_evaluations(monkeypatch)
     d = np.array(d)
     b = gw.dw_bound(d)
@@ -613,32 +618,7 @@ def test_dual_zero_hessian_exits_at_the_start():
     assert lam is start and state is start
 
 
-# ---------------------------------------------------------------- cap solve
-
-
-def test_capped_pairs_beat_a_dense_grid(rng):
-    # each capped component maximizes phi on its cap curve
-    # a1 + a2 - a1 a2 = 1 - d^2; a log-spaced grid over the whole curve,
-    # gridded on the exact cap (1 - d)(1 + d), never does better
-    s = np.concatenate(
-        [np.logspace(-16, -1, 3000), np.linspace(0.1, 0.9, 3000), 1.0 - np.logspace(-1, -16, 3000)]
-    )
-    checked = 0
-    while checked < 60:
-        d = np.array([1.0 - 10.0 ** rng.uniform(-7, -0.01)])
-        c, cap = d[0] * d[0], (1.0 - d[0]) * (1.0 + d[0])
-        lam1, lam2 = 10.0 ** rng.uniform(-3, 7, size=2)
-        f1, f2 = 1.0 / lam1, 1.0 / lam2
-        if f1 < 1.0 and f2 < 1.0 and (1.0 - f1) * (1.0 - f2) >= c:
-            continue  # free optimum inside the cap set
-        a1, a2 = rdf._capped_pairs(d, lam1, lam2)
-        assert math.isclose(a1[0] + a2[0] - a1[0] * a2[0], cap, rel_tol=1e-13)
-        g1 = cap * (1.0 - s)
-        g2 = cap * s / (c + cap * s)
-        grid = np.log(g1) + np.log(g2) - lam1 * g1 - lam2 * g2
-        best = math.log(a1[0]) + math.log(a2[0]) - lam1 * a1[0] - lam2 * a2[0]
-        assert best >= grid.max() - 1e-12 * (1.0 + abs(best))
-        checked += 1
+# ---------------------------------------------------------------- cap
 
 
 def test_joint_capped_allocations_sit_on_the_exact_cap():
@@ -661,6 +641,37 @@ def test_joint_capped_allocations_sit_on_the_exact_cap():
                 excess = (a1 + a2 - a1 * a2 - cap) / cap
                 assert excess <= 4 * np.finfo(float).eps, (d.tolist(), delta1, delta2)
                 capped += abs(excess) <= 1e-6
+
+
+def test_joint_tiny_coefficients_stay_on_the_cap():
+    # beside one d in [0.05, 0.99], components with d in [1e-12, 1e-7],
+    # where 1 - d^2 rounds to 1: the larger allocation of each may reach the
+    # cap point 1 - d^2 / (1 - a_other) but not pass it by more than 4 ulps,
+    # checked in 50 digits.  A cap root on the rounded 1 - d^2 returned
+    # exactly 1.0 there, (1 - a1)(1 - a2) = 0 < d^2, up to 5.8e6 ulps past
+    # it on these draws; the form a1 + a2 - a1 a2 rounds that miss away.
+    # Cap points within 1e-13 of 1 are skipped
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    drawn = capped = 0
+    with mp.workdps(50):
+        while drawn < 1500:
+            tiny = 10.0 ** rng.uniform(-12.0, -7.0, int(rng.integers(1, 4)))
+            d = np.sort(np.append(tiny, rng.uniform(0.05, 0.99)))[::-1]
+            delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.5, 2)
+            if gw.in_dw(d, delta1, delta2):
+                continue
+            drawn += 1
+            res = gw.joint_rdf(d, delta1, delta2)
+            for x, a1, a2 in zip(d, res.alloc1, res.alloc2):
+                big, other = max(a1, a2), min(a1, a2)
+                off = mp.mpf(x) ** 2 / (1 - mp.mpf(other))
+                if off < 1e-13:
+                    continue
+                past = (mp.mpf(big) - (1 - off)) / np.spacing(big)
+                assert past <= 4, (d.tolist(), delta1, delta2)
+                capped += past >= -4
+    assert capped >= drawn  # a capped component per draw, on average
 
 
 def test_joint_rate_keeps_branch_swap_and_component_order():
@@ -763,7 +774,7 @@ def test_joint_keeps_budgets_on_near_symmetric_pairs(rng):
 
 @pytest.mark.parametrize("d", NEAR_UNIT_CASES)
 def test_joint_keeps_budgets_with_coefficients_near_one(d):
-    # the cap solve iterated on 1 - a1, which lost a1's relative precision
+    # a cap solve that iterated on 1 - a1 lost a1's relative precision
     # once the cap interval (0, 1 - d^2) was ~1e-9 wide: budgets were
     # overshot by 1.2e-5 and 1.5e-6 relative
     d = np.array(d)
