@@ -373,8 +373,8 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
 @click.option("--in", "in_path", required=True, help="canonical-form JSON")
 @click.option("--delta1", type=float, required=True)
 @click.option("--delta2", type=float, required=True)
-@click.option("--alpha-grid", type=int, default=11, show_default=True,
-              help="ticks per weight axis on [0, 1]")
+@click.option("--alpha-grid", type=click.IntRange(min=1), default=11, show_default=True,
+              help="ticks per weight axis on [0, 1]; 1 is the single point (1, 1)")
 @click.option("--out", required=True, help="output CSV")
 @_guarded
 def region_cmd(in_path, delta1, delta2, alpha_grid, out):

@@ -39,8 +39,11 @@ class QWOutOfFamily(GwgaussError):
 
 
 class NonpositiveDistortion(GwgaussError):
-    """A distortion budget is zero, negative or NaN; ``+inf`` is a slack
-    budget and passes."""
+    """A distortion budget is zero, negative or NaN, or so small that its
+    share per component, ``delta / n``, is below the smallest normal float
+    (2.2e-308), where the rates and multipliers it implies overflow or lose
+    their precision; ``+inf`` is a slack budget and passes.  The one check is
+    ``rdf.require_positive``."""
 
 
 class QWNotDiagonal(GwgaussError):

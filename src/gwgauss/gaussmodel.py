@@ -229,6 +229,13 @@ def branch_variances(log_d: np.ndarray, u: np.ndarray):
     return np.exp(e), -np.expm1(e)
 
 
+def coordinate_branch_variances(log_d: float, u: float):
+    """:func:`branch_variances` of one coordinate in Python floats,
+    ``(w1, v1, w2, v2)``; ``log_d = -inf`` (d = 0) gives ``w = 0``, ``v = 1``."""
+    e1, e2 = log_d - u, log_d + u
+    return math.exp(e1), -math.expm1(e1), math.exp(e2), -math.expm1(e2)
+
+
 def log_branch_variances(log_d: np.ndarray, u: np.ndarray):
     """``(v, log v)`` of :func:`branch_variances`; ``log1p(-w)`` keeps log v's
     ulps where v > 1/2, and w is clipped at 1/2 elsewhere to stay finite."""

@@ -70,7 +70,7 @@ def lossy_common_information(d, delta1: float, delta2: float) -> float:
     the bound attached.
     """
     d = coefficients(d)
-    require_positive(delta1, delta2)
+    require_positive(delta1, delta2, components=d.size)
     require_dw(d, delta1, delta2)
     return float(np.sum(common_information_terms(d)))
 
@@ -83,7 +83,7 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
     equals the joint rate on the region.
     """
     d = coefficients(d)
-    require_positive(delta1, delta2)
+    require_positive(delta1, delta2, components=d.size)
     require_dw(d, delta1, delta2)
     return RateTriple(
         r0=float(np.sum(common_information_terms(d))),
@@ -127,7 +127,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     d = coefficients(d)
     if np.any(d == 0.0):
         raise QWOutOfFamily("sweep needs coefficients strictly inside (0, 1)")
-    require_positive(delta1, delta2)
+    require_positive(delta1, delta2, components=d.size)
     if alphas is None:
         ticks = [i / 10.0 for i in range(11)]
         alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]

@@ -21,7 +21,9 @@ some diagonal conditional-independence state admits, so the program is the
 CI-family weighted rate of :mod:`graywyner` at unit weights: one
 two-multiplier dual (:func:`ci_dual`), with the same oracle at every
 weight, solves both, and its duality gap certifies the rate against the
-restricted optimum only.
+restricted optimum only.  That oracle solves one root per component, in
+Python floats one component at a time up to 32 components and as one numpy
+batch above, under one contract.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 
 from .errors import (NonpositiveDistortion, NotPositiveDefinite, OutsideDW, QWNotDiagonal,
                      QWOutOfFamily)
-from .gaussmodel import SGN, branch_variances, log_one_minus_square, one_minus_square, pair_rate
+from .gaussmodel import (SGN, branch_variances, coordinate_branch_variances, log_one_minus_square,
+                         one_minus_square, pair_rate)
 from .wyner import as_state_covariance, coefficients, diagonal_entries, in_state_family
 
 
@@ -93,7 +96,7 @@ def marginal_rdf(variances, delta: float) -> RdfResult:
     v = np.atleast_1d(np.asarray(variances, dtype=float))
     if not np.all(v >= 0.0):
         raise NotPositiveDefinite("variances must be nonnegative")
-    require_positive(delta)
+    require_positive(delta, components=v.size)
     alloc, level, active = _waterfill(v, float(delta))
     if active.any():
         rate = float(0.5 * np.sum(np.log(v[active] / level)))
@@ -150,12 +153,23 @@ def in_dw(d, delta1: float, delta2: float) -> bool:
     return 0.0 <= delta1 <= b + tol and 0.0 <= delta2 <= b + tol
 
 
-def require_positive(*deltas: float) -> None:
-    """Raise :class:`NonpositiveDistortion` unless every budget is positive;
-    a NaN fails, and ``+inf``, a slack budget, passes."""
+# the smallest normal float: a budget share delta / n below it keeps fewer
+# significant bits, and the multipliers formed from it, up to 2 n / delta,
+# overflow a factor 4 below it
+_TINY = float(np.finfo(float).tiny)
+
+
+def require_positive(*deltas: float, components: int = 1) -> None:
+    """Raise :class:`NonpositiveDistortion` unless every budget is positive
+    and leaves each of ``components`` a normal float, ``delta >=
+    max(components, 1) * 2.2e-308``; a NaN fails, and ``+inf``, a slack
+    budget, passes."""
     for delta in deltas:
         if not delta > 0.0:
             raise NonpositiveDistortion(f"distortion must be positive, got {delta}")
+        if delta < max(components, 1) * _TINY:
+            raise NonpositiveDistortion(f"distortion {delta} leaves each of {max(components, 1)} "
+                                        f"components less than the smallest normal float, {_TINY}")
 
 
 def slack_budgets(d: np.ndarray, delta1: float, delta2: float) -> np.ndarray:
@@ -274,6 +288,14 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
 # per-coordinate Newton steps on h' in ci_dual; bisection alone reaches
 # rounding on the bracket (log d, -log d) in under 60 halvings
 _INNER_STEPS = 80
+# ci_dual solves its inner roots in Python floats, one coordinate at a time,
+# up to this many coordinates, and as one numpy batch above, where numpy's
+# per-call cost is spread over enough coordinates.  On the joint workload's
+# budget pairs outside D_W (2-core Xeon, one BLAS thread) a joint_rdf solve
+# took 0.37 ms in floats against 0.47 ms batched at 32 coordinates, 0.49
+# against 0.49 at 48, 0.61 against 0.49 at 64 and 1.07 against 0.57 at 128:
+# the crossover sits near 48
+_FLOAT_COORDS = 32
 
 
 def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarray):
@@ -294,10 +316,17 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     (log d_j, -log d_j), with ``phi_i' = -(1 - alpha_i) / (2 v)`` on an
     active branch (v > c_i) and ``mu_i - 1 / (2 v)`` on a saturated one.
     h' runs from -inf to +inf; safeguarded Newton steps inside a bisection
-    bracket find its root, batched over coordinates.  Each evaluation
-    starts from the previous evaluation's roots moved to first order in
-    mu, ``du_j/dmu_i = -sgn_i w_ij / h_j''`` on a saturated branch (0 on an
+    bracket find its root.  Each evaluation starts from the previous
+    evaluation's roots moved to first order in mu,
+    ``du_j/dmu_i = -sgn_i w_ij / h_j''`` on a saturated branch (0 on an
     active one), at most halfway to the family boundary.
+
+    The roots are solved in Python floats, one coordinate at a time, for
+    up to ``_FLOAT_COORDS`` (32) coordinates, and as one numpy batch over
+    all coordinates above that, where the batch is faster.  Both paths run
+    the same start, steps, stop test and sums, so they are one oracle under
+    the contract of :func:`_dual_newton`; they differ only by the rounding
+    of numpy's and ``math``'s functions and the order of the sums.
 
     At unit weights this is the restricted program of :func:`joint_rdf`
     with ``lam = 2 mu``: ``x1 <= 1 - d/q`` and ``x2 <= 1 - d q`` for some
@@ -346,20 +375,13 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
         sz = (0.5 * r + b) * w
         return pw, sz[0] + sz[1], ct[0] + ct[1]
 
-    def residuals(mu1, mu2, sum1, sum2):
-        # a slack budget whose multiplier is 0 counts as met
-        r1, r2 = 1.0 - sum1 / d1, 1.0 - sum2 / d2
-        return r1 if mu1 > 0.0 else min(r1, 0.0), r2 if mu2 > 0.0 else min(r2, 0.0)
-
-    def family_oracle(mu):
+    def batch_roots(mu, c1, c2, p1, p2):
+        # every coordinate's root at once; returns the dual value's family
+        # sum, the branch sums of x and of w 2 eps |u| over saturated pieces,
+        # the entries s11, s12, s22 of sum_j s s^T, the active counts and
+        # the state (x, u)
         nonlocal u, last_mu, slope
-        (mu1, mu2), m = mu.tolist(), mu[:, None]
-        c1, c2 = (a / (2.0 * mi) if mi > 0.0 else math.inf if a > 0.0 else 0.0
-                  for a, mi in zip(weights, (mu1, mu2)))  # inf on a weighted branch with mu = 0
-        c = np.array([[c1], [c2]])
-        # -alpha/2 log c + mu c, the value of a weighted active piece
-        pinned = np.array([[0.5 * a * (1.0 - math.log(ci)) if 0.0 < ci < math.inf else 0.0]
-                           for a, ci in zip(weights, (c1, c2))])
+        m, c, pinned = mu[:, None], np.array([[c1], [c2]]), np.array([[p1], [p2]])
         with np.errstate(divide="ignore", invalid="ignore"):
             # the last roots moved to first order in mu, at most halfway to
             # the family boundary
@@ -386,14 +408,102 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
             last_mu, slope = mu, s / root
         lv = np.log(v)
         value = np.where(active, pinned - kh * lv, m * v - 0.5 * lv)
-        g = mu1 * d1 + mu2 * d2 - float(value.sum())
         x = np.where(active, c, v)
-        res = residuals(mu1, mu2, *x.sum(1).tolist())
-        z1, z2 = (np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u))).tolist()
-        (s11, h12), (_, s22) = (s @ s.T).tolist()
+        z = (np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u))).tolist()
+        (s11, s12), (_, s22) = (s @ s.T).tolist()
+        counts = active.sum(1).tolist()
+        return float(value.sum()), x.sum(1).tolist(), z, (s11, s12, s22), counts, (x, u)
+
+    (k1, k2), lds = (0.5 * (1.0 - a) for a in weights), ld.tolist()
+    roots, slopes, last = [0.0] * d.size, [(0.0, 0.0)] * d.size, (0.0, 0.0)
+    grad_tol, step_tol, last_step = 8.0 * _EPS, 2.0 * _EPS, _INNER_STEPS - 1
+
+    def float_roots(mu, c1, c2, p1, p2):
+        # batch_roots one coordinate at a time in Python floats.  Where
+        # numpy gives +-inf for 1 / 0 and -inf for log 0, math raises, so
+        # both are spelled out; a d = 0 coordinate (l = -inf) stays at u = 0
+        # with w = 0 and v = 1, and its h' = 0 meets the stop test at once
+        nonlocal last
+        (mu1, mu2), (m1, m2) = mu.tolist(), last
+        dm1, dm2, last = mu1 - m1, mu2 - m2, (mu1, mu2)
+        value = sum1 = sum2 = z1 = z2 = s11 = s12 = s22 = 0.0
+        n1 = n2 = 0
+        x1, x2 = [], []
+        for j, l in enumerate(lds):
+            u, (t1, t2) = roots[j], slopes[j]
+            u = min(max(u - (dm1 * t1 + dm2 * t2), 0.5 * (l + u)), 0.5 * (u - l))
+            lo, hi = l, -l
+            for it in range(_INNER_STEPS):
+                w1, v1, w2, v2 = coordinate_branch_variances(l, u)
+                # a = kh and b = 0 on an active piece, 1/2 and mu on a saturated one
+                act1, act2 = v1 > c1, v2 > c2
+                if act1:
+                    a1, b1 = k1, 0.0
+                else:
+                    a1, b1 = 0.5, mu1
+                if act2:
+                    a2, b2 = k2, 0.0
+                else:
+                    a2, b2 = 0.5, mu2
+                r1 = 1.0 / v1 if v1 else math.copysign(math.inf, v1)
+                r2 = 1.0 / v2 if v2 else math.copysign(math.inf, v2)
+                pw1, pw2 = (b1 - a1 * r1) * w1, (b2 - a2 * r2) * w2
+                grad = pw1 - pw2
+                if grad < 0.0:
+                    lo = u
+                elif grad > 0.0:
+                    hi = u
+                curv = (a1 * r1 * r1 * w1 * w1 - pw1) + (a2 * r2 * r2 * w2 * w2 - pw2)
+                size = (0.5 * r1 + b1) * w1 + (0.5 * r2 + b2) * w2
+                if abs(grad) <= grad_tol * size or it == last_step:
+                    break
+                # NaN where h'' <= 0, which fails the bracket test
+                nxt = u - grad / curv if curv > 0.0 else math.nan
+                if not lo < nxt < hi:
+                    nxt = 0.5 * (lo + hi)
+                if abs(nxt - u) <= step_tol * abs(u):
+                    break
+                u = nxt
+            roots[j] = u
+            root = math.sqrt(curv) if curv > 0.0 else 1.0
+            # a saturated branch of zero weight has no allocation
+            e1 = (w1 if not act1 and c1 > 0.0 else 0.0) / root
+            e2 = (-w2 if not act2 and c2 > 0.0 else 0.0) / root
+            slopes[j] = (e1 / root, e2 / root)
+            s11, s12, s22 = s11 + e1 * e1, s12 + e1 * e2, s22 + e2 * e2
+            lv1 = math.log(v1) if v1 > 0.0 else -math.inf
+            lv2 = math.log(v2) if v2 > 0.0 else -math.inf
+            value += p1 - k1 * lv1 if act1 else mu1 * v1 - 0.5 * lv1
+            value += p2 - k2 * lv2 if act2 else mu2 * v2 - 0.5 * lv2
+            xa, xb = c1 if act1 else v1, c2 if act2 else v2
+            x1.append(xa)
+            x2.append(xb)
+            sum1, sum2, n1, n2 = sum1 + xa, sum2 + xb, n1 + act1, n2 + act2
+            zu = step_tol * abs(u)
+            z1, z2 = z1 + (0.0 if act1 else w1 * zu), z2 + (0.0 if act2 else w2 * zu)
+        state = np.array([x1, x2]), np.array(roots)
+        return value, (sum1, sum2), (z1, z2), (s11, s12, s22), (n1, n2), state
+
+    solve_roots = float_roots if d.size <= _FLOAT_COORDS else batch_roots
+
+    def residuals(mu1, mu2, sum1, sum2):
+        # a slack budget whose multiplier is 0 counts as met
+        r1, r2 = 1.0 - sum1 / d1, 1.0 - sum2 / d2
+        return r1 if mu1 > 0.0 else min(r1, 0.0), r2 if mu2 > 0.0 else min(r2, 0.0)
+
+    def family_oracle(mu):
+        mu1, mu2 = mu.tolist()
+        c1, c2 = (a / (2.0 * mi) if mi > 0.0 else math.inf if a > 0.0 else 0.0
+                  for a, mi in zip(weights, (mu1, mu2)))  # inf on a weighted branch with mu = 0
+        # -alpha/2 log c + mu c, the value of a weighted active piece
+        p1, p2 = (0.5 * a * (1.0 - math.log(ci)) if 0.0 < ci < math.inf else 0.0
+                  for a, ci in zip(weights, (c1, c2)))
+        value, sums, (z1, z2), (s11, h12, s22), counts, (x, u) = solve_roots(mu, c1, c2, p1, p2)
+        g = mu1 * d1 + mu2 * d2 - value
         # each active piece of a priced branch adds c_i / mu_i to the diagonal
         h11, h22 = (sii + n * ci / mi if mi > 0.0 else sii for sii, n, ci, mi
-                    in zip((s11, s22), active.sum(1).tolist(), (c1, c2), (mu1, mu2)))
+                    in zip((s11, s22), counts, (c1, c2), (mu1, mu2)))
+        res = residuals(mu1, mu2, *sums)
         return ((h11, h12), (h12, h22)), g, res, (z1 / d1, z2 / d2), (x, u, g)
 
     mu, (x, u, g), steps, evals = _dual_newton(family_oracle, delta, start)
@@ -412,17 +522,20 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
     # start at 1 / the water level of each budget over the ceilings
     # max(p_ij, 1 - d_j), p_j where the ray a2 = rho a1 meets the cap (in
-    # cancellation-free form; rho = sqrt(delta2 / delta1) as a ratio of
-    # roots, which cannot overflow): at delta1 = delta2 that is the optimum,
-    # a water-fill of delta over 1 - d, and inside D_W the equal split
-    # n / delta.  No allocation exceeds 1 - d^2, so a budget of sum(1 - d^2)
-    # or more is slack and its multiplier starts at its optimum, 0; an
-    # infinite budget is solved and certified as that sum (slack_budgets).
+    # cancellation-free form, with (1 + rho)^2 factored out of the root;
+    # rho = sqrt(delta2 / delta1) as a ratio of roots; neither overflows at
+    # any budget ratio that require_positive admits): at delta1 = delta2
+    # that is the optimum, a water-fill of delta over 1 - d, and inside D_W
+    # the equal split n / delta.  No allocation exceeds 1 - d^2, so a budget
+    # of sum(1 - d^2) or more is slack and its multiplier starts at its
+    # optimum, 0; an infinite budget is solved and certified as that sum
+    # (slack_budgets).
     s = one_minus_square(d)
     delta = slack_budgets(d, delta1, delta2)
     delta1, delta2 = delta.tolist()
     rho = math.sqrt(delta2) / math.sqrt(delta1)
-    p1 = 2.0 * s / ((1.0 + rho) + np.sqrt((1.0 + rho) ** 2 - 4.0 * rho * s))
+    r = 1.0 + rho
+    p1 = 2.0 * s / (r * (1.0 + np.sqrt(1.0 - 4.0 * s * (rho / r) / r)))
     start = np.array([1.0 / _waterfill(np.maximum(p, 1.0 - d), x)[1]
                       for p, x in ((p1, delta1), (rho * p1, delta2))])
     start[delta >= s.sum()] = 0.0
@@ -456,8 +569,8 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     Gaussian joint RDF.
     """
     d = coefficients(d)
-    require_positive(delta1, delta2)
     n = d.size
+    require_positive(delta1, delta2, components=n)
     if n == 0:
         # nothing to allocate: every budget, an infinite one too, is all slack
         empty = np.zeros(0)

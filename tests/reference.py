@@ -168,3 +168,36 @@ def sum_rate_identity_check(d, delta1: float, delta2: float, joint_rate: float) 
     c = float(0.5 * np.sum(np.log((1.0 + d) / (1.0 - d))))
     r1, r2 = (_waterfill_rate(1.0 - d, x) for x in (delta1, delta2))
     return abs(joint_rate - (r1 + r2 + c))
+
+
+def exact_joint_rate(d, delta1: float, delta2: float) -> float:
+    """The Gaussian joint rate-distortion function of the canonical pair
+    with coefficients d, nats, on the budget pairs where it has a closed
+    form; ``ValueError`` elsewhere.
+
+    Each component is the 2 x 2 block ``[[1, d_j], [d_j, 1]]``, with
+    eigenvalues ``1 + d_j`` and ``1 - d_j``:
+
+    * both ``delta_i >= n``: 0, the zero reconstruction meets both budgets;
+    * ``delta1 = delta2 = delta``: the reverse water-fill of ``2 delta``
+      over the 2n eigenvalues.  Relaxing the budgets to their sum gives a
+      lower bound, and that water-fill's error is diagonal in each block's
+      eigenbasis ``(1, +-1) / sqrt(2)``, so it splits ``delta`` per branch;
+    * one budget slack, ``delta_i <= n`` and
+      ``delta_other >= sum(1 - d^2 (1 - delta_i / n))``:
+      ``(n / 2) log(n / delta_i)``, the rate of branch i alone; the other
+      branch is reconstructed from branch i's reconstruction with that MSE.
+    """
+    d = _coefficients(d)
+    n = d.size
+    if not (delta1 > 0.0 and delta2 > 0.0):
+        raise ValueError("distortions must be positive")
+    if min(delta1, delta2) >= n:
+        return 0.0
+    if delta1 == delta2:
+        return _waterfill_rate(np.concatenate((1.0 + d, 1.0 - d)), 2.0 * delta1)
+    rates = [0.5 * n * np.log(n / di) for di, do in ((delta1, delta2), (delta2, delta1))
+             if di <= n and do >= float(np.sum(1.0 - d * d * (1.0 - di / n)))]
+    if not rates:
+        raise ValueError("no closed form at these budgets")
+    return float(max(rates))

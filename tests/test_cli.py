@@ -232,6 +232,21 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     assert summary["iterations"] == sum(p.iterations for p in points) >= len(points)
 
 
+def test_region_alpha_grid_needs_a_tick(runner, cvf_file, tmp_path):
+    # one tick is the single point (1, 1); fewer is a usage error, which
+    # once swept (1, 1) alone without a word
+    out = tmp_path / "region.csv"
+    args = ["region", "--in", cvf_file, "--delta1", "0.3", "--delta2", "0.3", "--out", str(out)]
+    for ticks in ("0", "-3"):
+        res = runner.invoke(main, args + ["--alpha-grid", ticks])
+        assert res.exit_code == 2, ticks
+        assert not out.exists()
+    res = runner.invoke(main, args + ["--alpha-grid", "1"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["points"] == 1
+    assert out.read_text().splitlines()[1].startswith("1,1,")
+
+
 def test_demo_random_roundtrip_and_determinism(runner):
     res1 = runner.invoke(main, ["demo-random", "--p1", "2", "--p2", "3", "--seed", "7"])
     res2 = runner.invoke(main, ["demo-random", "--p1", "2", "--p2", "3", "--seed", "7"])
@@ -277,6 +292,13 @@ def test_error_exit_codes(runner, cvf_file, tmp_path):
                                "--delta1", "-1", "--delta2", "0.3"])
     assert res.exit_code == 11
     assert json.loads(res.stderr)["error"] == "NonpositiveDistortion"
+    # a subnormal budget leaves no normal float per component; it once
+    # ended in a traceback
+    for budgets in (("1e-320", "0.3"), ("0.3", "5e-324")):
+        res = runner.invoke(main, ["rdf", "joint", "--in", cvf_file,
+                                   "--delta1", budgets[0], "--delta2", budgets[1]])
+        assert res.exit_code == 11, budgets
+        assert json.loads(res.stderr)["error"] == "NonpositiveDistortion"
 
     bad_q = tmp_path / "bad_q.json"
     bad_q.write_text(json.dumps([0.5, 1.0, 1.0]))  # first entry below d_1

@@ -486,6 +486,24 @@ def test_region_sweep_builds_the_triple_from_the_dual_state(monkeypatch):
     assert all(p.converged and p.gap > 0.0 for p in pts)
 
 
+def test_ci_dual_solves_up_to_32_coordinates_in_floats(monkeypatch):
+    # up to 32 coordinates the dual's roots never reach the numpy batch,
+    # whose branch variances come from rdf.branch_variances
+    import gwgauss.rdf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ci_dual took the numpy batch")
+
+    monkeypatch.setattr(gwgauss.rdf, "branch_variances", refuse)
+    d = np.linspace(0.95, 0.05, 32)
+    b = gw.dw_bound(d)
+    pts = gw.region_sweep(d, 0.6 * b, 0.8 * b)
+    assert len(pts) == 66
+    assert all(p.converged and p.gap > 0.0 for p in pts)
+    res = gw.joint_rdf(d, 1.5 * b, 3.0 * b)
+    assert res.regime == "numerical" and res.iterations > 0
+
+
 def test_region_sweep_gap_allowance_at_every_weight():
     # at every weight, (1, 1) included, T comes from the dual's own branch
     # variances, so the rounding allowance scales with |T| + sum |log v|,

@@ -4,7 +4,8 @@ distortion budget delta rejects a bad one with its typed error.
 Coefficients of a state family (``wyner.coefficients``) must lie in
 [0, 1), canonical coefficients (``gaussmodel.check_canonical_args``) in
 (0, 1) and nonincreasing, and budgets (``rdf.require_positive``) must be
-positive.  Each guard is NaN-proof, so a non-finite input raises rather
+positive and leave each component a normal float.  Each guard is
+NaN-proof, so a non-finite input raises rather
 than turning into a number.  The oracles of ``tests/reference.py`` that
 take d or delta are in the tables too: they guard their own premises and
 raise ``ValueError``.
@@ -99,6 +100,16 @@ def test_entry_point_rejects_bad_distortion(name, bad):
     call(0.1)
     with pytest.raises(cls):
         call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(set(DELTA_ENTRY_POINTS) - {"sum_rate_identity_check"}))
+def test_entry_point_rejects_a_budget_below_a_normal_float_per_component(name):
+    # two components here: the floor is 2 * 2.2e-308
+    call, cls = DELTA_ENTRY_POINTS[name]
+    call(4.5e-308)
+    for tiny in (5e-324, 1e-320, 2.2e-308, 4.4e-308):
+        with pytest.raises(cls, match="smallest normal float"):
+            call(tiny)
 
 
 def test_a_zero_coefficient_is_in_the_family_but_not_in_the_sweep():

@@ -479,8 +479,8 @@ def _count_dual_evaluations(monkeypatch, limit=None):
 @pytest.mark.parametrize("d, share1, share2", DUAL_CASES)
 def test_joint_dual_solve_takes_few_evaluations(monkeypatch, d, share1, share2):
     # a deterministic stand-in for a timing assert: each evaluation is one
-    # batched root solve per component; alternating Brent line searches
-    # needed 80-231 here
+    # root solve per component; alternating Brent line searches needed
+    # 80-231 here
     calls = _count_dual_evaluations(monkeypatch)
     d = np.array(d)
     b = gw.dw_bound(d)
@@ -491,6 +491,57 @@ def test_joint_dual_solve_takes_few_evaluations(monkeypatch, d, share1, share2):
         assert res.iterations == 0 and len(calls) == 1
     else:
         assert 0 < res.iterations < len(calls) <= 8
+
+
+CROSS_PATH_WEIGHTS = [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.2, 0.9), (0.9, 0.3),
+                      (0.6, 0.6)]
+
+
+def _on_both_paths(monkeypatch, solve):
+    # (batch, float): ci_dual's roots as one numpy batch, then one
+    # coordinate at a time in Python floats, whatever the size
+    out = []
+    for coords in (0, 10**6):
+        monkeypatch.setattr(rdf, "_FLOAT_COORDS", coords)
+        out.append(solve())
+    return out
+
+
+def test_ci_dual_float_and_batch_paths_are_one_oracle(monkeypatch, rng):
+    # n from 1 to 40, with d = 0 entries, tiny d and 1 - d down to 1e-9;
+    # budgets at dw_bound 10^U(-1, 2.5), one of them +inf in a fifth of
+    # the draws.  Where a sweep point's certificate does not close to
+    # 1e-12 (1 + |T|) its budget sits at the dual's rounding floor, the two
+    # paths' sums round apart there, and each T only lies within its gap of
+    # the family minimum.  The state of a component with d below 1e-6 is
+    # fixed only to rounding, so log q is compared on the others
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        kind = rng.integers(0, 4, n)
+        d = np.sort(np.choose(kind, [rng.uniform(0.02, 0.98, n),
+                                     1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n),
+                                     10.0 ** rng.uniform(-9.0, -2.0, n), np.zeros(n)]))[::-1]
+        delta = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.5, 2)
+        if rng.random() < 0.2:
+            delta[rng.integers(0, 2)] = math.inf
+        where = (d.tolist(), delta.tolist())
+        batch, floats = _on_both_paths(monkeypatch, lambda: gw.joint_rdf(d, *delta))
+        assert (floats.iterations, floats.regime) == (batch.iterations, batch.regime), where
+        assert math.isclose(floats.rate, batch.rate, rel_tol=1e-13), where
+        ds = d[d > 0.0]
+        if ds.size == 0:
+            continue
+        sweeps = _on_both_paths(monkeypatch, lambda: gw.region_sweep(ds, *delta,
+                                                                     alphas=CROSS_PATH_WEIGHTS))
+        for b, f in zip(*sweeps):
+            at = (*where, b.alpha1, b.alpha2)
+            if max(b.gap, f.gap) > 1e-12 * (1.0 + abs(b.objective)):
+                assert abs(f.objective - b.objective) <= b.gap + f.gap, at
+                continue
+            assert f.iterations == b.iterations, at
+            assert math.isclose(f.objective, b.objective, rel_tol=1e-13), at
+            np.testing.assert_allclose(np.log(f.q[ds >= 1e-6]), np.log(b.q[ds >= 1e-6]),
+                                       rtol=0, atol=1e-13, err_msg=str(at))
 
 
 def _waterfill_level(ceilings, delta):
@@ -544,6 +595,29 @@ def test_joint_returns_at_extreme_budget_ratios(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert res.budget_residual <= 1e-11
     assert abs(res.dual_gap) <= 1e-9 * (1.0 + res.rate)
+    # the start's (1 + rho)^2 once overflowed past rho = 1e154, a bare
+    # OverflowError in one order of the budgets and a rate in the other
+    d = np.array([0.946, 0.590, 0.332])
+    for small, large in ((1e-300, 1e300), (1e-200, 1e200), (1e-300, 1.7e308)):
+        res, swapped = gw.joint_rdf(d, small, large), gw.joint_rdf(d, large, small)
+        assert math.isclose(res.rate, swapped.rate, rel_tol=1e-14)
+        for r in (res, swapped):
+            values = [r.rate, r.budget_residual, r.dual_gap, *r.multipliers, *r.alloc1, *r.alloc2]
+            assert all(map(math.isfinite, values)), (small, large)
+            assert r.budget_residual <= 1e-11
+    assert gw.joint_rdf(d, 1e-300, 1e300).rate == pytest.approx(1037.8112102803227, rel=1e-14)
+    # a budget whose share per component is below the smallest normal float
+    # once gave an infinite rate or multipliers; now it is refused, and one
+    # just above that floor solves to finite numbers
+    tiny = np.finfo(float).tiny
+    for small in (1e-320, 5e-324, 1e-308, 2.9 * tiny):
+        for pair in ((small, 0.3), (0.3, small), (small, math.inf), (small, small)):
+            with pytest.raises(gw.NonpositiveDistortion):
+                gw.joint_rdf(d, *pair)
+    for pair in ((3.0 * tiny, 0.3), (math.inf, 3.0 * tiny), (3.0 * tiny, 1e300)):
+        r = gw.joint_rdf(d, *pair)
+        values = [r.rate, r.budget_residual, r.dual_gap, *r.multipliers, *r.alloc1, *r.alloc2]
+        assert all(map(math.isfinite, values)), pair
 
 
 def test_dual_line_search_halvings_are_bounded():
@@ -693,6 +767,38 @@ def test_joint_rate_keeps_branch_swap_and_component_order():
         shuffled = gw.joint_rdf(rng.permutation(d), delta1, delta2).rate
         assert math.isclose(swapped, rate, rel_tol=1e-14), where
         assert math.isclose(shuffled, rate, rel_tol=1e-14), where
+
+
+def test_exact_rate_closed_forms_lie_between_gray_and_the_restricted_rate(rng):
+    # the exact Gaussian joint rate where a closed form gives it
+    # (reference.exact_joint_rate): Gray's bound below it, the restricted
+    # program of joint_rdf above it, and joint_rdf equal to it on D_W
+    d = np.array([0.8])
+    # Xiao & Luo (Allerton 2005) at d = 0.8
+    assert reference.exact_joint_rate(d, 0.3, 0.3) == pytest.approx(0.7520387, abs=1e-7)
+    assert reference.exact_joint_rate(d, 0.5, 0.5) == pytest.approx(0.4054651, abs=1e-7)
+    inside = 0
+    for k in range(600):
+        n = int(rng.integers(1, 7))
+        d = np.sort(rng.uniform(0.02, 0.98, n))[::-1]
+        if k % 3 == 0:
+            delta1 = delta2 = n * 10.0 ** rng.uniform(-2.0, 0.5)
+        elif k % 3 == 1:
+            delta1 = n * 10.0 ** rng.uniform(-2.0, 0.0)
+            delta2 = float(np.sum(1.0 - d * d * (1.0 - delta1 / n))) * 10.0 ** rng.uniform(0.0, 1.0)
+            if rng.random() < 0.5:
+                delta1, delta2 = delta2, delta1
+        else:
+            delta1, delta2 = n * 10.0 ** rng.uniform(0.0, 1.0, 2)
+        exact = reference.exact_joint_rate(d, delta1, delta2)
+        res = gw.joint_rdf(d, delta1, delta2)
+        where = (d.tolist(), delta1, delta2)
+        assert gw.gray_lower_bound(d, delta1, delta2) <= exact + 1e-13 * exact, where
+        assert exact <= res.rate + 1e-13 * res.rate, where
+        if res.regime == "closed-form-DW":
+            inside += 1
+            assert math.isclose(res.rate, exact, rel_tol=1e-13), where
+    assert inside >= 20
 
 
 def _demo_random_d(p1: int, p2: int, seed: int) -> np.ndarray:
