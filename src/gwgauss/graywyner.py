@@ -17,7 +17,9 @@ per-component sign flips map the family to itself, so the diagonal states
 ``d_j <= q_j <= 1/d_j`` attain the minimum: T is exact over Gaussian CI
 states and an upper bound on the Gray-Wyner surface, which allows any W.
 Each weight pair is one solve of the dual over the two budget multipliers
-(:func:`rdf.ci_dual`), and each point certifies itself by the dual bound.
+(:func:`rdf.ci_dual`), whose state gives R0 in closed form
+(:func:`gaussmodel.pair_rate`), and each point certifies itself by the dual
+bound.
 At (1, 1) T equals the joint rate of :func:`rdf.joint_rdf`: its closed form
 on the equal-split region, and outside it the restricted program, which is
 the same minimum over diagonal CI states.
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QWOutOfFamily
-from .gaussmodel import common_information_terms, log_branch_variances
+from .gaussmodel import common_information_terms, log_branch_variances, pair_rate
 from .rdf import ci_dual, marginal_rdf, require_dw, require_positive, slack_budgets
-from .wyner import coefficients, diagonal_state_mi
+from .wyner import coefficients
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,9 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
 # raw gaps were seen down to -1.9 of that unit over 5600 random points
 _GAP_ROUNDING = 4.0
 _EPS = np.finfo(float).eps
+# a subnormal weight makes the dual's start subnormal and c = alpha / (2 mu)
+# overflow; rdf.require_positive bars the same range of budgets
+_TINY = float(np.finfo(float).tiny)
 
 
 def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoint]:
@@ -106,12 +111,13 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
 
     ``alphas`` defaults to the 11 x 11 grid over [0, 1]^2 restricted to
     ``alpha1 + alpha2 >= 1``; every weight must lie in [0, 1], where the
-    weighted rate is convex in ``log q``.  Each pair is solved by its
-    two-multiplier dual (:func:`rdf.ci_dual`), and the triple is built from
-    the dual's own state ``u = log q``, with no state validation: the
-    branch variances ``v1 = 1 - d/q``, ``v2 = 1 - d q`` and their logs by
-    :func:`gaussmodel.log_branch_variances`; R0 by
-    :func:`wyner.diagonal_state_mi` from the logs; R1 and R2 as the
+    weighted rate is convex in ``log q``, and be 0 or at least 2.2e-308, the
+    smallest normal float, as budgets must (``ValueError`` otherwise).  Each
+    pair is solved by its two-multiplier dual (:func:`rdf.ci_dual`), and the
+    triple is built from the dual's own state ``u = log q``, unvalidated:
+    the branch variances ``v1 = 1 - d/q``, ``v2 = 1 - d q`` and their logs
+    by :func:`gaussmodel.log_branch_variances`; R0 = I(Y1, Y2; W) by its
+    closed form :func:`gaussmodel.pair_rate` of the logs; R1 and R2 as the
     water-fills of v1 and v2 (:func:`rdf.marginal_rdf`).  ``gap`` is the
     objective minus the dual bound at ``multipliers``, plus an allowance
     for the rounding of both, so it is a positive upper bound on the
@@ -137,8 +143,8 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     points: list[SweepPoint] = []
     for a1, a2 in alphas:
         alpha = np.array([a1, a2], dtype=float)
-        if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
-            raise ValueError(f"weights must lie in [0, 1], got ({a1}, {a2})")
+        if not all(a == 0.0 or _TINY <= a <= 1.0 for a in alpha.tolist()):
+            raise ValueError(f"weights must be 0 or lie in [{_TINY}, 1], got ({a1}, {a2})")
         if d.size:
             start = alpha * d.size / (2.0 * delta)  # q = 1 with the equal split
             _, u, mu, bound, _, evals, converged = ci_dual(d, delta, alpha, start)
@@ -146,7 +152,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
             u, mu, bound, evals, converged = np.zeros(0), np.zeros(2), 0.0, 0, True
         v, lv = log_branch_variances(ld, u)
         triple = RateTriple(
-            r0=diagonal_state_mi(d, lv[0], lv[1]),
+            r0=pair_rate(d, lv[0], lv[1]),
             r1=marginal_rdf(v[0], delta1).rate,
             r2=marginal_rdf(v[1], delta2).rate,
             delta1=float(delta1),

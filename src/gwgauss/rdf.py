@@ -33,11 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonpositiveDistortion, NotPositiveDefinite, OutsideDW, QWNotDiagonal,
-                     QWOutOfFamily)
+from .errors import NonpositiveDistortion, NotPositiveDefinite, OutsideDW, QWNotDiagonal
 from .gaussmodel import (SGN, branch_variances, coordinate_branch_variances, log_one_minus_square,
                          one_minus_square, pair_rate)
-from .wyner import as_state_covariance, coefficients, diagonal_entries, in_state_family
+from .wyner import coefficients, diagonal_entries, family_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,27 +106,18 @@ def marginal_rdf(variances, delta: float) -> RdfResult:
     )
 
 
-def _diagonal_state(d: np.ndarray, q) -> np.ndarray:
-    qw = as_state_covariance(q)
-    if qw.shape != (d.size, d.size):
-        raise QWNotDiagonal(f"state covariance must be {d.size} x {d.size}")
-    qd = diagonal_entries(qw)
-    if qd is None:
-        raise QWNotDiagonal("conditional rates require a diagonal state covariance")
-    if not in_state_family(qd, d):
-        raise QWOutOfFamily("diagonal entries must satisfy d_j <= q_j <= 1/d_j")
-    return qd
-
-
 def conditional_rdf(d, q, branch: int, delta: float) -> RdfResult:
     """Rate-distortion function of one branch given a diagonal family state.
 
     Component variances are ``1 - d_j / q_j`` (branch 1, the branch seen
     through the state inverse) or ``1 - d_j q_j`` (branch 2), then reverse
-    water-filling as in :func:`marginal_rdf`.
+    water-filling as in :func:`marginal_rdf`.  A nonzero off-diagonal entry
+    raises :class:`QWNotDiagonal` before :func:`wyner.family_state` reads q.
     """
     d = coefficients(d)
-    qd = _diagonal_state(d, q)
+    if diagonal_entries(q) is None:
+        raise QWNotDiagonal("conditional rates require a diagonal state covariance")
+    qd = family_state(q, d)
     if branch == 1:
         lam = 1.0 - np.divide(d, qd, out=np.zeros_like(d), where=qd > 0)
     elif branch == 2:
@@ -246,8 +236,9 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
         g1, g2 = r1 * d1, r2 * d2
         # a zero multiplier whose budget is slack stays at 0
         move1, move2 = l1 > 0.0 or r1 < 0.0, l2 > 0.0 or r2 < 0.0
-        if move1 and move2:
-            det = h11 * h22 - h12 * h12
+        # a determinant underflowed to 0 (entries below ~1e-154): per-multiplier steps
+        det = h11 * h22 - h12 * h12
+        if move1 and move2 and det > 0.0:
             p1, p2 = (h22 * g1 - h12 * g2) / det, (h11 * g2 - h12 * g1) / det
         else:
             p1, p2 = g1 / h11 if move1 else 0.0, g2 / h22 if move2 else 0.0

@@ -12,7 +12,8 @@ carries about such a W is :func:`mi_given_state`, minimized uniquely at
 ``Q_W = I`` where it equals the common information.  That bound,
 ``mi_given_state >= common_information``, states the optimality of the
 identity state; Hua's determinant inequality, from which it is proved, is a
-step of the proof and not an output.
+step of the proof and not an output.  Each entry point that takes a state
+reads it once, by :func:`family_state`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .gaussmodel import (
     log_one_minus_square,
     logdet_or_neginf,
     pair_rate,
+    skew,
     symmetrize,
     symmetry_tolerance,
 )
@@ -79,13 +81,12 @@ def state_family_tolerance(d: np.ndarray) -> float:
 
 def diagonal_entries(q) -> np.ndarray | None:
     """The diagonal of a diagonal state (scalar, vector, or a matrix whose
-    off-diagonal entries are exactly zero); ``None`` for any other state."""
+    off-diagonal entries are exactly zero); ``None`` for any other square
+    matrix, and :class:`DimensionMismatch` for a matrix that is not square."""
     a = np.asarray(q, dtype=float)
     if a.ndim <= 1:
         return np.atleast_1d(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return None
-    diag = np.diagonal(a)
+    diag = np.diagonal(as_state_covariance(a))
     if np.count_nonzero(a) > np.count_nonzero(diag):
         return None
     return diag.copy()
@@ -95,24 +96,22 @@ def in_state_family(q, d) -> bool:
     """Whether ``Diag(d) <= Q_W <= Diag(d)^{-1}`` holds up to tolerance.
 
     For a diagonal state the eigenvalue test reduces to the elementwise
-    ``d_j - tol <= q_j <= 1/d_j + tol``, checked in O(n).  Coefficients
-    outside [0, 1) raise :class:`QWOutOfFamily`.
+    ``d_j - tol <= q_j <= 1/d_j + tol``, checked in O(n).  A state of
+    another size is not in the family.  Coefficients outside [0, 1) raise
+    :class:`QWOutOfFamily`.
     """
     d = coefficients(d)
     tol = state_family_tolerance(d)
     qd = diagonal_entries(q)
+    qw = np.asarray(q, dtype=float) if qd is None else qd
+    if qw.shape[0] != d.size:
+        return False
     if qd is not None:
-        if qd.shape != d.shape:
-            return False
         # q <= 1/d + tol, multiplied through by d >= 0 so d = 0 needs no care
         return bool(np.all(qd >= d - tol) and np.all(d * qd <= 1.0 + d * tol))
-    qw = as_state_covariance(q)
-    if qw.shape != (d.size, d.size):
+    # a dense state is never 0 x 0: diagonal_entries reads that one
+    if skew(qw) > symmetry_tolerance(qw):
         return False
-    if np.max(np.abs(qw - qw.T), initial=0.0) > symmetry_tolerance(qw):
-        return False
-    if d.size == 0:
-        return True
     lower = np.linalg.eigvalsh(symmetrize(qw - np.diag(d)))
     # a zero coefficient bounds its coordinate of Q_W by nothing above, so
     # the upper test runs over the coordinates with d_j > 0
@@ -121,11 +120,26 @@ def in_state_family(q, d) -> bool:
     return bool(lower[0] >= -tol and np.all(upper >= -tol))
 
 
-def assert_in_state_family(q, d) -> np.ndarray:
-    qw = as_state_covariance(q)
-    if not in_state_family(qw, d):
+def family_state(q, d) -> np.ndarray:
+    """The family state ``q`` for the coefficients ``d``, read once: its
+    diagonal if it is diagonal (:func:`diagonal_entries`), else the n x n
+    matrix.  Raises :class:`DimensionMismatch` unless it has one coordinate
+    per coefficient, and :class:`QWOutOfFamily` outside the family or for a
+    coefficient outside [0, 1)."""
+    d = coefficients(d)
+    state = diagonal_entries(q)
+    if state is None:
+        state = np.asarray(q, dtype=float)
+    if state.shape[0] != d.size:
+        raise DimensionMismatch(f"state of shape {np.shape(q)} for {d.size} coefficients")
+    if not in_state_family(state, d):
         raise QWOutOfFamily("state covariance violates Diag(d) <= Q_W <= Diag(d)^{-1}")
-    return qw
+    return state
+
+
+def assert_in_state_family(q, d) -> np.ndarray:
+    """The family state ``q`` (:func:`family_state`) as an n x n matrix."""
+    return as_state_covariance(family_state(q, d))
 
 
 def common_information(idx: IndexSextuple, d) -> CommonInfoResult:
@@ -157,43 +171,30 @@ def conditional_covariances(
     return c1, qz1, qz2
 
 
-def diagonal_state_mi(d: np.ndarray, log_v1: np.ndarray, log_v2: np.ndarray) -> float:
-    """``mi_given_state`` of a diagonal state from the logs of its branch
-    variances ``v1 = 1 - d/q`` and ``v2 = 1 - d q``, the eigenvalues of M1
-    and M2: their :func:`gaussmodel.pair_rate`, and ``inf`` where a factor
-    is singular by the dense path's eigenvalue floor."""
-    for lv in (log_v1, log_v2):
-        ev = np.exp(np.sort(lv))
-        if ev.size and ev[0] <= eig_floor(ev):
-            return math.inf
-    return pair_rate(d, log_v1, log_v2)
-
-
 def mi_given_state(d, q) -> float:
     """Information the pair carries about a family state W, in nats.
 
     ``0.5 sum(log(1 - d_i^2)) - 0.5 logdet(M1 M2)`` with the two conditional
     factors above; equals the common information exactly at ``Q_W = I`` and
     exceeds it strictly everywhere else in the family.  Singular factors
-    (boundary states) give ``inf``.  A diagonal state (a vector, or a
-    matrix with zero off-diagonal entries) takes the O(n) form of
-    :func:`diagonal_state_mi`, whose factor eigenvalues ``1 - d/q`` and
-    ``1 - d q`` meet the same singularity floor.
+    (boundary states) give ``inf``.  The state is read by
+    :func:`family_state`; a diagonal one takes the O(n) form
+    :func:`gaussmodel.pair_rate` of the factor eigenvalues ``1 - d/q`` and
+    ``1 - d q``, which meet the dense path's singularity floor.
     """
     d = coefficients(d)
-    qd = diagonal_entries(q)
-    if qd is not None:
-        if not in_state_family(qd, d):
-            raise QWOutOfFamily("diagonal entries must satisfy d_j <= q_j <= 1/d_j")
+    state = family_state(q, d)
+    if state.ndim == 1:
         # a ratio at or past 1, within the family tolerance, is a singular factor
         with np.errstate(divide="ignore"):
-            r1 = np.divide(d, qd, out=np.zeros_like(d), where=d > 0.0)
-            lv1, lv2 = (np.log1p(-np.minimum(r, 1.0)) for r in (r1, d * qd))
-        return diagonal_state_mi(d, lv1, lv2)
-    qw = assert_in_state_family(q, d)
-    if d.size == 0:
-        return 0.0
-    _, m1, m2 = conditional_covariances(d, qw)
+            r1 = np.divide(d, state, out=np.zeros_like(d), where=d > 0.0)
+            lv1, lv2 = (np.log1p(-np.minimum(r, 1.0)) for r in (r1, d * state))
+        for lv in (lv1, lv2):
+            ev = np.exp(np.sort(lv))
+            if ev.size and ev[0] <= eig_floor(ev):
+                return math.inf
+        return pair_rate(d, lv1, lv2)
+    _, m1, m2 = conditional_covariances(d, state)
     ld1 = logdet_or_neginf(m1)
     ld2 = logdet_or_neginf(m2)
     if not (math.isfinite(ld1) and math.isfinite(ld2)):

@@ -9,6 +9,7 @@ cannot turn into a number.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -201,3 +202,56 @@ def exact_joint_rate(d, delta1: float, delta2: float) -> float:
     if not rates:
         raise ValueError("no closed form at these budgets")
     return float(max(rates))
+
+
+def brent_root(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 500) -> float:
+    """A root of ``f`` on ``[a, b]`` by Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), to
+    within ``xtol + rtol |x|``.
+
+    Each step interpolates (secant or inverse quadratic) from the last
+    iterates and keeps the step only while it stays well inside the
+    bracket and shrinks fast enough; otherwise it bisects.  The bracket is
+    kept by the signs of f, never by the product of two values, which can
+    overflow.  ``ValueError`` unless f(a) and f(b) differ in sign,
+    ``RuntimeError`` after ``maxiter`` steps.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            # xblk is the far end of the bracket
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < tol:
+            return xcur
+        trial = math.inf  # fails the test below: bisect
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            if den != 0.0:
+                trial = num / den
+        if 2.0 * abs(trial) < min(abs(spre), 3.0 * abs(sbis) - tol):
+            spre, scur = scur, trial
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else math.copysign(tol, sbis)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"no root within tolerance after {maxiter} steps")

@@ -306,6 +306,17 @@ def test_error_exit_codes(runner, cvf_file, tmp_path):
                                "--delta1", "0.3", "--qw", str(bad_q)])
     assert res.exit_code == 9
 
+    # a state whose size differs from d's 3 coefficients exits 6 in every
+    # state reader, where rdf conditional once exited 12 and realize 9
+    short_q = tmp_path / "short_q.json"
+    short_q.write_text(json.dumps(np.eye(2).tolist()))
+    for command in (["rdf", "conditional", "--delta1", "0.3"],
+                    ["realize", "--out", str(tmp_path / "real.json")]):
+        res = runner.invoke(main, command + ["--in", cvf_file, "--qw", str(short_q)])
+        assert res.exit_code == 6, command
+        assert json.loads(res.stderr)["error"] == "DimensionMismatch"
+    assert not (tmp_path / "real.json").exists()
+
     offdiag = tmp_path / "offdiag.json"
     # a diagonal state has exactly zero off-diagonal entries, as in
     # mi_given_state; small ones are not dropped
@@ -430,7 +441,9 @@ def test_simulate_indefinite_noise_exit_code(runner, cvf_file, tmp_path):
     assert json.loads(res.stderr)["error"] == "NotPositiveDefinite"
 
 
-@pytest.mark.parametrize("field, value", [("n", 2), ("c1", [[0.5, 0.0, 0.0]] * 2)])
+# a d shorter than qw is the README's "block shapes disagree" (once exit 9)
+@pytest.mark.parametrize("field, value", [("n", 2), ("c1", [[0.5, 0.0, 0.0]] * 2),
+                                          ("d", [0.8, 0.5])])
 def test_simulate_tampered_realization_exit_code(runner, cvf_file, tmp_path, field, value):
     qw = tmp_path / "qw.json"
     qw.write_text(json.dumps({"Q": np.diag([1.1, 1.0, 0.9]).tolist()}))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gwgauss as gw
@@ -540,3 +540,46 @@ def test_region_sweep_evaluations_on_benchmark_like_instances():
                 assert pt.iterations <= 6, (d, delta1, delta2, pt.alpha1, pt.alpha2)
                 if pt.alpha1 == pt.alpha2:
                     assert pt.iterations == 1, (d, delta1, delta2, pt.alpha1)
+
+
+# coefficients in the bulk, tiny, or within 1e-12 of 1; budgets over 600
+# decades and slack; weights at 0, at 1 or between, off the unit pair
+sweep_d = st.lists(
+    st.one_of(st.floats(1e-3, 1.0 - 1e-12),
+              st.floats(-300.0, -1.0).map(lambda e: 10.0 ** e),
+              st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0 ** e)),
+    min_size=1, max_size=8,
+)
+sweep_budgets = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.just(math.inf))
+sweep_weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500)
+@given(d=sweep_d, delta1=sweep_budgets, delta2=sweep_budgets,
+       alpha=st.tuples(sweep_weight, sweep_weight).filter(lambda a: a != (1.0, 1.0)))
+# a state with 1 - d q ~ 5e-12, once T = inf by an eigenvalue floor
+@example(d=[0.5, 1e-7], delta1=math.inf, delta2=1e-11, alpha=(0.0, 1.0))
+# Hessian entries ~1e-170, whose 2 x 2 determinant underflows to 0
+@example(d=[1e-160], delta1=1e200, delta2=1e-100, alpha=(0.5, 0.5))
+# a subnormal weight, once a NaN gap
+@example(d=[0.75, 0.5], delta1=math.inf, delta2=math.inf, alpha=(1.0, 2.225073858507e-311))
+def test_region_sweep_off_unit_weights_is_finite_and_converged(d, delta1, delta2, alpha):
+    try:
+        (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[alpha])
+    except gw.NonpositiveDistortion:
+        return
+    except ValueError as exc:
+        assert "weights must be 0 or lie in" in str(exc)
+        return
+    values = [pt.objective, pt.triple.r0, pt.triple.r1, pt.triple.r2, pt.gap]
+    assert all(math.isfinite(x) for x in values), values
+    assert np.all(np.isfinite(pt.q)) and np.all(np.isfinite(pt.multipliers))
+    assert pt.converged
+
+
+@pytest.mark.xfail(strict=True, reason="at unit weights the state picked on the family edge "
+                                       "can give R0 = inf (log of 0)")
+def test_region_sweep_unit_weights_with_a_tiny_and_a_slack_budget():
+    (pt,) = gw.region_sweep(D3, 1e-20, math.inf, alphas=[(1.0, 1.0)])
+    joint = gw.joint_rdf(D3, 1e-20, math.inf).rate  # 70.725
+    assert abs(pt.objective - joint) <= 1e-9 * joint

@@ -1,5 +1,7 @@
 """Every public entry point that takes canonical coefficients d or a
-distortion budget delta rejects a bad one with its typed error.
+distortion budget delta rejects a bad one with its typed error, and every
+one that takes a family state rejects a state whose size differs from d's
+with :class:`DimensionMismatch`.
 
 Coefficients of a state family (``wyner.coefficients``) must lie in
 [0, 1), canonical coefficients (``gaussmodel.check_canonical_args``) in
@@ -81,6 +83,18 @@ DELTA_ENTRY_POINTS = {
 }
 BAD_DELTA = [0.0, -0.1, -1.0, math.nan]
 
+# name -> call with a state for the three coefficients STATE_D
+STATE_D = np.array([0.8, 0.5, 0.1])
+STATE_ENTRY_POINTS = {
+    "conditional_rdf": lambda q: gw.conditional_rdf(STATE_D, q, 1, 0.1),
+    "mi_given_state": lambda q: gw.mi_given_state(STATE_D, q),
+    "assert_in_state_family": lambda q: gw.assert_in_state_family(q, STATE_D),
+    "family_realization": lambda q: gw.family_realization(STATE_D, q),
+    "state_triple_cov": lambda q: gw.state_triple_cov(STATE_D, q),
+    "test_channel": lambda q: gw.test_channel(STATE_D, q, [0.1] * 3, [0.1] * 3),
+}
+WRONG_SIZE_STATES = {"vector of n - 1": np.ones(2), "scalar": 1.0, "n + 1 square": np.eye(4)}
+
 
 @pytest.mark.parametrize("bad", BAD_D)
 @pytest.mark.parametrize("name", sorted(D_ENTRY_POINTS))
@@ -110,6 +124,15 @@ def test_entry_point_rejects_a_budget_below_a_normal_float_per_component(name):
     for tiny in (5e-324, 1e-320, 2.2e-308, 4.4e-308):
         with pytest.raises(cls, match="smallest normal float"):
             call(tiny)
+
+
+@pytest.mark.parametrize("state", sorted(WRONG_SIZE_STATES))
+@pytest.mark.parametrize("name", sorted(STATE_ENTRY_POINTS))
+def test_entry_point_rejects_a_state_of_the_wrong_size(name, state):
+    call = STATE_ENTRY_POINTS[name]
+    call(np.ones(3))  # the same call accepts a state of n coordinates
+    with pytest.raises(gw.DimensionMismatch):
+        call(WRONG_SIZE_STATES[state])
 
 
 def test_a_zero_coefficient_is_in_the_family_but_not_in_the_sweep():

@@ -341,14 +341,14 @@ def test_joint_outside_region_matches_a_grid(d, share1, share2, grid_branch):
     assert res.alloc2.sum() <= delta2 * (1.0 + 1e-12)
 
 
-def _lagrangian_argmax(d, lam, optimize):
+def _lagrangian_argmax(d, lam):
     """Per-component argmax of log a1 + log a2 - lam . a under the cap
     (1 - a1)(1 - a2) >= d^2, for d > 0, independent of rdf.
 
     The free point (1/lam1, 1/lam2) when it keeps the cap; otherwise the
     stationary point on the cap curve a2 = (s - a1) / (1 - a1), s = 1 - d^2,
     where the derivative of the objective along the curve runs from +inf
-    at a1 = 0 to -inf at a1 = s, found by brentq.
+    at a1 = 0 to -inf at a1 = s, found by reference.brent_root.
     """
     a = np.empty((2, d.size))
     for j, c in enumerate(d * d):
@@ -361,7 +361,7 @@ def _lagrangian_argmax(d, lam, optimize):
             a2 = (s - a1) / (1.0 - a1)
             return 1.0 / a1 - lam[0] - (1.0 / a2 - lam[1]) * c / (1.0 - a1) ** 2
 
-        a1 = optimize.brentq(slope, 1e-300, s * (1.0 - 1e-15), xtol=1e-300, rtol=1e-15, maxiter=500)
+        a1 = reference.brent_root(slope, 1e-300, s * (1.0 - 1e-15), xtol=1e-300, rtol=1e-15)
         a[:, j] = a1, (s - a1) / (1.0 - a1)
     return a
 
@@ -372,12 +372,13 @@ def _lagrangian_argmax(d, lam, optimize):
     # the cap-coupled case nests the reference the other way round
     + [(*DUAL_CASES[-1], True)],
 )
-def test_brentq_matches_scipy_on_budget_equations(d, share1, share2, lam2_outer):
-    # a reference solve of the budget equations sum(a(lam)) = delta by
-    # scipy's brentq, nested: the inner search meets one budget for a fixed
-    # multiplier of the other (at 0 where that budget is slack), the outer
-    # search meets the other budget.  The Newton solve must land on its root.
-    optimize = pytest.importorskip("scipy.optimize")
+def test_joint_rdf_matches_a_nested_brent_solve_of_the_budget_equations(
+        d, share1, share2, lam2_outer):
+    # a reference solve of the budget equations sum(a(lam)) = delta by the
+    # numpy-only Brent root-finder of tests/reference.py, nested: the inner
+    # search meets one budget for a fixed multiplier of the other (at 0
+    # where that budget is slack), the outer search meets the other budget.
+    # The Newton solve must land on its root.
     d = np.array(d)
     b = gw.dw_bound(d)
     delta = (share1 * b, share2 * b)
@@ -386,7 +387,7 @@ def test_brentq_matches_scipy_on_budget_equations(d, share1, share2, lam2_outer)
     def alloc(lam_outer, lam_inner):
         lam = np.zeros(2)
         lam[outer], lam[inner] = lam_outer, lam_inner
-        return _lagrangian_argmax(d, lam, optimize)
+        return _lagrangian_argmax(d, lam)
 
     def solve_inner(lam_outer):
         def excess(lam_inner):
@@ -394,12 +395,12 @@ def test_brentq_matches_scipy_on_budget_equations(d, share1, share2, lam2_outer)
 
         if excess(1e-9) <= 0.0:
             return 0.0
-        return optimize.brentq(excess, 1e-9, 1e9, xtol=1e-15, rtol=1e-15, maxiter=500)
+        return reference.brent_root(excess, 1e-9, 1e9, xtol=1e-15, rtol=1e-15)
 
     def outer_excess(lam_outer):
         return alloc(lam_outer, solve_inner(lam_outer))[outer].sum() - delta[outer]
 
-    lam_outer = optimize.brentq(outer_excess, 1e-9, 1e9, xtol=1e-15, rtol=1e-15, maxiter=500)
+    lam_outer = reference.brent_root(outer_excess, 1e-9, 1e9, xtol=1e-15, rtol=1e-15)
     a1, a2 = alloc(lam_outer, solve_inner(lam_outer))
     ref = 0.5 * float(np.sum(np.log1p(-d) + np.log1p(d)) - np.sum(np.log(a1 * a2)))
     res = gw.joint_rdf(d, *delta)
@@ -690,6 +691,25 @@ def test_dual_zero_hessian_exits_at_the_start():
     lam, state, steps, evals = rdf._dual_newton(oracle, np.ones(2), start)
     assert steps == 0 and evals == len(calls) == 1
     assert lam is start and state is start
+
+
+def test_dual_underflowed_determinant_takes_per_multiplier_steps():
+    # a quadratic dual with Hessian 1e-170 [[2, 1], [1, 2]] and its minimum
+    # at (2, 3): h11 h22 - h12^2 underflows to 0, where the 2 x 2 step once
+    # divided by zero.  Each multiplier takes its own Newton step instead,
+    # and the residuals, relative to budgets of 1e-170, still close
+    scale, target = 1e-170, np.array([2.0, 3.0])
+    hess = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 == 0.0
+
+    def oracle(lam):
+        dev = lam - target
+        grad = hess @ dev
+        return hess.tolist(), float(0.5 * dev @ grad), (grad / scale).tolist(), (0.0, 0.0), lam
+
+    lam, _, steps, _ = rdf._dual_newton(oracle, np.full(2, scale), np.ones(2))
+    assert 0 < steps < rdf._NEWTON_STEPS
+    np.testing.assert_allclose(lam, target, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- cap

@@ -241,7 +241,7 @@ def test_mi_given_state_diagonal_family_check():
     assert gw.mi_given_state(d, np.array([1.0, 5.0 + 0.5 * tol])) == math.inf
     with pytest.raises(gw.QWOutOfFamily):
         gw.mi_given_state(d, np.array([0.5 - 2.0 * tol, 1.0]))
-    with pytest.raises(gw.QWOutOfFamily):
+    with pytest.raises(gw.DimensionMismatch):
         gw.mi_given_state(d, np.array([1.0, 1.0, 1.0]))
     assert gw.in_state_family(np.array([2.0, 5.0 + 0.5 * tol]), d)
     assert not gw.in_state_family(np.array([2.0, 5.0 + 2.0 * tol]), d)
