@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import QWOutOfFamily
 from .gaussmodel import common_information_terms, log_branch_variances, pair_rate
-from .rdf import ci_dual, marginal_rdf, require_dw, require_positive, slack_budgets
+from .rdf import ci_dual, marginal_rate, require_dw, require_positive, slack_budgets
 from .wyner import coefficients
 
 
@@ -81,16 +81,17 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
     """The minimum-sum-rate triple at the identity state.
 
     R0 is the common information; R1 and R2 are the branch rates given
-    that state, water-fills over its branch variances ``1 - d``.  Their sum
-    equals the joint rate on the region.
+    that state, water-fills over its branch variances ``1 - d``
+    (:func:`rdf.marginal_rate`).  Their sum equals the joint rate on the
+    region.
     """
     d = coefficients(d)
     require_positive(delta1, delta2, components=d.size)
     require_dw(d, delta1, delta2)
     return RateTriple(
         r0=float(np.sum(common_information_terms(d))),
-        r1=marginal_rdf(1.0 - d, delta1).rate,
-        r2=marginal_rdf(1.0 - d, delta2).rate,
+        r1=marginal_rate(1.0 - d, delta1),
+        r2=marginal_rate(1.0 - d, delta2),
         delta1=float(delta1),
         delta2=float(delta2),
     )
@@ -118,7 +119,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
     the branch variances ``v1 = 1 - d/q``, ``v2 = 1 - d q`` and their logs
     by :func:`gaussmodel.log_branch_variances`; R0 = I(Y1, Y2; W) by its
     closed form :func:`gaussmodel.pair_rate` of the logs; R1 and R2 as the
-    water-fills of v1 and v2 (:func:`rdf.marginal_rdf`).  ``gap`` is the
+    water-fills of v1 and v2 (:func:`rdf.marginal_rate`).  ``gap`` is the
     objective minus the dual bound at ``multipliers``, plus an allowance
     for the rounding of both, so it is a positive upper bound on the
     objective minus the family minimum.  ``iterations`` counts the dual
@@ -153,8 +154,8 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
         v, lv = log_branch_variances(ld, u)
         triple = RateTriple(
             r0=pair_rate(d, lv[0], lv[1]),
-            r1=marginal_rdf(v[0], delta1).rate,
-            r2=marginal_rdf(v[1], delta2).rate,
+            r1=marginal_rate(v[0], delta1),
+            r2=marginal_rate(v[1], delta2),
             delta1=float(delta1),
             delta2=float(delta2),
         )

@@ -2,9 +2,13 @@
 
 Marginal and conditional rates come from reverse water-filling over
 component variances: each active component is compressed down to a common
-level, saturated components keep their variance.  The joint rate over both
-branches restricts the reconstruction errors to be independent across
-branches and diagonal per component, which is exact on the region
+level, saturated components keep their variance.  One sorted scan in Python
+floats finds that level for every spectrum size; :func:`marginal_rdf`
+returns the allocation with the rate, and :func:`marginal_rate` the rate
+alone, bit for bit the same, for the callers that read only the number.
+The joint rate over both branches restricts the reconstruction errors to be
+independent across branches and diagonal per component, which is exact on
+the region
 
     D_W = { (delta1, delta2) : 0 <= delta_i <= n (1 - d_1) }
 
@@ -33,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveDistortion, NotPositiveDefinite, OutsideDW, QWNotDiagonal
+from .errors import (DimensionMismatch, NonpositiveDistortion, NotPositiveDefinite, OutsideDW,
+                     QWNotDiagonal)
 from .gaussmodel import (SGN, branch_variances, coordinate_branch_variances, log_one_minus_square,
                          one_minus_square, pair_rate)
 from .wyner import coefficients, diagonal_entries, family_state
@@ -61,27 +66,61 @@ class JointRdfResult:
     dual_gap: float  # rate minus the dual bound at the multipliers
 
 
-def _waterfill(variances: np.ndarray, delta: float):
-    """Exact sorted reverse water-fill: alloc = min(level, v), sum(alloc) = delta.
+def _water_level(v: list[float], delta: float) -> float:
+    """Level of the exact sorted reverse water-fill, alloc = min(level, v)
+    with sum(alloc) = delta, in Python floats.
 
     With the k smallest variances saturated the level is
-    ``(delta - their sum) / (m - k)``; the level is the first such
-    candidate that does not exceed the next variance (Cover & Thomas,
-    Elements of Information Theory, 10.3.3).  A variance equal to the
-    level counts as saturated.  Returns (alloc, level, active mask).
+    ``(delta - their sum) / (m - k)``, the sum running in sorted order; the
+    level is the first such candidate that does not exceed the next
+    variance (Cover & Thomas, Elements of Information Theory, 10.3.3), and
+    the last candidate where rounding leaves none that fits.  A variance
+    equal to the level counts as saturated.  A budget that covers the sum
+    gives the largest variance, 0.0 for none.
     """
-    v = variances
-    m = v.size
-    if delta >= float(v.sum()):
-        return v.copy(), float(v.max(initial=0.0)), np.zeros(m, dtype=bool)
-    s = np.sort(v)
-    below = np.concatenate(([0.0], np.cumsum(s[:-1])))
-    levels = (delta - below) / np.arange(m, 0, -1)
-    fits = levels <= s
-    fits[-1] = True  # delta < sum(v); guards the last comparison against rounding
-    level = float(levels[np.argmax(fits)])
-    active = v > level
-    return np.where(active, level, v), level, active
+    if delta >= sum(v):
+        return max(v, default=0.0)
+    below, m = 0.0, len(v)
+    for k, x in enumerate(sorted(v)):
+        level = (delta - below) / (m - k)
+        if level <= x:
+            break
+        below += x
+    return level
+
+
+def _rate(v: list[float], level: float) -> float:
+    """``0.5 sum_{v > level} log(v / level)``, summed in ``v``'s order; a
+    ratio that overflows is taken as ``log v - log level``."""
+    total = sum([math.log(x / level) for x in v if x > level], 0.0)
+    if total == math.inf:
+        total = sum([math.log(x / level) if x / level < math.inf else math.log(x) - math.log(level)
+                     for x in v if x > level], 0.0)
+    return 0.5 * total
+
+
+def _variances(variances, delta: float) -> tuple[np.ndarray, list[float]]:
+    """The variances as an array and as floats, after the checks that
+    :func:`marginal_rdf` and :func:`marginal_rate` share."""
+    v = np.atleast_1d(np.asarray(variances, dtype=float))
+    if v.ndim != 1:
+        raise DimensionMismatch(f"variances must form one vector, got shape {v.shape}")
+    values = v.tolist()
+    # a NaN, which min can pass over, makes the sum NaN
+    total = sum(values)
+    if total != total or min(values, default=0.0) < 0.0:
+        raise NotPositiveDefinite("variances must be nonnegative")
+    if total == math.inf and math.inf in values:
+        raise NotPositiveDefinite("variances must be finite")
+    require_positive(delta, components=len(values))
+    return v, values
+
+
+def marginal_rate(variances, delta: float) -> float:
+    """``marginal_rdf(variances, delta).rate``, bit for bit, with the same
+    checks and errors but no allocation arrays."""
+    _, v = _variances(variances, delta)
+    return _rate(v, _water_level(v, float(delta)))
 
 
 def marginal_rdf(variances, delta: float) -> RdfResult:
@@ -89,21 +128,15 @@ def marginal_rdf(variances, delta: float) -> RdfResult:
 
     ``variances`` are the component variances (eigenvalues of the source
     covariance); the rate is ``sum over active of 0.5 log(v_j / level)``
-    and exactly zero once ``delta`` reaches the total variance.  A negative
-    or NaN variance raises :class:`NotPositiveDefinite`.
+    and exactly zero once ``delta`` reaches the total variance.  A negative,
+    NaN or infinite variance raises :class:`NotPositiveDefinite`.  Callers
+    that read only the rate use :func:`marginal_rate`.
     """
-    v = np.atleast_1d(np.asarray(variances, dtype=float))
-    if not np.all(v >= 0.0):
-        raise NotPositiveDefinite("variances must be nonnegative")
-    require_positive(delta, components=v.size)
-    alloc, level, active = _waterfill(v, float(delta))
-    if active.any():
-        rate = float(0.5 * np.sum(np.log(v[active] / level)))
-    else:
-        rate = 0.0
-    return RdfResult(
-        rate=rate, alloc=alloc, water_level=level, active_set=np.flatnonzero(active)
-    )
+    v, values = _variances(variances, delta)
+    level = _water_level(values, float(delta))
+    active = v > level
+    return RdfResult(rate=_rate(values, level), alloc=np.where(active, level, v),
+                     water_level=level, active_set=np.flatnonzero(active))
 
 
 def conditional_rdf(d, q, branch: int, delta: float) -> RdfResult:
@@ -195,6 +228,7 @@ _G_ROUND = 1e-10
 # a residual within this many of the rounding size its oracle reports is met
 _FLOOR = 4.0
 _EPS = float(np.finfo(float).eps)
+_BELOW_ONE = 1.0 - _EPS / 2.0  # the largest float below 1
 
 
 def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
@@ -236,11 +270,13 @@ def _dual_newton(oracle, delta: np.ndarray, start: np.ndarray):
         g1, g2 = r1 * d1, r2 * d2
         # a zero multiplier whose budget is slack stays at 0
         move1, move2 = l1 > 0.0 or r1 < 0.0, l2 > 0.0 or r2 < 0.0
-        # a determinant underflowed to 0 (entries below ~1e-154): per-multiplier steps
-        det = h11 * h22 - h12 * h12
+        # a determinant underflowed to 0 (entries below ~1e-154), or a step
+        # that overflows (entries above ~1e154, as a multiplier near the
+        # smallest normal float gives): per-multiplier steps
+        det, p1, p2 = h11 * h22 - h12 * h12, math.nan, math.nan
         if move1 and move2 and det > 0.0:
             p1, p2 = (h22 * g1 - h12 * g2) / det, (h11 * g2 - h12 * g1) / det
-        else:
+        if not math.isfinite(p1 + p2):
             p1, p2 = g1 / h11 if move1 else 0.0, g2 / h22 if move2 else 0.0
         # a positive multiplier stops at 0 when the step reaches it, and
         # none grows by more than its value plus its start, which bounds
@@ -501,9 +537,12 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     if weights == [1.0, 1.0]:
         # the state of least R0 with x_i <= v_i(u) on both branches, u = 0
         # where d = 0; on the cap lo = hi, taken from the smaller allocation,
-        # whose 1 - x keeps its precision
+        # whose 1 - x keeps its precision.  An allocation that rounds to 1
+        # (d e^{-+u} at most eps / 4) is read as the largest float below 1,
+        # which leaves the state free where both do
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo, hi = ld - np.log1p(-x[0]), np.log1p(-x[1]) - ld
+            xb = np.minimum(x, _BELOW_ONE)
+            lo, hi = ld - np.log1p(-xb[0]), np.log1p(-xb[1]) - ld
             u = np.where(lo < hi, np.minimum(np.maximum(lo, 0.0), hi), np.where(x[0] <= x[1], lo, hi))
             u = np.where(pos, u, 0.0)
     bound = 0.5 * float(np.sum(log_one_minus_square(d))) - g
@@ -527,7 +566,7 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
     rho = math.sqrt(delta2) / math.sqrt(delta1)
     r = 1.0 + rho
     p1 = 2.0 * s / (r * (1.0 + np.sqrt(1.0 - 4.0 * s * (rho / r) / r)))
-    start = np.array([1.0 / _waterfill(np.maximum(p, 1.0 - d), x)[1]
+    start = np.array([1.0 / _water_level(np.maximum(p, 1.0 - d).tolist(), x)
                       for p, x in ((p1, delta1), (rho * p1, delta2))])
     start[delta >= s.sum()] = 0.0
     (a1, a2), _, mu, _, steps, _, _ = ci_dual(d, delta, np.ones(2), 0.5 * start)
@@ -583,6 +622,4 @@ def gray_lower_bound(d, delta1: float, delta2: float) -> float:
     rate, tight where the equal-split solution keeps all components active.
     """
     d = coefficients(d)
-    r1 = marginal_rdf(np.ones(d.size), delta1).rate
-    r2 = marginal_rdf(one_minus_square(d), delta2).rate
-    return r1 + r2
+    return marginal_rate(np.ones(d.size), delta1) + marginal_rate(one_minus_square(d), delta2)

@@ -152,6 +152,20 @@ def _waterfill_rate(v: np.ndarray, delta: float) -> float:
     return float(0.5 * np.sum(np.log(v[v > mid] / mid)))
 
 
+def first_fit_level(v: np.ndarray, delta: float) -> float:
+    """The reverse water level by numpy's sorted cumulative sum: the first
+    candidate ``(delta - sum of the k smallest) / (m - k)`` that does not
+    exceed the next variance, the last where none does, and ``max(v)`` once
+    ``delta`` covers the sum."""
+    if delta >= v.sum():
+        return float(v.max(initial=0.0))
+    s = np.sort(v)
+    levels = (delta - np.concatenate(([0.0], np.cumsum(s[:-1])))) / np.arange(v.size, 0, -1)
+    fits = levels <= s
+    fits[-1] = True
+    return float(levels[np.argmax(fits)])
+
+
 def sum_rate_identity_check(d, delta1: float, delta2: float, joint_rate: float) -> float:
     """Residual of ``joint_rate = R1 + R2 + C`` on the equal-split region
     ``0 < delta_i <= n (1 - d_max)``, its edge widened by 1e-12 relative

@@ -355,6 +355,32 @@ def test_marginal_rdf_negative_variance_exit_code(runner, cvf_file):
     }
 
 
+def test_marginal_rdf_extreme_variance_exit_codes(runner, cvf_file):
+    # an infinite variance is a covariance error (exit 5), variances near
+    # the largest float water-fill to a finite rate, and a nested array is a
+    # shape error (exit 6)
+    obj = json.loads(Path(cvf_file).read_text())
+    n = len(obj["audit"]["d1"])
+    obj["audit"]["d1"] = [math.inf] + [1.0] * (n - 1)
+    Path(cvf_file).write_text(json.dumps(obj))
+    res = runner.invoke(main, ["rdf", "marginal", "--in", cvf_file, "--delta1", "0.3"])
+    assert res.exit_code == 5, res.output
+    assert json.loads(res.stderr) == {
+        "error": "NotPositiveDefinite", "message": "variances must be finite"
+    }
+    obj["audit"]["d1"] = [1e308] * n
+    Path(cvf_file).write_text(json.dumps(obj))
+    res = runner.invoke(main, ["rdf", "marginal", "--in", cvf_file, "--delta1", "1.0"])
+    assert res.exit_code == 0, res.output
+    rate = json.loads(res.stdout)["rate"]
+    assert math.isclose(rate, 0.5 * n * (math.log(1e308) + math.log(n)), rel_tol=1e-14)
+    obj["audit"]["d1"] = [[1.0] * n] * 2
+    Path(cvf_file).write_text(json.dumps(obj))
+    res = runner.invoke(main, ["rdf", "marginal", "--in", cvf_file, "--delta1", "0.3"])
+    assert res.exit_code == 6, res.output
+    assert json.loads(res.stderr)["error"] == "DimensionMismatch"
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
 def test_cvf_non_finite_entry_exit_code(runner, tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -486,6 +486,36 @@ def test_region_sweep_builds_the_triple_from_the_dual_state(monkeypatch):
     assert all(p.converged and p.gap > 0.0 for p in pts)
 
 
+def test_rate_only_callers_build_no_water_fill_arrays(monkeypatch):
+    # the sweep, Gray's bound and the Pangloss triple read only the rate, so
+    # they take rdf.marginal_rate and never build an RdfResult
+    import gwgauss.graywyner
+    import gwgauss.rdf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rate-only caller built the water-fill arrays")
+
+    for module in (gwgauss.graywyner, gwgauss.rdf):
+        monkeypatch.setattr(module, "marginal_rdf", refuse, raising=False)
+    pts = gw.region_sweep(D3, 0.3, 0.2)
+    assert len(pts) == 66
+    assert all(p.converged and p.gap > 0.0 for p in pts)
+    assert gw.gray_lower_bound(D3, 0.3, 0.2) > 0.0
+    assert gw.pangloss_triple(D3, 0.3, 0.2).r1 > 0.0
+
+
+def test_region_sweep_unit_weights_with_an_allocation_that_rounds_to_one():
+    # d_2 = 1e-184 leaves both branch variances 1 - d e^{-+u} at exactly 1,
+    # and so both allocations at slack budgets: no log1p(-1) = -inf bounds
+    # the state, and the pick takes q_2 = 1
+    d = np.array([0.5, 1e-184])
+    (pt,) = gw.region_sweep(d, 10.0, 10.0, alphas=[(1.0, 1.0)])
+    joint = gw.joint_rdf(d, 10.0, 10.0).rate
+    assert math.isclose(pt.objective, joint, rel_tol=1e-14)
+    np.testing.assert_array_equal(pt.q, [1.0, 1.0])
+    assert pt.converged and 0.0 < pt.gap <= 1e-14
+
+
 def test_ci_dual_solves_up_to_32_coordinates_in_floats(monkeypatch):
     # up to 32 coordinates the dual's roots never reach the numpy batch,
     # whose branch variances come from rdf.branch_variances
@@ -563,6 +593,10 @@ sweep_weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 @example(d=[1e-160], delta1=1e200, delta2=1e-100, alpha=(0.5, 0.5))
 # a subnormal weight, once a NaN gap
 @example(d=[0.75, 0.5], delta1=math.inf, delta2=math.inf, alpha=(1.0, 2.225073858507e-311))
+# the smallest normal weight, whose dual Hessian entry ~1.8e308 once
+# overflowed the 2 x 2 Newton step to a NaN multiplier
+@example(d=[0.75, 0.25, 0.25, 0.25], delta1=math.inf, delta2=math.inf,
+         alpha=(1.0, 2.2250738585072014e-308))
 def test_region_sweep_off_unit_weights_is_finite_and_converged(d, delta1, delta2, alpha):
     try:
         (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[alpha])

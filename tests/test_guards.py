@@ -64,6 +64,7 @@ BAD_D = [math.nan, math.inf, -math.inf, -0.5, 1.0, 1.2]
 # name -> (call with one budget, class a bad budget raises)
 DELTA_ENTRY_POINTS = {
     "marginal_rdf": (lambda x: gw.marginal_rdf([1.0, 2.0], x), gw.NonpositiveDistortion),
+    "marginal_rate": (lambda x: gw.marginal_rate([1.0, 2.0], x), gw.NonpositiveDistortion),
     "conditional_rdf": (lambda x: gw.conditional_rdf(GOOD_D, ONES, 2, x),
                         gw.NonpositiveDistortion),
     "joint_rdf 1": (lambda x: gw.joint_rdf(GOOD_D, x, 0.1), gw.NonpositiveDistortion),

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gwgauss as gw
@@ -272,6 +272,96 @@ def test_waterfill_empty_spectrum():
     assert res.rate == 0.0
     assert res.alloc.shape == (0,) and res.active_set.shape == (0,)
     assert gw.conditional_rdf(np.zeros(0), np.zeros(0), 1, 0.3).rate == 0.0
+
+
+def test_waterfill_tie_at_an_inexact_level_stays_saturated():
+    # 0.4 = 4 * 0.1 exactly, so the first candidate level, 0.4 / 4, is 0.1
+    # and the three tied variances stay saturated.  Rejecting that candidate
+    # would take 0.4 - (0.1 + 0.1 + 0.1), two ulps below 0.1, as the level
+    # and count the ties active
+    res = gw.marginal_rdf([0.1, 1.0, 0.1, 0.1], 0.4)
+    assert res.water_level == 0.1
+    assert list(res.active_set) == [1]
+    assert res.rate == 0.5 * math.log(10.0)
+
+
+def test_waterfill_extreme_variances_are_finite_or_typed():
+    # an infinite variance is not a covariance eigenvalue; a ratio v / level
+    # that overflows is summed as log v - log level, without a warning
+    with pytest.raises(gw.NotPositiveDefinite, match="finite"):
+        gw.marginal_rdf([1.0, math.inf], 0.5)
+    with pytest.raises(gw.NotPositiveDefinite, match="finite"):
+        gw.marginal_rate([math.inf], math.inf)
+    with np.errstate(all="raise"):
+        res = gw.marginal_rdf([1e308, 1e308], 1.0)
+    assert res.water_level == 0.5
+    assert math.isclose(res.rate, math.log(2.0) + 308.0 * math.log(10.0), rel_tol=1e-15)
+    assert res.rate == gw.marginal_rate([1e308, 1e308], 1.0)
+
+
+def test_waterfill_takes_one_vector():
+    for call in (gw.marginal_rdf, gw.marginal_rate):
+        with pytest.raises(gw.DimensionMismatch):
+            call([[1.0, 2.0], [3.0, 4.0]], 0.5)
+    assert gw.marginal_rate(2.0, 0.5) == gw.marginal_rdf([2.0], 0.5).rate == 0.5 * math.log(4.0)
+
+
+# spectra with zeros and ties, n = 0..130, over 300 decades; a drawn level
+# stays above 1e-153, so the numpy oracle's v / level stays finite
+_variances = st.one_of(st.just(0.0), st.floats(1e-150, 1e150))
+spectra = st.tuples(st.lists(_variances, max_size=8), st.integers(0, 130)).flatmap(
+    lambda drawn: st.lists(st.one_of(_variances, st.sampled_from(drawn[0])) if drawn[0]
+                           else _variances, min_size=drawn[1], max_size=drawn[1]))
+budgets = st.one_of(st.floats(1e-150, 1e150), st.just(math.inf))
+
+
+@settings(max_examples=150, deadline=None)
+@example([0.1, 1.0, 0.1, 0.1], 0.4, 0.5)
+@example([], 1e-150, math.inf)
+@given(spectra, budgets, budgets)
+def test_waterfill_entry_points_match_an_independent_oracle(values, delta, other):
+    v = np.array(values)
+    res = gw.marginal_rdf(v, delta)
+    # the bisection oracle shares no code; both round the level by up to n
+    # eps, which moves each active term by as much
+    tol = 1e-13 * (res.rate + v.size)
+    assert abs(res.rate - reference._waterfill_rate(v, delta)) <= tol
+    assert res.rate == gw.marginal_rate(v, delta)
+    # the float scan runs the cumulative sum's arithmetic in its order, so
+    # the levels agree bit for bit, apart from a budget within rounding of
+    # the sum, which the two sum in different orders
+    if not math.isclose(delta, v.sum(), rel_tol=1e-12):
+        assert res.water_level == reference.first_fit_level(v, delta)
+    assert math.isclose(res.alloc.sum(), min(delta, v.sum()), rel_tol=1e-13)
+    np.testing.assert_array_equal(res.alloc, np.minimum(res.water_level, v))
+    np.testing.assert_array_equal(res.active_set, np.flatnonzero(v > res.water_level))
+    lo, hi = sorted((delta, other))
+    assert gw.marginal_rate(v, hi) <= gw.marginal_rate(v, lo) + tol
+
+
+# coefficients at 0, tiny, in the bulk or within 1e-12 of 1; budgets over
+# 600 decades and +inf
+_coefficients = st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-3, 1.0 - 1e-12))
+_wide_budgets = st.one_of(st.floats(1e-300, 1e300), st.just(math.inf))
+
+
+@settings(max_examples=100, deadline=None)
+@example([0.869140625] + [0.0] * 7, 5.960464477539063e-08, math.inf)
+@given(st.lists(_coefficients, max_size=8), _wide_budgets, _wide_budgets)
+def test_branch_rates_bound_the_joint_rate(values, delta1, delta2):
+    # R1 <= Gray's bound <= joint rate, and each branch rate alone is at most
+    # the joint rate; R2 <= Gray's bound is not a law (Gray conditions
+    # branch 2 on branch 1).  The joint rate holds to its certificate
+    # |dual_gap|: at a tiny budget the dual stops at its rounding floor with
+    # that budget overspent, and the rate falls below the optimum by ~|gap|
+    d = np.array(sorted(values, reverse=True))
+    r1, r2 = (gw.marginal_rate(np.ones(d.size), delta) for delta in (delta1, delta2))
+    gray = gw.gray_lower_bound(d, delta1, delta2)
+    joint = gw.joint_rdf(d, delta1, delta2)
+    tol = 1e-12 * (1.0 + joint.rate) + abs(joint.dual_gap)
+    assert r1 <= gray
+    assert gray <= joint.rate + tol
+    assert max(r1, r2) <= joint.rate + tol
 
 
 # ---------------------------------------------------------------- dual solve
