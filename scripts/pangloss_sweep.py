@@ -31,10 +31,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     d = np.asarray(args.d, dtype=float)
-    ticks = [i / (args.grid - 1) for i in range(args.grid)] if args.grid > 1 else [1.0]
-    alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
-
-    points = gw.region_sweep(d, args.delta1, args.delta2, alphas=alphas)
+    points = gw.region_sweep(d, args.delta1, args.delta2, alphas=gw.weight_grid(args.grid))
 
     text = gw.region_csv(points)
     if args.out:

@@ -29,7 +29,7 @@ from .gaussmodel import (
     pair_to_dict,
 )
 from .cvf import CanonicalForm, IndexSextuple, Thresholds, decompose
-from .graywyner import lossy_common_information, region_csv, region_sweep
+from .graywyner import lossy_common_information, region_csv, region_sweep, weight_grid
 from .mc_oracle import validate_stream
 from .rdf import conditional_rdf, gray_lower_bound, joint_rdf, marginal_rdf
 from .realize import (
@@ -165,17 +165,22 @@ def _cvf_to_dict(cf: CanonicalForm, thresholds: Thresholds) -> dict:
         "d": cf.d.tolist(),
         "s1": cf.s1.tolist(),
         "s2": cf.s2.tolist(),
-        "audit": {k: getattr(cf, k).tolist() for k in ("u1", "u2", "u3", "u4", "d1", "d2", "sv")},
+        "audit": {k: getattr(cf, k).tolist() for k in ("d1", "d2", "sv")},
     }
 
 
-def _load_cvf(path: str) -> dict:
+def _read_canonical(obj, what: str) -> tuple[IndexSextuple, np.ndarray]:
+    """The index sextuple and coefficients of a record holding ``idx``
+    (exactly ``p11``..``p23``) and ``d``, checked against each other."""
+    _require(obj, what, "idx", arrays=("d",))
+    idx = IndexSextuple(**_require(obj["idx"], f'{what} "idx"', counts=IDX_KEYS, exact=True))
+    return idx, check_canonical_args(idx, obj["d"])
+
+
+def _load_cvf(path: str) -> tuple[dict, IndexSextuple, np.ndarray]:
     what = "canonical-form file"
-    obj = _require(_read_json(path, what), what, "idx", arrays=("d",))
-    idx = _require(obj["idx"], f'{what} "idx"', counts=IDX_KEYS, exact=True)
-    obj["idx_tuple"] = IndexSextuple(**idx)
-    obj["d_array"] = check_canonical_args(obj["idx_tuple"], obj["d"])
-    return obj
+    obj = _read_json(path, what)
+    return (obj, *_read_canonical(obj, what))
 
 
 def _load_state_matrix(path: str) -> np.ndarray:
@@ -259,8 +264,7 @@ def realize_cmd(in_path, qw_spec, out):
     identical passthrough and private components; a state file produces
     the family realization of the correlated parts only.
     """
-    cf = _load_cvf(in_path)
-    idx, d = cf["idx_tuple"], cf["d_array"]
+    cf, idx, d = _load_cvf(in_path)
     if qw_spec == "identity":
         st = optimal_state(idx, d)
         body = {
@@ -294,8 +298,7 @@ def simulate_cmd(real_path, n_samples, seed, report_path):
     what = "realization file"
     obj = _require(_read_json(real_path, what), what, "kind")
     if obj["kind"] == "optimal-state":
-        d = np.asarray(_require(obj, what, "idx", arrays=("d",))["d"], dtype=float)
-        idx = IndexSextuple(**_require(obj["idx"], f'{what} "idx"', counts=IDX_KEYS, exact=True))
+        idx, d = _read_canonical(obj, what)
         target = optimal_triple_cov(idx, d)
         source = optimal_state(idx, d)
     elif obj["kind"] == "ci-family":
@@ -328,13 +331,11 @@ def simulate_cmd(real_path, n_samples, seed, report_path):
 @click.option("--delta2", type=float, default=None)
 @click.option("--branch", type=click.Choice(["1", "2"]), default="1", show_default=True)
 @click.option("--qw", "qw_path", default=None, help="diagonal state JSON (conditional only)")
-@click.option("--units", type=click.Choice(["nats", "bits"]), default=_default_units,
-              show_default="nats")
+@click.option("--units", type=UNITS_CHOICE, default=_default_units, show_default="nats")
 @_guarded
 def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
     """Rate-distortion values derived from a canonical form."""
-    cf = _load_cvf(in_path)
-    d = cf["d_array"]
+    cf, _, d = _load_cvf(in_path)
     branch = int(branch)
     if kind in ("marginal", "conditional"):
         if kind == "marginal":
@@ -381,11 +382,8 @@ def region_cmd(in_path, delta1, delta2, alpha_grid, out):
     """Sweep the CI-family weighted rate min R0 + a1 R1 + a2 R2 (an upper
     bound on the Gray-Wyner surface), one dual solve per weight pair, to CSV;
     the summary adds the largest certified gap and the dual evaluations."""
-    cf = _load_cvf(in_path)
-    d = cf["d_array"]
-    ticks = [i / (alpha_grid - 1) for i in range(alpha_grid)] if alpha_grid > 1 else [1.0]
-    alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
-    points = region_sweep(d, delta1, delta2, alphas=alphas)
+    _, _, d = _load_cvf(in_path)
+    points = region_sweep(d, delta1, delta2, alphas=weight_grid(alpha_grid))
     Path(out).write_text(region_csv(points))
     click.echo(json.dumps({"points": len(points), "out": out,
                            "max_gap": max((p.gap for p in points), default=0.0),

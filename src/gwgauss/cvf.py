@@ -97,16 +97,13 @@ class IndexSextuple:
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Result of :func:`decompose`, with intermediates kept for audit."""
+    """Result of :func:`decompose`, with the marginal spectra ``d1``, ``d2``
+    and the raw singular values ``sv`` kept for audit."""
 
     s1: np.ndarray
     s2: np.ndarray
     idx: IndexSextuple
     d: np.ndarray
-    u1: np.ndarray = field(repr=False)
-    u2: np.ndarray = field(repr=False)
-    u3: np.ndarray = field(repr=False)
-    u4: np.ndarray = field(repr=False)
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
     sv: np.ndarray = field(repr=False)
@@ -189,10 +186,6 @@ def decompose(pair: JointGaussianPair, thresholds: Thresholds = Thresholds()) ->
         s2=u4t @ w2.T,
         idx=idx,
         d=d,
-        u1=u1,
-        u2=u2,
-        u3=u3,
-        u4=u4t.T,
         d1=lam1,
         d2=lam2,
         sv=sv,

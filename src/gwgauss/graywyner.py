@@ -98,8 +98,10 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
 
 
 # gap rounding allowance, in eps per unit of |T| + sum |log v|, the spread of
-# the terms behind T and the bound at the dual's own branch variances v:
-# raw gaps were seen down to -1.9 of that unit over 5600 random points
+# the terms behind T and the bound at the dual's own branch variances v, but
+# at least n, one per component: raw gaps were seen down to -1.9 of that unit
+# over 5600 random points, and down to -0.14 eps absolute at n = 1 with
+# spreads from 1e-14 to 0.015
 _GAP_ROUNDING = 4.0
 _EPS = np.finfo(float).eps
 # a subnormal weight makes the dual's start subnormal and c = alpha / (2 mu)
@@ -107,23 +109,30 @@ _EPS = np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)
 
 
+def weight_grid(ticks: int) -> list[tuple[float, float]]:
+    """The weight pairs ``(alpha1, alpha2)`` with ``alpha1 + alpha2 >= 1`` on
+    a grid of ``ticks`` evenly spaced values per axis over [0, 1]; one tick
+    is the single pair (1, 1)."""
+    axis = [i / (ticks - 1) for i in range(ticks)] if ticks > 1 else [1.0]
+    return [(a1, a2) for a1 in axis for a2 in axis if a1 + a2 >= 1.0]
+
+
 def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoint]:
     """The CI-family weighted rate T per weight pair, with its certificate.
 
-    ``alphas`` defaults to the 11 x 11 grid over [0, 1]^2 restricted to
-    ``alpha1 + alpha2 >= 1``; every weight must lie in [0, 1], where the
-    weighted rate is convex in ``log q``, and be 0 or at least 2.2e-308, the
-    smallest normal float, as budgets must (``ValueError`` otherwise).  Each
-    pair is solved by its two-multiplier dual (:func:`rdf.ci_dual`), and the
-    triple is built from the dual's own state ``u = log q``, unvalidated:
-    the branch variances ``v1 = 1 - d/q``, ``v2 = 1 - d q`` and their logs
-    by :func:`gaussmodel.log_branch_variances`; R0 = I(Y1, Y2; W) by its
-    closed form :func:`gaussmodel.pair_rate` of the logs; R1 and R2 as the
-    water-fills of v1 and v2 (:func:`rdf.marginal_rate`).  ``gap`` is the
-    objective minus the dual bound at ``multipliers``, plus an allowance
-    for the rounding of both, so it is a positive upper bound on the
-    objective minus the family minimum.  ``iterations`` counts the dual
-    evaluations.
+    ``alphas`` defaults to ``weight_grid(11)``; every weight must lie in
+    [0, 1], where the weighted rate is convex in ``log q``, and be 0 or at
+    least 2.2e-308, the smallest normal float, as budgets must
+    (``ValueError`` otherwise).  Each pair is solved by its two-multiplier
+    dual (:func:`rdf.ci_dual`), and the triple is built from the dual's own
+    state ``u = log q``, unvalidated: the branch variances ``v1 = 1 - d/q``,
+    ``v2 = 1 - d q`` and their logs by :func:`gaussmodel.log_branch_variances`;
+    R0 = I(Y1, Y2; W) by its closed form :func:`gaussmodel.pair_rate` of the
+    logs; R1 and R2 as the water-fills of v1 and v2
+    (:func:`rdf.marginal_rate`).  ``gap`` is the objective minus the dual
+    bound at ``multipliers``, plus an allowance for the rounding of both, so
+    it is a nonnegative upper bound on the objective minus the family
+    minimum.  ``iterations`` counts the dual evaluations.
 
     Where the minimum is not unique the state of least R0 is returned.  At
     unit weights T is flat in ``q_j`` wherever both branch allocations of
@@ -136,8 +145,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
         raise QWOutOfFamily("sweep needs coefficients strictly inside (0, 1)")
     require_positive(delta1, delta2, components=d.size)
     if alphas is None:
-        ticks = [i / 10.0 for i in range(11)]
-        alphas = [(a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
+        alphas = weight_grid(11)
     delta = slack_budgets(d, delta1, delta2)
     ld = np.log(d)
 
@@ -160,7 +168,7 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
             delta2=float(delta2),
         )
         objective = triple.r0 + a1 * triple.r1 + a2 * triple.r2
-        spread = abs(objective) + np.sum(np.abs(lv))
+        spread = max(abs(objective) + np.sum(np.abs(lv)), d.size)
         gap = float(objective - bound + _GAP_ROUNDING * _EPS * spread)
         points.append(SweepPoint(alpha1=a1, alpha2=a2, objective=objective, triple=triple,
                                  q=np.exp(u), iterations=evals, converged=converged, gap=gap,

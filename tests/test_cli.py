@@ -200,6 +200,67 @@ def test_rdf_values_and_units(runner, cvf_file):
     assert res.exit_code == 2  # joint needs both distortions
 
 
+@pytest.mark.parametrize("kind", ["joint", "gray-bound"])
+def test_rdf_takes_every_unit_from_the_environment(runner, cvf_file, kind):
+    # GWGAUSS_UNITS means the same in every command; rdf once offered only
+    # nats and bits, so paper-example-bits from the environment exited 2
+    args = ["rdf", kind, "--in", cvf_file, "--delta1", "0.3", "--delta2", "0.3"]
+    nats = json.loads(runner.invoke(main, args).stdout)
+    res = runner.invoke(main, args, env={"GWGAUSS_UNITS": "paper-example-bits"})
+    assert res.exit_code == 0, res.output
+    body = json.loads(res.stdout)
+    assert body["units"] == "paper-example-bits"
+    assert body["rate"] == 2.0 * nats["rate"] / math.log(2.0)
+
+
+def test_cvf_audit_holds_the_spectra_and_files_with_the_bases_read_the_same(
+        runner, pair_file, cvf_file, tmp_path):
+    saved = json.loads(Path(cvf_file).read_text())
+    assert list(saved["audit"]) == ["d1", "d2", "sv"]
+    # a file from before the eigenvector bases u1-u4 left the audit block
+    pair = gw.pair_from_json(Path(pair_file).read_text())
+    lam1, u1 = np.linalg.eigh(pair.q11)
+    lam2, u2 = np.linalg.eigh(pair.q22)
+    u3, _, u4t = np.linalg.svd((u1 / np.sqrt(lam1)).T @ pair.q12 @ (u2 / np.sqrt(lam2)))
+    bases = {"u1": u1, "u2": u2, "u3": u3, "u4": u4t.T}
+    old = tmp_path / "old_cvf.json"
+    old.write_text(json.dumps({**saved, "audit": {**{k: v.tolist() for k, v in bases.items()},
+                                                  **saved["audit"]}}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"qw": np.diag([0.9, 1.0, 1.2]).tolist()}))
+    out = tmp_path / "out"
+    commands = [
+        ["rdf", "marginal", "--delta1", "0.5", "--branch", "2"],
+        ["realize", "--out", str(out)],
+        ["realize", "--qw", str(state), "--out", str(out)],
+        ["region", "--delta1", "0.3", "--delta2", "0.3", "--alpha-grid", "3", "--out", str(out)],
+    ]
+    for args in commands:
+        outputs = []
+        for path in (cvf_file, str(old)):
+            res = runner.invoke(main, args + ["--in", path])
+            assert res.exit_code == 0, (args, res.output)
+            outputs.append((res.stdout, out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        assert outputs[0] == outputs[1], args
+
+
+@pytest.mark.parametrize("ticks", [1, 2, 3, 11])
+def test_region_alpha_grid_sends_the_weight_grid(runner, cvf_file, tmp_path, monkeypatch, ticks):
+    seen = []
+
+    def sweep(d, delta1, delta2, alphas=None):
+        seen.append(alphas)
+        return gw.region_sweep(d, delta1, delta2, alphas=alphas)
+
+    monkeypatch.setattr("gwgauss.cli.region_sweep", sweep)
+    res = runner.invoke(main, ["region", "--in", cvf_file, "--delta1", "0.3", "--delta2", "0.3",
+                               "--alpha-grid", str(ticks), "--out", str(tmp_path / "r.csv")])
+    assert res.exit_code == 0, res.output
+    axis = [i / (ticks - 1) for i in range(ticks)] if ticks > 1 else [1.0]
+    assert seen == [[(a1, a2) for a1 in axis for a2 in axis if a1 + a2 >= 1.0]]
+
+
 def test_region_csv_schema(runner, cvf_file, tmp_path):
     out = str(tmp_path / "region.csv")
     res = runner.invoke(main, ["region", "--in", cvf_file, "--delta1", "0.3",

@@ -80,7 +80,10 @@ def test_region_gate_reports_bound():
 
 def test_region_sweep_alpha_filter_and_membership():
     pts = gw.region_sweep(np.array([0.7, 0.2]), 0.2, 0.2)
-    assert pts
+    # the default is the 11 x 11 grid at steps of 0.1
+    ticks = [i / 10.0 for i in range(11)]
+    assert [(p.alpha1, p.alpha2) for p in pts] == [
+        (a1, a2) for a1 in ticks for a2 in ticks if a1 + a2 >= 1.0]
     for p in pts:
         assert p.alpha1 + p.alpha2 >= 1.0 - 1e-12
         assert gw.in_state_family(np.diag(p.q), np.array([0.7, 0.2]))
@@ -597,6 +600,9 @@ sweep_weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 # overflowed the 2 x 2 Newton step to a NaN multiplier
 @example(d=[0.75, 0.25, 0.25, 0.25], delta1=math.inf, delta2=math.inf,
          alpha=(1.0, 2.2250738585072014e-308))
+# T ~ 0.005 at the smallest normal weight, once a gap of -1.7e-17
+@example(d=[0.005043426373056407], delta1=math.inf, delta2=0.00242037728,
+         alpha=(1.0, 2.2250738585072014e-308))
 def test_region_sweep_off_unit_weights_is_finite_and_converged(d, delta1, delta2, alpha):
     try:
         (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[alpha])
@@ -607,6 +613,7 @@ def test_region_sweep_off_unit_weights_is_finite_and_converged(d, delta1, delta2
         return
     values = [pt.objective, pt.triple.r0, pt.triple.r1, pt.triple.r2, pt.gap]
     assert all(math.isfinite(x) for x in values), values
+    assert pt.gap >= 0.0, values
     assert np.all(np.isfinite(pt.q)) and np.all(np.isfinite(pt.multipliers))
     assert pt.converged
 

@@ -215,3 +215,60 @@ def test_algebra_fence_sees_a_planted_copy():
     assert _algebra_findings("rdf.py", planted) == [
         "rdf.py:2: expm1", "rdf.py:3: arctanh", "rdf.py:4: 1 - d^2",
         "rdf.py:5: (1 - d)(1 + d)", "rdf.py:6: (1 - d)(1 + d)"]
+
+
+# one home each for two CLI-facing decisions: the list of units, which every
+# --units option takes as UNITS_CHOICE, and the a1 + a2 >= 1 weight grid,
+# which graywyner.weight_grid builds for the library, the CLI and the scripts
+GRID_HOME = "graywyner.py"
+
+
+def _units_findings(source: str) -> list[str]:
+    """``line: what`` of each ``click.Choice`` call listing ``"nats"`` beyond
+    the first, and of each ``--units`` option whose type is not
+    ``UNITS_CHOICE``."""
+    found, lists = [], []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = ast.unparse(node.func)
+        strings = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+        if called == "click.Choice" and "nats" in strings:
+            lists.append(node.lineno)
+        if called == "click.option" and "--units" in strings:
+            kind = next((ast.unparse(k.value) for k in node.keywords if k.arg == "type"), None)
+            if kind != "UNITS_CHOICE":
+                found.append((node.lineno, f"--units of type {kind}"))
+    found += [(line, "a second list of units") for line in sorted(lists)[1:]]
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def _grid_findings(name: str, source: str) -> list[str]:
+    """``name:line`` of each comparison ``x + y >= 1``."""
+    return [
+        f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Add) and isinstance(node.ops[0], ast.GtE)
+        and _is_one(node.comparators[0])
+    ]
+
+
+def test_units_and_weight_grid_have_one_home():
+    package = Path(gw.__file__).resolve().parent
+    assert _units_findings((package / "cli.py").read_text()) == []
+    sources = sorted(package.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    found = [f for path in sources for f in _grid_findings(path.name, path.read_text())]
+    assert len(found) == 1 and found[0].startswith(f"{GRID_HOME}:"), found
+
+
+def test_one_home_fences_see_a_planted_copy():
+    planted = "\n".join([
+        'UNITS_CHOICE = click.Choice(["nats", "bits", "paper-example-bits"])',
+        '@click.option("--units", type=click.Choice(["nats", "bits"]), default="nats")',
+        '@click.option("--units", type=UNITS_CHOICE)',
+        "def sweep(ticks):",
+        "    return [(a, b) for a in ticks for b in ticks if a + b >= 1.0]",
+    ])
+    assert _units_findings(planted) == ["2: --units of type click.Choice(['nats', 'bits'])",
+                                        "2: a second list of units"]
+    assert _grid_findings("cli.py", planted) == ["cli.py:5"]
