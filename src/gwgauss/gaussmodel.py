@@ -236,18 +236,62 @@ def coordinate_branch_variances(log_d: float, u: float):
     return math.exp(e1), -math.expm1(e1), math.exp(e2), -math.expm1(e2)
 
 
-def log_branch_variances(log_d: np.ndarray, u: np.ndarray):
-    """``(v, log v)`` of :func:`branch_variances`; ``log1p(-w)`` keeps log v's
-    ulps where v > 1/2, and w is clipped at 1/2 elsewhere to stay finite."""
-    e = log_d - SGN * u
-    v = -np.expm1(e)
-    return v, np.where(e < -LN2, np.log1p(-np.exp(np.minimum(e, -LN2))), np.log(v))
+def log_variance(w: float, v: float) -> float:
+    """``log v`` of a branch variance ``v = 1 - w`` in Python floats:
+    ``log1p(-w)`` keeps log v's ulps where w < 1/2, ``log v`` elsewhere,
+    and ``-inf`` at v = 0."""
+    if w < 0.5:
+        return math.log1p(-w)
+    return math.log(v) if v > 0.0 else -math.inf
 
 
-def pair_rate(d: np.ndarray, log_a1: np.ndarray, log_a2: np.ndarray) -> float:
+def log_branch_variances(log_d: float, u: float):
+    """``(v1, log v1, v2, log v2)`` of one coordinate at the state ``q = e^u``,
+    from :func:`coordinate_branch_variances` and :func:`log_variance`."""
+    w1, v1, w2, v2 = coordinate_branch_variances(log_d, u)
+    return v1, log_variance(w1, v1), v2, log_variance(w2, v2)
+
+
+def free_state(d: float, k1: float, k2: float):
+    """``(q, w1, v1, w2, v2)`` of one component at the state where
+    ``-k1 log v1 - k2 log v2`` is least, ``k_i >= 0``, in Python floats.
+
+    With ``v1 = 1 - d/q`` and ``v2 = 1 - d q`` that state solves the
+    quadratic ``k2 q^2 + (k1 - k2) d q - k1 = 0``.  With ``b = (k1 - k2) d``,
+    ``r = sqrt(b^2 + 4 k1 k2)`` and ``m = r + (k1 + k2) d``, its root is
+    ``q = 2 k1 / (r + b) = (r - b) / (2 k2)``, and
+    ``v1 = (1 - d^2)(r + b) / m``, ``v2 = (1 - d^2)(r - b) / m``.  The
+    smaller of ``r + b`` and ``r - b`` is formed as ``4 k1 k2`` over the
+    larger, so nothing cancels.  ``w1 = d/q`` and ``w2 = d q``.  A zero k_i
+    with the other positive puts the state on the family edge where v_i = 0;
+    with both zero every state is least, and the one of least R0, q = 1, is
+    returned.
+    """
+    if k1 == 0.0 or k2 == 0.0:
+        if k1 == k2:
+            return 1.0, d, 1.0 - d, d, 1.0 - d
+        s = one_minus_square(d)
+        return (d, 1.0, 0.0, d * d, s) if k1 == 0.0 else (1.0 / d, d * d, s, 1.0, 0.0)
+    b = (k1 - k2) * d
+    r = math.sqrt(b * b + 4.0 * k1 * k2)
+    if b >= 0.0:
+        plus = r + b
+        minus = 4.0 * k1 * k2 / plus
+        q = 2.0 * k1 / plus
+    else:
+        minus = r - b
+        plus = 4.0 * k1 * k2 / minus
+        q = minus / (2.0 * k2)
+    scale = one_minus_square(d) / (r + (k1 + k2) * d)
+    return q, d / q, scale * plus, d * q, scale * minus
+
+
+def pair_rate(d: np.ndarray, log_a1, log_a2) -> float:
     """``0.5 sum[log(1 - d^2) - log a1 - log a2]``, nats: the joint rate at branch
-    errors (a1, a2), and the information about a state with branch variances (a1, a2)."""
-    return float(0.5 * np.sum(log_one_minus_square(d) - log_a1 - log_a2))
+    errors (a1, a2), and the information about a state with branch variances (a1, a2).
+    The logs are sequences of Python floats, summed in order."""
+    terms = log_one_minus_square(d).tolist()
+    return 0.5 * sum([t - l1 - l2 for t, l1, l2 in zip(terms, log_a1, log_a2)], 0.0)
 
 
 def mi_canonical(idx: "IndexSextuple", d) -> float:

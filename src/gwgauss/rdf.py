@@ -201,8 +201,11 @@ def slack_budgets(d: np.ndarray, delta1: float, delta2: float) -> np.ndarray:
     No allocation exceeds ``1 - d_j^2``, so that sum is as slack as an
     infinite budget, and a dual solved at it keeps its terms finite.
     """
-    s = float(np.sum(one_minus_square(d)))
-    return np.array([s if x == math.inf else x for x in (delta1, delta2)], dtype=float)
+    budgets = [delta1, delta2]
+    if math.inf in budgets:
+        s = float(np.sum(one_minus_square(d)))
+        budgets = [s if x == math.inf else x for x in budgets]
+    return np.array(budgets, dtype=float)
 
 
 def require_dw(d, delta1: float, delta2: float) -> None:
@@ -570,7 +573,7 @@ def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfRes
                       for p, x in ((p1, delta1), (rho * p1, delta2))])
     start[delta >= s.sum()] = 0.0
     (a1, a2), _, mu, _, steps, _, _ = ci_dual(d, delta, np.ones(2), 0.5 * start)
-    rate = pair_rate(d, np.log(a1), np.log(a2))
+    rate = pair_rate(d, np.log(a1).tolist(), np.log(a2).tolist())
     slack = delta - [a1.sum(), a2.sum()]
     regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"
     return _certified(rate, a1, a2, 2.0 * mu, delta, regime, steps)
@@ -609,7 +612,7 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     if in_dw(d, delta1, delta2):
         delta = np.array([delta1, delta2], dtype=float)
         a1, a2 = np.full(n, delta1) / n, np.full(n, delta2) / n
-        rate = pair_rate(d, np.log(a1), np.log(a2))
+        rate = pair_rate(d, np.log(a1).tolist(), np.log(a2).tolist())
         return _certified(rate, a1, a2, n / delta, delta, "closed-form-DW", 0)
     return _joint_numerical(d, float(delta1), float(delta2))
 

@@ -68,7 +68,10 @@ def coefficients(d) -> np.ndarray:
     """``d`` as a float vector; raises :class:`QWOutOfFamily` unless every
     entry lies in [0, 1), so a NaN or an infinity fails too."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    if not np.all((d >= 0.0) & (d < 1.0)):
+    # the extremes carry a NaN through, and two reductions cost less than
+    # the elementwise tests on short vectors
+    if d.size and not (0.0 <= np.minimum.reduce(d, axis=None)
+                       and np.maximum.reduce(d, axis=None) < 1.0):
         raise QWOutOfFamily("coefficients must lie in [0, 1)")
     return d
 
@@ -193,7 +196,7 @@ def mi_given_state(d, q) -> float:
             ev = np.exp(np.sort(lv))
             if ev.size and ev[0] <= eig_floor(ev):
                 return math.inf
-        return pair_rate(d, lv1, lv2)
+        return pair_rate(d, lv1.tolist(), lv2.tolist())
     _, m1, m2 = conditional_covariances(d, state)
     ld1 = logdet_or_neginf(m1)
     ld2 = logdet_or_neginf(m2)

@@ -80,15 +80,9 @@ class HuaInequalityCheck(NamedTuple):
     equality: bool
 
 
-def check_hua_inequality(d, q) -> HuaInequalityCheck:
-    """Evaluate ``det(M1) det(M2) <= det(I - D)^2`` at a family point Q,
-    ``D <= Q <= D^{-1}`` up to ``1e-10 max(1/d)``, where
-    ``M1 = I - D^{1/2} Q^{-1} D^{1/2}`` and ``M2 = I - D^{1/2} Q D^{1/2}``.
-
-    The inequality is strict except at ``Q = I``; ``equality`` reports
-    whether Q is within ``1e-8`` of the identity.
-    """
-    d = _coefficients(d)
+def _family_state(d: np.ndarray, q) -> np.ndarray:
+    """``q`` as a float matrix; ``ValueError`` unless it is a symmetric
+    n x n member of ``D <= Q <= D^{-1}``, up to ``1e-10 max(1/d)``."""
     n = d.size
     qw = np.asarray(q, dtype=float)
     if qw.shape != (n, n) or np.max(np.abs(qw - qw.T), initial=0.0) > 1e-10 * (
@@ -99,6 +93,20 @@ def check_hua_inequality(d, q) -> HuaInequalityCheck:
     if (np.linalg.eigvalsh(_sym(qw) - np.diag(d))[0] < -tol
             or np.linalg.eigvalsh(np.diag(1.0 / d) - _sym(qw))[0] < -tol):
         raise ValueError("state outside Diag(d) <= Q <= Diag(d)^{-1}")
+    return qw
+
+
+def check_hua_inequality(d, q) -> HuaInequalityCheck:
+    """Evaluate ``det(M1) det(M2) <= det(I - D)^2`` at a family point Q,
+    ``D <= Q <= D^{-1}`` up to ``1e-10 max(1/d)``, where
+    ``M1 = I - D^{1/2} Q^{-1} D^{1/2}`` and ``M2 = I - D^{1/2} Q D^{1/2}``.
+
+    The inequality is strict except at ``Q = I``; ``equality`` reports
+    whether Q is within ``1e-8`` of the identity.
+    """
+    d = _coefficients(d)
+    n = d.size
+    qw = _family_state(d, q)
     rd = np.sqrt(d)
     m1 = np.eye(n) - rd[:, None] * np.linalg.inv(qw) * rd[None, :]
     m2 = np.eye(n) - rd[:, None] * qw * rd[None, :]
@@ -164,6 +172,37 @@ def first_fit_level(v: np.ndarray, delta: float) -> float:
     fits = levels <= s
     fits[-1] = True
     return float(levels[np.argmax(fits)])
+
+
+def dense_state_rates(d, q, delta1: float, delta2: float) -> tuple[float, float, float]:
+    """``(R0, R1, R2)`` of the triple at a dense family state ``Q_W``, nats.
+
+    Given W the branches have the covariances
+    ``K1 = I - D^{1/2} Q_W^{-1} D^{1/2}`` and ``K2 = I - D^{1/2} Q_W D^{1/2}``,
+    so ``R0 = I(Y1, Y2; W) = 0.5 [sum log(1 - d^2) - log det K1 - log det K2]``,
+    ``inf`` where a K is singular, and R1, R2 reverse water-fill delta1 and
+    delta2 (``inf`` is slack) over the eigenvalues of K1 and K2, with the
+    level of :func:`first_fit_level`.
+    """
+    d = _coefficients(d)
+    qw = _sym(_family_state(d, q))
+    if not (delta1 > 0.0 and delta2 > 0.0):
+        raise ValueError("distortions must be positive")
+    rd = np.sqrt(d)
+    eye = np.eye(d.size)
+    spectra = [np.linalg.eigvalsh(_sym(eye - rd[:, None] * k * rd[None, :]))
+               for k in (np.linalg.inv(qw), qw)]
+    if min(float(ev[0]) for ev in spectra) <= 0.0:
+        r0 = math.inf
+    else:
+        logdets = sum(float(np.sum(np.log(ev))) for ev in spectra)
+        r0 = 0.5 * (float(np.sum(np.log((1.0 - d) * (1.0 + d)))) - logdets)
+    rates = []
+    for ev, delta in zip(spectra, (delta1, delta2)):
+        ev = np.clip(ev, 0.0, None)
+        level = first_fit_level(ev, delta)
+        rates.append(float(0.5 * np.sum(np.log(ev[ev > level] / level))))
+    return r0, rates[0], rates[1]
 
 
 def sum_rate_identity_check(d, delta1: float, delta2: float, joint_rate: float) -> float:

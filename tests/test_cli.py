@@ -270,7 +270,7 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     assert lines[0] == "alpha1,alpha2,T,R0,R1,R2,q_1,q_2,q_3"
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
     summary = json.loads(res.stdout)
-    assert list(summary) == ["points", "out", "max_gap", "iterations"]
+    assert list(summary) == ["points", "out", "max_gap", "iterations", "closed_form"]
     assert len(rows) == summary["points"] and summary["out"] == out
     for row in rows:
         assert len(row) == 9
@@ -286,11 +286,15 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     assert Path(out).read_bytes() == want.encode()
     assert gw.region_csv(points) == want
     assert lines[-1].startswith("1,1,6.2480634510635")
-    # the summary certifies the sweep: the largest gap and the total dual
-    # evaluations of the points written
+    # the summary certifies the sweep: the largest gap, the total dual
+    # evaluations and the count of closed-form points, here (0.5, 0.5) and
+    # (1, 1), whose priced branches stay free inside D_W
     assert summary["max_gap"] == max(p.gap for p in points)
     assert 0.0 < summary["max_gap"] <= 1e-10
-    assert summary["iterations"] == sum(p.iterations for p in points) >= len(points)
+    assert summary["iterations"] == sum(p.iterations for p in points) >= len(points) - 2
+    assert summary["closed_form"] == 2
+    assert [(p.alpha1, p.alpha2) for p in points if p.path == "closed-form"] == [(0.5, 0.5),
+                                                                                 (1.0, 1.0)]
 
 
 def test_region_alpha_grid_needs_a_tick(runner, cvf_file, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gwgauss as gw
-from gwgauss.gaussmodel import (LOG_2PIE, branch_variances, log_branch_variances,
+from gwgauss.gaussmodel import (LOG_2PIE, branch_variances, free_state, log_branch_variances,
                                  log_one_minus_square, logdet_or_neginf, one_minus_square,
                                  symmetrize)
 
@@ -167,19 +167,51 @@ def test_branch_variances_against_mpmath():
     t = np.where(rng.random(d.size) < 0.5, rng.uniform(-1.0, 1.0, d.size), edge)
     u = -t * ld
     w, v = branch_variances(ld, u)
-    v2, lv = log_branch_variances(ld, u)
-    np.testing.assert_array_equal(v2, v)
     with mp.workdps(50):
         for j in range(d.size):
+            # the per-coordinate (v1, log v1, v2, log v2) in Python floats
+            coordinate = log_branch_variances(float(ld[j]), float(u[j]))
             for i, sgn in enumerate((1, -1)):
                 e = mp.log(mp.mpf(d[j])) - sgn * mp.mpf(u[j])
                 ww, vv = mp.exp(e), -mp.expm1(e)
                 rounding = EPS * (abs(ld[j]) + abs(u[j]))
                 where = (d[j], u[j], i)
                 assert abs(w[i, j] - ww) <= 2 * EPS * ww + ww * rounding, where
-                assert abs(v[i, j] - vv) <= 2 * EPS * vv + ww * rounding, where
                 lvv = mp.log(vv)
-                assert abs(lv[i, j] - lvv) <= 4 * EPS * abs(lvv) + ww * rounding / vv, where
+                vf, lvf = coordinate[2 * i], coordinate[2 * i + 1]
+                for got in (v[i, j], vf):
+                    assert abs(got - vv) <= 2 * EPS * vv + ww * rounding, where
+                assert abs(lvf - lvv) <= 4 * EPS * abs(lvv) + ww * rounding / vv, where
+
+
+def test_free_state_against_mpmath():
+    # q, w = (d/q, d q) and v = 1 - w at the root of the quadratic
+    # k2 q^2 + (k1 - k2) d q - k1 = 0, within 4 eps relative of 60 digits,
+    # with d from 1e-12 to 1 - 1e-12 and weights up to 1 - 1e-12
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    d = np.concatenate([1.0 - 10.0 ** rng.uniform(-12.0, -0.01, 300),
+                        10.0 ** rng.uniform(-12.0, -0.01, 300)])
+    alpha = np.where(rng.random((2, d.size)) < 0.5, rng.uniform(0.0, 1.0, (2, d.size)),
+                     1.0 - 10.0 ** rng.uniform(-12.0, 0.0, (2, d.size)))
+    alpha[:, :20] = 0.0
+    with mp.workdps(60):
+        for x, a1, a2 in zip(d.tolist(), *alpha.tolist()):
+            k1, k2 = 0.5 * (1.0 - a1), 0.5 * (1.0 - a2)
+            got = free_state(x, k1, k2)
+            b = (mp.mpf(k1) - mp.mpf(k2)) * x
+            q = (mp.sqrt(b * b + 4 * mp.mpf(k1) * k2) - b) / (2 * mp.mpf(k2))
+            want = (q, x / q, 1 - x / q, x * q, 1 - x * q)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * EPS * w, (x, k1, k2, got)
+    # a zero k_i puts the state on the family edge where v_i = 0, and with
+    # both zero the identity, the state of least R0, is taken
+    assert free_state(0.6, 0.0, 0.25)[:3] == (0.6, 1.0, 0.0)
+    assert free_state(0.6, 0.25, 0.0)[3:] == (1.0, 0.0)
+    assert free_state(0.6, 0.0, 0.0) == (1.0, 0.6, 0.4, 0.6, 0.4)
+    # equal k gives the identity for any positive k
+    q, w1, v1, w2, v2 = free_state(0.6, 0.3, 0.3)
+    assert (q, w1, w2) == (1.0, 0.6, 0.6) and v1 == v2 == pytest.approx(0.4, rel=2 * EPS)
 
 
 def test_mi_canonical_cases():

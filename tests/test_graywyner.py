@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import gwgauss as gw
 
+import reference
+
 D3 = np.array([0.8, 0.5, 0.1])
 
 d_vectors = st.lists(
@@ -288,7 +290,14 @@ def test_region_sweep_certificates():
     for p in pts:
         assert p.converged
         assert 0.0 < p.gap <= 1e-10
-        assert 0 < p.iterations < 200
+        # inside D_W the closed form serves each pair whose priced branches
+        # stay free, the equal weights among them, with no dual evaluation
+        if p.path == "closed-form":
+            assert p.iterations == 0
+        else:
+            assert p.path == "dual" and 0 < p.iterations < 200
+    assert {(p.alpha1, p.alpha2) for p in pts if p.alpha1 == p.alpha2} <= {
+        (p.alpha1, p.alpha2) for p in pts if p.path == "closed-form"}
     # at unit weights on D_W the family minimum is the joint rate, and
     # the gap bounds how far above it the returned objective may sit
     (unit,) = [p for p in pts if (p.alpha1, p.alpha2) == (1.0, 1.0)]
@@ -344,6 +353,10 @@ SWEEP_DUAL_CASES = [
     (np.array([0.6]), 0.1, 0.5, (0.3, 0.9)),
     (np.array([0.999, 1e-3]), 0.4, 0.01, (0.0, 1.0)),
     (np.array([0.5, 0.4]), 2.5, 0.3, (1.0, 0.5)),
+    # closed-form points: no priced branch saturates
+    (D3, 0.3, 0.3, (0.5, 0.5)),
+    (np.array([0.6, 0.3]), 0.2, 0.3, (0.3, 0.8)),
+    (np.array([0.6]), 0.1, 0.3, (0.8, 0.4)),
 ]
 
 
@@ -352,7 +365,8 @@ def test_region_sweep_certificates_match_a_brute_force_dual(case):
     d, delta1, delta2, alpha = case
     (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[alpha])
     assert pt.multipliers.shape == (2,) and np.all(pt.multipliers >= 0.0)
-    assert pt.converged and 0.0 < pt.gap <= 1e-10 and pt.iterations >= 1
+    assert pt.converged and 0.0 < pt.gap <= 1e-10
+    assert pt.iterations == 0 if pt.path == "closed-form" else pt.iterations >= 1
     # the grid bound lies above the dual's infimum and near it; the gap the
     # point reports covers the objective's distance to it (the bound is not
     # above the infimum beyond rounding) and is not vacuous
@@ -555,24 +569,28 @@ def test_region_sweep_gap_allowance_at_every_weight():
             assert 0.0 < pt.gap <= 1e-12 * (1.0 + abs(pt.objective)), (d.tolist(), delta1, delta2)
 
 
-def test_region_sweep_evaluations_on_benchmark_like_instances():
-    # a deterministic stand-in for the sweep's speed, on instances like the
-    # benchmark's sweep workload: jittered n = 1, 2, 3 bases, budgets at
-    # 0.5-0.8 of the D_W edge.  Equal weights start at their optimum, the
-    # identity state with the equal split, and no point takes more than 6
-    # dual evaluations
-    rng = np.random.default_rng(30)
+def _benchmark_like(rng, passes):
+    """``(d, delta1, delta2)`` like the benchmark's sweep workload: jittered
+    n = 1, 2, 3 bases, budgets at 0.5-0.8 of the D_W edge."""
     bases = ([(x,) for x in np.linspace(0.2, 0.85, 14)]
              + [(x, r * x) for x, r in zip(np.linspace(0.4, 0.9, 14), [0.3, 0.5, 0.7] * 5)]
              + [(0.8, 0.5, 0.1)])
-    for _ in range(5):
+    for _ in range(passes):
         for base in bases:
             d = np.sort(np.asarray(base) + rng.uniform(-0.03, 0.03, len(base)))[::-1]
-            delta1, delta2 = rng.uniform(0.5, 0.8, 2) * gw.dw_bound(d)
-            for pt in gw.region_sweep(d, delta1, delta2, alphas=BENCH_WEIGHTS):
-                assert pt.iterations <= 6, (d, delta1, delta2, pt.alpha1, pt.alpha2)
-                if pt.alpha1 == pt.alpha2:
-                    assert pt.iterations == 1, (d, delta1, delta2, pt.alpha1)
+            yield (d, *(rng.uniform(0.5, 0.8, 2) * gw.dw_bound(d)))
+
+
+def test_region_sweep_evaluations_on_benchmark_like_instances():
+    # a deterministic stand-in for the sweep's speed.  At equal weights the
+    # optimum is the identity state with the equal split, which the closed
+    # form gives with no dual evaluation, and no point takes more than 6
+    # dual evaluations
+    for d, delta1, delta2 in _benchmark_like(np.random.default_rng(30), 5):
+        for pt in gw.region_sweep(d, delta1, delta2, alphas=BENCH_WEIGHTS):
+            assert pt.iterations <= 6, (d, delta1, delta2, pt.alpha1, pt.alpha2)
+            if pt.alpha1 == pt.alpha2:
+                assert pt.path == "closed-form" and pt.iterations == 0, (d, delta1, delta2)
 
 
 # coefficients in the bulk, tiny, or within 1e-12 of 1; budgets over 600
@@ -624,3 +642,174 @@ def test_region_sweep_unit_weights_with_a_tiny_and_a_slack_budget():
     (pt,) = gw.region_sweep(D3, 1e-20, math.inf, alphas=[(1.0, 1.0)])
     joint = gw.joint_rdf(D3, 1e-20, math.inf).rate  # 70.725
     assert abs(pt.objective - joint) <= 1e-9 * joint
+
+
+@pytest.mark.xfail(strict=True, reason="the dual stops at its step cap with multipliers "
+                                       "(0, 8.8e-314) and a gap of 0.69")
+def test_region_sweep_converges_with_a_weight_at_the_smallest_normal_float():
+    # a hypothesis draw of the off-unit finiteness test; branch 1 saturates,
+    # so the point stays on the dual
+    d = [0.001953125, 0.001, 0.9999, 0.9999, 0.9999, 0.9999]
+    (pt,) = gw.region_sweep(d, 1.0, 1.0, alphas=[(1.0, 2.2250738585072014e-308)])
+    assert pt.path == "dual"
+    assert pt.converged and pt.gap <= 1e-10 * (1.0 + abs(pt.objective))
+
+
+@pytest.mark.xfail(strict=True, reason="the dual stops at its step cap after 1031 "
+                                       "evaluations, with a gap of 3.3e-11")
+def test_region_sweep_converges_with_a_tiny_coefficient_and_a_slack_budget():
+    # a hypothesis draw of the off-unit finiteness test; branch 2 saturates,
+    # so the point stays on the dual
+    (pt,) = gw.region_sweep([1e-20, 0.9999999999], math.inf, 1.0, alphas=[(0.0, 1.0)])
+    assert pt.path == "dual"
+    assert pt.converged
+
+
+# ---------------------------------------------------------------- closed form
+# Wherever no priced branch saturates, region_sweep takes each component's
+# state from a quadratic (gaussmodel.free_state), with the equal split, and
+# runs no dual.  The tests below hold it to the dual, to brute force and to
+# laws that need no solver.
+
+def _dual_only(monkeypatch):
+    """Send every weight pair to the dual, as if no closed form held."""
+    import gwgauss.graywyner
+
+    monkeypatch.setattr(gwgauss.graywyner, "_closed_form", lambda *args: None)
+
+
+def test_region_sweep_takes_the_closed_form_inside_dw(monkeypatch):
+    import gwgauss.graywyner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point inside the closed form's region ran the dual")
+
+    monkeypatch.setattr(gwgauss.graywyner, "ci_dual", refuse)
+    for d, delta1, delta2 in _benchmark_like(np.random.default_rng(31), 2):
+        n = d.size
+        for pt in gw.region_sweep(d, delta1, delta2, alphas=[(0.5, 0.5), (1.0, 1.0)]):
+            assert pt.path == "closed-form" and pt.iterations == 0 and pt.converged
+            assert 0.0 < pt.gap <= 1e-14 * (1.0 + abs(pt.objective))
+            # the identity state, the equal split and its multipliers
+            np.testing.assert_array_equal(pt.q, np.ones(n))
+            np.testing.assert_allclose(pt.multipliers, [pt.alpha1 * n / (2.0 * delta1),
+                                                        pt.alpha2 * n / (2.0 * delta2)],
+                                       rtol=1e-15)
+        joint = gw.joint_rdf(d, delta1, delta2).rate
+        assert math.isclose(pt.objective, joint, rel_tol=1e-14)
+
+
+def _closed_form_draws(rng):
+    """``(d, delta1, delta2, alphas)``: the benchmark's instances at the
+    equal weights and (0.3, 0.8), then random coefficients, near 1 too,
+    with budgets inside D_W and random weights."""
+    for d, delta1, delta2 in _benchmark_like(rng, 1):
+        yield d, delta1, delta2, [(0.5, 0.5), (1.0, 1.0), (0.3, 0.8)]
+    for _ in range(150):
+        n = int(rng.integers(1, 5))
+        near = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n)
+        d = np.sort(np.where(rng.random(n) < 0.7, rng.uniform(0.02, 0.98, n), near))[::-1]
+        delta1, delta2 = gw.dw_bound(d) * rng.uniform(0.05, 1.0, 2)
+        alphas = [(0.3, 0.8), (0.8, 0.3), (0.0, 0.0), (0.0, 0.7), tuple(rng.uniform(0.0, 1.0, 2))]
+        yield d, delta1, delta2, alphas
+
+
+def test_region_sweep_closed_form_points_match_the_dual(monkeypatch):
+    # T within 1e-14 relative.  q within 2e-14: the closed form's q is within
+    # 1.4 eps of a 50-digit root of its quadratic, while the dual's inner
+    # stop test left up to 1.1e-14 on its q over 2070 random points
+    closed = []
+    for d, delta1, delta2, alphas in _closed_form_draws(np.random.default_rng(37)):
+        for pt in gw.region_sweep(d, delta1, delta2, alphas=alphas):
+            if pt.path == "closed-form":
+                closed.append((d, delta1, delta2, pt))
+    assert len(closed) >= 500
+    _dual_only(monkeypatch)
+    for d, delta1, delta2, pt in closed:
+        (dual,) = gw.region_sweep(d, delta1, delta2, alphas=[(pt.alpha1, pt.alpha2)])
+        where = (d.tolist(), delta1, delta2, pt.alpha1, pt.alpha2)
+        assert dual.path == "dual" and dual.converged, where
+        assert abs(pt.objective - dual.objective) <= 1e-14 * abs(dual.objective), where
+        np.testing.assert_allclose(pt.q, dual.q, rtol=2e-14, atol=0.0, err_msg=str(where))
+        # each certificate covers the other point
+        assert dual.objective - dual.gap <= pt.objective + 1e-15 * abs(pt.objective), where
+        assert pt.objective - pt.gap <= dual.objective + 1e-15 * abs(dual.objective), where
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_region_sweep_paths_agree_on_the_closed_form_boundary(n):
+    # at delta_i / n = min_j v_ij the strict region test fails and the dual
+    # runs; one ulp inside, the closed form does.  n is a power of 2, so
+    # delta_i / n is that v exactly
+    from gwgauss.gaussmodel import free_state
+
+    rng = np.random.default_rng(40 + n)
+    d = np.sort(rng.uniform(0.1, 0.9, n))[::-1]
+    for alpha in [(0.3, 0.8), (0.8, 0.3), (1.0, 1.0), (0.6, 0.0)]:
+        k1, k2 = (0.5 * (1.0 - a) for a in alpha)
+        states = [free_state(x, k1, k2) for x in d.tolist()]
+        edges = [n * min(s[2] for s in states), n * min(s[4] for s in states)]
+        for i in (0, 1):
+            if alpha[i] == 0.0:
+                continue
+            budgets = [0.5 * e for e in edges]
+            budgets[i] = edges[i]
+            (at,) = gw.region_sweep(d, *budgets, alphas=[alpha])
+            budgets[i] = np.nextafter(edges[i], 0.0)
+            (inside,) = gw.region_sweep(d, *budgets, alphas=[alpha])
+            where = (d.tolist(), alpha, i)
+            assert (at.path, inside.path) == ("dual", "closed-form"), where
+            assert at.converged and at.gap <= 1e-12 * (1.0 + abs(at.objective)), where
+            assert abs(at.objective - inside.objective) <= 1e-14 * abs(at.objective), where
+            np.testing.assert_allclose(inside.q, at.q, rtol=2e-14, atol=0.0, err_msg=str(where))
+
+
+def test_region_sweep_is_nondecreasing_in_each_weight():
+    # T(alpha) = min_W [R0 + a1 R1 + a2 R2] with R_i >= 0, so raising one
+    # weight never lowers T; the two points may cross by their gaps and
+    # rounding only.  A closed form solved with k1 and k2 swapped fails this
+    rng = np.random.default_rng(41)
+    paths = []
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        d = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+        delta1, delta2 = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, math.log10(30.0), 2)
+        low = [float(rng.choice([0.0, 0.5, 1.0])) if rng.random() < 0.3 else float(rng.random())
+               for _ in range(2)]
+        high = list(low)
+        i = int(rng.integers(2))
+        high[i] = 1.0 if rng.random() < 0.3 else low[i] + (1.0 - low[i]) * float(rng.random())
+        lo, hi = gw.region_sweep(d, delta1, delta2, alphas=[tuple(low), tuple(high)])
+        paths += [lo.path, hi.path]
+        allowance = lo.gap + hi.gap + 1e-14 * (1.0 + abs(hi.objective))
+        assert lo.objective <= hi.objective + allowance, (d.tolist(), delta1, delta2, low, high)
+    assert paths.count("closed-form") >= 50 and paths.count("dual") >= 50
+
+
+def test_no_dense_family_state_beats_the_sweep():
+    # the sweep minimizes over diagonal states only; the dense oracle of
+    # reference.py values any state of the family, here random ones and
+    # mixtures of them with each point's own state
+    rng = np.random.default_rng(43)
+    paths = []
+    for trial in range(40):
+        n = int(rng.integers(2, 5))
+        d = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+        shares = rng.uniform(0.1, 1.0, 2) if trial % 2 else 10.0 ** rng.uniform(-1.0, 1.5, 2)
+        delta1, delta2 = gw.dw_bound(d) * shares
+        alphas = [(0.5, 0.5), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.5),
+                  (0.3, 0.8), tuple(rng.uniform(0.0, 1.0, 2))]
+        pts = gw.region_sweep(d, delta1, delta2, alphas=alphas)
+        paths += [p.path for p in pts]
+        # about 200 states per instance: 160 drawn, and 6 mixtures per point
+        samples = [reference.sample_state_matrix(d, rng) for _ in range(160)]
+        rates = [reference.dense_state_rates(d, s, delta1, delta2) for s in samples]
+        for p in pts:
+            mixed = [(1.0 - t) * np.diag(p.q) + t * samples[k]
+                     for k, t in zip(rng.integers(0, 160, 6), rng.uniform(0.0, 0.3, 6))]
+            for r0, r1, r2 in rates + [reference.dense_state_rates(d, s, delta1, delta2)
+                                       for s in mixed]:
+                dense = r0 + p.alpha1 * r1 + p.alpha2 * r2
+                assert dense >= p.objective - p.gap, (d.tolist(), delta1, delta2, p.alpha1,
+                                                      p.alpha2, p.path)
+    assert paths.count("closed-form") >= 40 and paths.count("dual") >= 40

@@ -48,6 +48,8 @@ D_ENTRY_POINTS = {
     "check_hua_inequality": (lambda d: reference.check_hua_inequality(d, np.eye(2)), ValueError),
     "sample_state_matrix": (lambda d: reference.sample_state_matrix(d, np.random.default_rng(0)),
                             ValueError),
+    "dense_state_rates": (lambda d: reference.dense_state_rates(d, np.eye(2), 0.1, 0.1),
+                          ValueError),
     "family_realization": (lambda d: gw.family_realization(d, np.eye(2)), gw.QWOutOfFamily),
     "state_triple": (lambda d: gw.state_triple_cov(d, np.eye(2)), gw.QWOutOfFamily),
     "test_channel": (lambda d: gw.test_channel(d, np.eye(2), [0.1, 0.1], [0.1, 0.1]),
@@ -81,6 +83,8 @@ DELTA_ENTRY_POINTS = {
     "pangloss_triple 2": (lambda x: gw.pangloss_triple(GOOD_D, 0.1, x), gw.NonpositiveDistortion),
     "region_sweep": (lambda x: gw.region_sweep(GOOD_D, 0.1, x, alphas=[(1.0, 1.0)]),
                      gw.NonpositiveDistortion),
+    "dense_state_rates": (lambda x: reference.dense_state_rates(GOOD_D, np.eye(2), 0.1, x),
+                          ValueError),
 }
 BAD_DELTA = [0.0, -0.1, -1.0, math.nan]
 
@@ -117,7 +121,11 @@ def test_entry_point_rejects_bad_distortion(name, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("name", sorted(set(DELTA_ENTRY_POINTS) - {"sum_rate_identity_check"}))
+# the oracles guard only their own premises, positive budgets
+ORACLES = {"sum_rate_identity_check", "dense_state_rates"}
+
+
+@pytest.mark.parametrize("name", sorted(set(DELTA_ENTRY_POINTS) - ORACLES))
 def test_entry_point_rejects_a_budget_below_a_normal_float_per_component(name):
     # two components here: the floor is 2 * 2.2e-308
     call, cls = DELTA_ENTRY_POINTS[name]
