@@ -46,6 +46,11 @@ LN2 = math.log(2.0)
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 # strictly PD: every eigenvalue above PD_FLOOR * lambda_max
 PD_FLOOR = 1e-10
+# machine epsilon, and the smallest normal float, the floor of each budget
+# share delta / n and nonzero sweep weight: a share below it keeps fewer
+# significant bits, and multipliers up to 2 n / delta overflow a factor 4 below
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 def symmetry_tolerance(q: np.ndarray) -> float:

@@ -26,7 +26,7 @@ form (:func:`gaussmodel.pair_rate`), and each point certifies itself by
 the dual bound, which the closed form meets up to rounding.
 At (1, 1) T equals the joint rate of :func:`rdf.joint_rdf`: its closed form
 on the equal-split region, and outside it the restricted program, which is
-the same minimum over diagonal CI states.
+the same minimum over diagonal CI states, found by one :func:`rdf.ci_dual` call.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QWOutOfFamily
-from .gaussmodel import (common_information_terms, free_state, log_branch_variances, log_variance,
-                         pair_rate)
+from .gaussmodel import (EPS, TINY, common_information_terms, free_state, log_branch_variances,
+                         log_variance, pair_rate)
 from .rdf import ci_dual, marginal_rate, require_dw, require_positive, slack_budgets
 from .wyner import coefficients
 
@@ -110,10 +110,6 @@ def pangloss_triple(d, delta1: float, delta2: float) -> RateTriple:
 # over 5600 random points, and down to -0.14 eps absolute at n = 1 with
 # spreads from 1e-14 to 0.015
 _GAP_ROUNDING = 4.0
-_EPS = np.finfo(float).eps
-# a subnormal weight makes the dual's start subnormal and c = alpha / (2 mu)
-# overflow; rdf.require_positive bars the same range of budgets
-_TINY = float(np.finfo(float).tiny)
 
 
 def weight_grid(ticks: int) -> list[tuple[float, float]]:
@@ -158,11 +154,12 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
       branch with ``alpha_i > 0``.  It is then a KKT point of the convex
       program, with the equal split ``delta_i / n`` and multipliers
       ``mu_i = alpha_i n / (2 delta_i)``; ``iterations`` is 0.
-    * ``"dual"`` elsewhere: the two-multiplier dual (:func:`rdf.ci_dual`)
-      gives the state ``u = log q``, unvalidated, and its branch variances
-      ``v1 = 1 - d/q``, ``v2 = 1 - d q`` with their logs come from
-      :func:`gaussmodel.log_branch_variances`; ``iterations`` counts the
-      dual evaluations.
+    * ``"dual"`` elsewhere: the two-multiplier dual (:func:`rdf.ci_dual`,
+      which picks its start from the weights; at (1, 1) it is the solve of
+      :func:`rdf.joint_rdf`) gives the state ``u = log q``, unvalidated, and
+      its branch variances ``v1 = 1 - d/q``, ``v2 = 1 - d q`` with their logs
+      come from :func:`gaussmodel.log_branch_variances`; ``iterations``
+      counts the dual evaluations.
 
     Either way the triple is built in Python floats from the state's
     branch variances: R0 = I(Y1, Y2; W) by its closed form
@@ -193,21 +190,21 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
 
     points: list[SweepPoint] = []
     for a1, a2 in alphas:
-        weights = (float(a1), float(a2))
-        if not all(a == 0.0 or _TINY <= a <= 1.0 for a in weights):
-            raise ValueError(f"weights must be 0 or lie in [{_TINY}, 1], got ({a1}, {a2})")
+        w1, w2 = weights = (float(a1), float(a2))
+        # a subnormal weight makes the dual's start subnormal and c = alpha /
+        # (2 mu) overflow; rdf.require_positive bars the same range of budgets
+        if not all(a == 0.0 or TINY <= a <= 1.0 for a in weights):
+            raise ValueError(f"weights must be 0 or lie in [{TINY}, 1], got ({a1}, {a2})")
         # the region test holds a priced branch's variances above its share
         # and an unpriced one's above 0, where free_state always puts them
         c1, c2 = (c if a > 0.0 else 0.0 for a, c in zip(weights, shares))
-        state = _closed_form(ds, 0.5 * (1.0 - weights[0]), 0.5 * (1.0 - weights[1]), c1, c2)
+        state = _closed_form(ds, 0.5 * (1.0 - w1), 0.5 * (1.0 - w2), c1, c2)
         if state is not None:
             q, v1, lv1, v2, lv2 = state
             mu = [0.5 * a / c for a, c in zip(weights, shares)]  # alpha_i n / (2 delta_i)
             bound, evals, converged, path = None, 0, True, "closed-form"
         else:
-            alpha = np.array(weights)
-            _, u, mu, bound, _, evals, converged = ci_dual(d, delta, alpha,
-                                                           alpha * n / (2.0 * delta))
+            _, u, mu, bound, _, evals, converged = ci_dual(d, delta, np.array(weights))
             if lds is None:
                 lds = np.log(d).tolist()
             q = np.exp(u)
@@ -220,10 +217,10 @@ def region_sweep(d, delta1: float, delta2: float, alphas=None) -> list[SweepPoin
             delta1=float(delta1),
             delta2=float(delta2),
         )
-        objective = triple.r0 + a1 * triple.r1 + a2 * triple.r2
+        objective = triple.r0 + w1 * triple.r1 + w2 * triple.r2
         spread = max(abs(objective) + sum(map(abs, lv1)) + sum(map(abs, lv2)), n)
-        gap = (0.0 if bound is None else objective - bound) + _GAP_ROUNDING * _EPS * spread
-        points.append(SweepPoint(alpha1=a1, alpha2=a2, objective=objective, triple=triple,
+        gap = (0.0 if bound is None else objective - bound) + _GAP_ROUNDING * EPS * spread
+        points.append(SweepPoint(alpha1=w1, alpha2=w2, objective=objective, triple=triple,
                                  q=np.asarray(q, dtype=float), iterations=evals,
                                  converged=converged, gap=gap,
                                  multipliers=np.asarray(mu, dtype=float), path=path))

@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonpositiveDistortion, NotPositiveDefinite, OutsideDW,
                      QWNotDiagonal)
-from .gaussmodel import (SGN, branch_variances, coordinate_branch_variances, log_one_minus_square,
-                         one_minus_square, pair_rate)
+from .gaussmodel import (EPS, SGN, TINY, branch_variances, coordinate_branch_variances,
+                         log_one_minus_square, one_minus_square, pair_rate)
 from .wyner import coefficients, diagonal_entries, family_state
 
 
@@ -172,14 +172,8 @@ def in_dw(d, delta1: float, delta2: float) -> bool:
     b = dw_bound(d)
     # the corner is inside; n (1 - d_max) itself rounds, so classify the
     # boundary at ulp scale rather than by exact comparison
-    tol = 8.0 * np.finfo(float).eps * max(1.0, b) if math.isfinite(b) else 0.0
+    tol = 8.0 * EPS * max(1.0, b) if math.isfinite(b) else 0.0
     return 0.0 <= delta1 <= b + tol and 0.0 <= delta2 <= b + tol
-
-
-# the smallest normal float: a budget share delta / n below it keeps fewer
-# significant bits, and the multipliers formed from it, up to 2 n / delta,
-# overflow a factor 4 below it
-_TINY = float(np.finfo(float).tiny)
 
 
 def require_positive(*deltas: float, components: int = 1) -> None:
@@ -190,9 +184,9 @@ def require_positive(*deltas: float, components: int = 1) -> None:
     for delta in deltas:
         if not delta > 0.0:
             raise NonpositiveDistortion(f"distortion must be positive, got {delta}")
-        if delta < max(components, 1) * _TINY:
+        if delta < max(components, 1) * TINY:
             raise NonpositiveDistortion(f"distortion {delta} leaves each of {max(components, 1)} "
-                                        f"components less than the smallest normal float, {_TINY}")
+                                        f"components less than the smallest normal float, {TINY}")
 
 
 def slack_budgets(d: np.ndarray, delta1: float, delta2: float) -> np.ndarray:
@@ -230,8 +224,7 @@ _LINE_STEPS = 100
 _G_ROUND = 1e-10
 # a residual within this many of the rounding size its oracle reports is met
 _FLOOR = 4.0
-_EPS = float(np.finfo(float).eps)
-_BELOW_ONE = 1.0 - _EPS / 2.0  # the largest float below 1
+_BELOW_ONE = 1.0 - EPS / 2.0  # the largest float below 1
 
 
 def _certified(rate, a1, a2, lam, delta, regime, iterations) -> JointRdfResult:
@@ -328,7 +321,7 @@ _INNER_STEPS = 80
 _FLOAT_COORDS = 32
 
 
-def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarray):
+def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray):
     """Minimize ``R0 + alpha1 R1 + alpha2 R2`` over diagonal family states.
 
     With ``u = log q`` and the branch allocations ``x_ij`` as variables the
@@ -369,8 +362,15 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     lie anywhere on that stretch; the state returned is the one nearest 1,
     the least R0, that admits the allocations.
 
-    The dual over mu >= 0 is solved by :func:`_dual_newton`: its gradient
-    is ``delta - sum_j x_ij`` and its Hessian
+    The dual over mu >= 0 (``delta`` finite, as :func:`slack_budgets` maps
+    it) is solved by :func:`_dual_newton` from a start set by the weights.
+    At unit weights it is ``1 / (2 level)`` for each budget's water level
+    over ceilings from the cap curve: the optimum where ``delta1 = delta2``,
+    the equal split inside ``D_W``, and 0 on a budget of ``sum(1 - d^2)``
+    or more, which is slack.  Elsewhere it is the equal split's ``alpha_i n
+    / (2 delta_i)``.  So :func:`joint_rdf` and the (1, 1) point of
+    :func:`graywyner.region_sweep` are one solve.  The gradient is
+    ``delta - sum_j x_ij`` and the Hessian
     ``diag(sum_active c_i / mu_i) + sum_j s s^T / h_j''``, with s the
     saturated slopes ``dv_i/du``.  A saturated x_ij = v_ij(u_j) inherits
     the inner roots' stopping error 2 eps |u_j|, so the budget sums round
@@ -383,11 +383,25 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     on the objective, the Newton steps, the dual evaluations and whether
     the solve stopped before its step cap.
     """
-    pos = d > 0.0
     with np.errstate(divide="ignore"):
         ld = np.log(d)  # -inf where d = 0
     kh = 0.5 * (1.0 - alpha)[:, None]
     weights, (d1, d2) = alpha.tolist(), delta.tolist()
+    if weights == [1.0, 1.0]:
+        # the water levels over the ceilings max(p_ij, 1 - d_j), p_j where
+        # the ray a2 = rho a1 meets the cap (in cancellation-free form, with
+        # (1 + rho)^2 factored out of the root; rho = sqrt(delta2 / delta1)
+        # as a ratio of roots; neither overflows at any budget ratio that
+        # require_positive admits).  No allocation exceeds 1 - d^2
+        s = one_minus_square(d)
+        rho = math.sqrt(d2) / math.sqrt(d1)
+        r = 1.0 + rho
+        p1 = 2.0 * s / (r * (1.0 + np.sqrt(1.0 - 4.0 * s * (rho / r) / r)))
+        start = np.array([0.5 * (1.0 / _water_level(np.maximum(p, 1.0 - d).tolist(), x))
+                          for p, x in ((p1, d1), (rho * p1, d2))])
+        start[delta >= s.sum()] = 0.0
+    else:
+        start = alpha * d.size / (2.0 * delta)  # the equal split's multipliers
     u = np.zeros(d.size)
     # the multipliers of the last family evaluation and its du/dmu
     last_mu, slope = np.zeros(2), np.zeros((2, d.size))
@@ -426,7 +440,7 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
                 hi = np.where(grad > 0.0, u, hi)
                 nxt = u - grad / curv
                 nxt = np.where((curv > 0.0) & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-                done = (abs(grad) <= 8.0 * _EPS * size) | (abs(nxt - u) <= 2.0 * _EPS * abs(u))
+                done = (abs(grad) <= 8.0 * EPS * size) | (abs(nxt - u) <= 2.0 * EPS * abs(u))
                 if done.all() or it == _INNER_STEPS - 1:
                     break
                 u = np.where(done, u, nxt)
@@ -439,14 +453,14 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
         lv = np.log(v)
         value = np.where(active, pinned - kh * lv, m * v - 0.5 * lv)
         x = np.where(active, c, v)
-        z = (np.where(active, 0.0, w) @ (2.0 * _EPS * np.abs(u))).tolist()
+        z = (np.where(active, 0.0, w) @ (2.0 * EPS * np.abs(u))).tolist()
         (s11, s12), (_, s22) = (s @ s.T).tolist()
         counts = active.sum(1).tolist()
         return float(value.sum()), x.sum(1).tolist(), z, (s11, s12, s22), counts, (x, u)
 
     (k1, k2), lds = (0.5 * (1.0 - a) for a in weights), ld.tolist()
     roots, slopes, last = [0.0] * d.size, [(0.0, 0.0)] * d.size, (0.0, 0.0)
-    grad_tol, step_tol, last_step = 8.0 * _EPS, 2.0 * _EPS, _INNER_STEPS - 1
+    grad_tol, step_tol, last_step = 8.0 * EPS, 2.0 * EPS, _INNER_STEPS - 1
 
     def float_roots(mu, c1, c2, p1, p2):
         # batch_roots one coordinate at a time in Python floats.  Where
@@ -539,40 +553,23 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray, start: np.ndarr
     mu, (x, u, g), steps, evals = _dual_newton(family_oracle, delta, start)
     if weights == [1.0, 1.0]:
         # the state of least R0 with x_i <= v_i(u) on both branches, u = 0
-        # where d = 0; on the cap lo = hi, taken from the smaller allocation,
-        # whose 1 - x keeps its precision.  An allocation that rounds to 1
-        # (d e^{-+u} at most eps / 4) is read as the largest float below 1,
-        # which leaves the state free where both do
+        # where d = 0 (there lo = -inf and hi = inf); on the cap lo = hi,
+        # taken from the smaller allocation, whose 1 - x keeps its precision.
+        # An allocation that rounds to 1 (d e^{-+u} at most eps / 4) is read
+        # as the largest float below 1, which leaves the state free where
+        # both do
         with np.errstate(divide="ignore", invalid="ignore"):
             xb = np.minimum(x, _BELOW_ONE)
             lo, hi = ld - np.log1p(-xb[0]), np.log1p(-xb[1]) - ld
             u = np.where(lo < hi, np.minimum(np.maximum(lo, 0.0), hi), np.where(x[0] <= x[1], lo, hi))
-            u = np.where(pos, u, 0.0)
     bound = 0.5 * float(np.sum(log_one_minus_square(d))) - g
     return x, u, mu, bound, steps, evals, steps < _NEWTON_STEPS
 
 
 def _joint_numerical(d: np.ndarray, delta1: float, delta2: float) -> JointRdfResult:
-    # start at 1 / the water level of each budget over the ceilings
-    # max(p_ij, 1 - d_j), p_j where the ray a2 = rho a1 meets the cap (in
-    # cancellation-free form, with (1 + rho)^2 factored out of the root;
-    # rho = sqrt(delta2 / delta1) as a ratio of roots; neither overflows at
-    # any budget ratio that require_positive admits): at delta1 = delta2
-    # that is the optimum, a water-fill of delta over 1 - d, and inside D_W
-    # the equal split n / delta.  No allocation exceeds 1 - d^2, so a budget
-    # of sum(1 - d^2) or more is slack and its multiplier starts at its
-    # optimum, 0; an infinite budget is solved and certified as that sum
-    # (slack_budgets).
-    s = one_minus_square(d)
+    """``joint_rdf`` outside ``D_W``: one :func:`ci_dual` call at unit weights."""
     delta = slack_budgets(d, delta1, delta2)
-    delta1, delta2 = delta.tolist()
-    rho = math.sqrt(delta2) / math.sqrt(delta1)
-    r = 1.0 + rho
-    p1 = 2.0 * s / (r * (1.0 + np.sqrt(1.0 - 4.0 * s * (rho / r) / r)))
-    start = np.array([1.0 / _water_level(np.maximum(p, 1.0 - d).tolist(), x)
-                      for p, x in ((p1, delta1), (rho * p1, delta2))])
-    start[delta >= s.sum()] = 0.0
-    (a1, a2), _, mu, _, steps, _, _ = ci_dual(d, delta, np.ones(2), 0.5 * start)
+    (a1, a2), _, mu, _, steps, _, _ = ci_dual(d, delta, np.ones(2))
     rate = pair_rate(d, np.log(a1).tolist(), np.log(a2).tolist())
     slack = delta - [a1.sum(), a2.sum()]
     regime = "infeasible-region" if np.any(slack > 1e-9 * (1.0 + delta)) else "numerical"
@@ -586,10 +583,11 @@ def joint_rdf(d, delta1: float, delta2: float) -> JointRdfResult:
     ``sum_j 0.5 log((1 - d_j^2) n^2 / (delta1 delta2))`` applies.  Outside
     it the result is the optimum of the restricted program (errors
     independent across branches and diagonal per component), an upper
-    bound on the Gaussian joint rate-distortion function: :func:`ci_dual`
-    at unit weights, with ``multipliers = 2 mu``; at ``delta1 = delta2`` its
-    start is the optimum and it takes 0 steps.  ``regime`` records which
-    path produced the result;
+    bound on the Gaussian joint rate-distortion function: one call of
+    :func:`ci_dual` at unit weights, with ``multipliers = 2 mu``, the same
+    solve as the (1, 1) point of :func:`graywyner.region_sweep`; at
+    ``delta1 = delta2`` its start is the optimum and it takes 0 steps.
+    ``regime`` records which path produced the result;
     ``infeasible-region`` means a budget is left slack because every
     component sits at its cap in the restricted program, not that the pair
     is unreachable.  ``iterations`` counts the Newton steps, 0 on the

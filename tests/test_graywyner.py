@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -636,12 +637,49 @@ def test_region_sweep_off_unit_weights_is_finite_and_converged(d, delta1, delta2
     assert pt.converged
 
 
-@pytest.mark.xfail(strict=True, reason="at unit weights the state picked on the family edge "
-                                       "can give R0 = inf (log of 0)")
-def test_region_sweep_unit_weights_with_a_tiny_and_a_slack_budget():
-    (pt,) = gw.region_sweep(D3, 1e-20, math.inf, alphas=[(1.0, 1.0)])
-    joint = gw.joint_rdf(D3, 1e-20, math.inf).rate  # 70.725
+@pytest.mark.parametrize("d, delta1, delta2", [
+    (D3, 1e-20, math.inf),
+    (D3, 1e-20, 2.25),  # a finite budget above sum(1 - d^2) = 2.1
+    (D3, 2.25, 1e-20),
+    (np.linspace(0.9, 0.1, 40), 4e-20, math.inf),  # the numpy batch path
+])
+def test_region_sweep_unit_weights_with_a_tiny_and_a_slack_budget(d, delta1, delta2):
+    # the (1, 1) point runs joint_rdf's solve, from the cap-point start.
+    # From the equal split's multipliers the unit-weight pick can put a
+    # component on the family edge, v1 = 0, where T is inf (and the batch
+    # warns of a log 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[(1.0, 1.0)])
+    joint = gw.joint_rdf(d, delta1, delta2).rate  # 70.725 on D3
+    assert math.isfinite(pt.objective)
     assert abs(pt.objective - joint) <= 1e-9 * joint
+
+
+def test_joint_rdf_and_the_unit_weight_sweep_point_are_one_solve(rng):
+    # outside D_W both make the same ci_dual call, so the sweep's
+    # multipliers mu are joint_rdf's lam / 2 bit for bit; n <= 6 runs the
+    # float roots and n = 40 the numpy batch
+    for n in [*rng.integers(1, 7, 60).tolist(), *[40] * 10]:
+        d = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+        delta = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, 2.5, 2)
+        delta[rng.integers(0, 2)] = gw.dw_bound(d) * 10.0 ** rng.uniform(0.01, 2.5)
+        (pt,) = gw.region_sweep(d, *delta, alphas=[(1.0, 1.0)])
+        res = gw.joint_rdf(d, *delta)
+        assert pt.path == "dual" and res.regime != "closed-form-DW"
+        assert (2.0 * pt.multipliers).tolist() == res.multipliers.tolist(), (d.tolist(), delta)
+
+
+def test_sweep_point_floats_are_python_floats():
+    # numpy weights come back as Python floats, and so do the values formed
+    # from them, on both paths
+    alphas = [(np.float64(0.5), np.float64(0.5)), (np.float32(1.0), np.float64(0.2))]
+    points = gw.region_sweep(D3, 0.3, 0.3, alphas=alphas)
+    assert [p.path for p in points] == ["closed-form", "dual"]
+    for p in points:
+        values = [p.alpha1, p.alpha2, p.objective, p.gap, p.triple.r0, p.triple.r1,
+                  p.triple.r2, p.triple.delta1, p.triple.delta2]
+        assert [type(x) for x in values] == [float] * len(values)
 
 
 @pytest.mark.xfail(strict=True, reason="the dual stops at its step cap with multipliers "

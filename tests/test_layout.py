@@ -272,3 +272,39 @@ def test_one_home_fences_see_a_planted_copy():
     assert _units_findings(planted) == ["2: --units of type click.Choice(['nats', 'bits'])",
                                         "2: a second list of units"]
     assert _grid_findings("cli.py", planted) == ["cli.py:5"]
+
+
+# one home for the dual's start: rdf.ci_dual sets it from the weights, so
+# joint_rdf and the sweep's (1, 1) point are one solve, and no caller passes
+# a start of its own
+def _ci_dual_calls(name: str, source: str) -> list[str]:
+    """``name:line: k`` for each call of ``ci_dual`` in ``source``, k its
+    argument count, or ``*`` where an argument is unpacked."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ci_dual":
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args)
+            unpacked |= any(k.arg is None for k in node.keywords)
+            count = "*" if unpacked else str(len(node.args) + len(node.keywords))
+            found.append((node.lineno, count))
+    return [f"{name}:{line}: {count}" for line, count in sorted(found)]
+
+
+def test_every_ci_dual_call_passes_three_arguments():
+    package = Path(gw.__file__).resolve().parent
+    sources = sorted(package.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    calls = [c for path in sources for c in _ci_dual_calls(path.name, path.read_text())]
+    assert calls and all(c.endswith(": 3") for c in calls), calls
+
+
+def test_ci_dual_fence_sees_a_planted_start():
+    planted = "\n".join([
+        "def solve(d, delta, alpha, start, args):",
+        "    a = ci_dual(d, delta, alpha)",
+        "    b = rdf.ci_dual(d, delta, alpha, start)",
+        "    c = ci_dual(d, delta, alpha=alpha, start=start)",
+        "    return a, b, c, ci_dual(*args), ci_dual(d, **args)",
+    ])
+    assert _ci_dual_calls("graywyner.py", planted) == [
+        "graywyner.py:2: 3", "graywyner.py:3: 4", "graywyner.py:4: 4", "graywyner.py:5: *",
+        "graywyner.py:5: *"]

@@ -509,7 +509,7 @@ def _ci_oracle(monkeypatch, d, alpha):
         return start, oracle(start)[4], 0, 1
 
     monkeypatch.setattr(rdf, "_dual_newton", grab)
-    rdf.ci_dual(d, np.ones(2), np.asarray(alpha, dtype=float), np.ones(2))
+    rdf.ci_dual(d, np.ones(2), np.asarray(alpha, dtype=float))
     monkeypatch.undo()
     return oracles[0]
 
