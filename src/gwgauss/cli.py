@@ -381,16 +381,18 @@ def rdf_cmd(kind, in_path, delta1, delta2, branch, qw_path, units):
 def region_cmd(in_path, delta1, delta2, alpha_grid, out):
     """Sweep the CI-family weighted rate min R0 + a1 R1 + a2 R2 (an upper
     bound on the Gray-Wyner surface) to CSV, each weight pair by its closed
-    form where no priced branch saturates and by a dual solve elsewhere; the
-    summary adds the largest certified gap, the dual evaluations and the
-    number of closed-form points."""
+    form where no priced branch saturates, by a one-multiplier solve where
+    one weight is 1, and by a dual solve elsewhere; the summary adds the
+    largest certified gap, the total solver evaluations and the number of
+    closed-form and of one-multiplier points."""
     _, _, d = _load_cvf(in_path)
     points = region_sweep(d, delta1, delta2, alphas=weight_grid(alpha_grid))
     Path(out).write_text(region_csv(points))
     click.echo(json.dumps({"points": len(points), "out": out,
                            "max_gap": max((p.gap for p in points), default=0.0),
                            "iterations": sum(p.iterations for p in points),
-                           "closed_form": sum(p.path == "closed-form" for p in points)}))
+                           "closed_form": sum(p.path == "closed-form" for p in points),
+                           "one_multiplier": sum(p.path == "one-multiplier" for p in points)}))
 
 
 @main.command("demo-random")

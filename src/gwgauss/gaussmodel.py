@@ -291,6 +291,38 @@ def free_state(d: float, k1: float, k2: float):
     return q, d / q, scale * plus, d * q, scale * minus
 
 
+def edge_state(d: float, t: float):
+    """``(q, w1, v1, w2, v2)`` of one component at the state where
+    ``log(v1 / v2) = t``, in Python floats, each within a few eps relative
+    for every t and 0 < d < 1; forming ``v = 1 - w`` from ``u = log q``
+    instead loses ``eps |u| / v`` near the family edge.
+
+    From ``v1 = e^t v2`` and ``w1 w2 = d^2`` the larger w is the positive
+    root of ``w^2 - c w - E d^2 = 0``, with ``E = e^{-|t|}`` and
+    ``c = -expm1(-|t|)``.  With ``r = hypot(c, 2 sqrt(E) d)`` the larger
+    variance is ``2 (1 - d^2) / ((1 + E) + r)`` and the smaller E times it;
+    the larger w, on the branch of the smaller variance, is ``(c + r) / 2``
+    and the other ``d (d / w)``.  Nothing cancels, and t = 0 is q = 1.
+    """
+    e = math.exp(-abs(t))
+    c = -math.expm1(-abs(t))
+    r = math.hypot(c, 2.0 * math.sqrt(e) * d)
+    big = 2.0 * one_minus_square(d) / ((1.0 + e) + r)
+    w = 0.5 * (c + r)
+    if t <= 0.0:
+        return d / w, w, e * big, d * (d / w), big
+    return w / d, d * (d / w), big, w, e * big
+
+
+def edge_coordinate(d: float, u: float) -> float:
+    """The coordinate ``t = log(v1 / v2)`` of :func:`edge_state` at the state
+    ``q = e^u``, as ``log1p(2 d sinh(u) / v2)``: ``2 d sinh(u) = w2 - w1``
+    does not cancel near q = 1 as ``log v1 - log v2`` does.  Wherever both
+    ``w = d e^{-+u}`` are at most 3/4 its error is a few eps plus the
+    ``eps |u|`` that rounding u itself carries."""
+    return math.log1p(2.0 * d * math.sinh(u) / -math.expm1(math.log(d) + u))
+
+
 def pair_rate(d: np.ndarray, log_a1, log_a2) -> float:
     """``0.5 sum[log(1 - d^2) - log a1 - log a2]``, nats: the joint rate at branch
     errors (a1, a2), and the information about a state with branch variances (a1, a2).

@@ -66,7 +66,7 @@ class JointRdfResult:
     dual_gap: float  # rate minus the dual bound at the multipliers
 
 
-def _water_level(v: list[float], delta: float) -> float:
+def water_level(v: list[float], delta: float) -> float:
     """Level of the exact sorted reverse water-fill, alloc = min(level, v)
     with sum(alloc) = delta, in Python floats.
 
@@ -120,7 +120,7 @@ def marginal_rate(variances, delta: float) -> float:
     """``marginal_rdf(variances, delta).rate``, bit for bit, with the same
     checks and errors but no allocation arrays."""
     _, v = _variances(variances, delta)
-    return _rate(v, _water_level(v, float(delta)))
+    return _rate(v, water_level(v, float(delta)))
 
 
 def marginal_rdf(variances, delta: float) -> RdfResult:
@@ -133,7 +133,7 @@ def marginal_rdf(variances, delta: float) -> RdfResult:
     that read only the rate use :func:`marginal_rate`.
     """
     v, values = _variances(variances, delta)
-    level = _water_level(values, float(delta))
+    level = water_level(values, float(delta))
     active = v > level
     return RdfResult(rate=_rate(values, level), alloc=np.where(active, level, v),
                      water_level=level, active_set=np.flatnonzero(active))
@@ -397,7 +397,7 @@ def ci_dual(d: np.ndarray, delta: np.ndarray, alpha: np.ndarray):
         rho = math.sqrt(d2) / math.sqrt(d1)
         r = 1.0 + rho
         p1 = 2.0 * s / (r * (1.0 + np.sqrt(1.0 - 4.0 * s * (rho / r) / r)))
-        start = np.array([0.5 * (1.0 / _water_level(np.maximum(p, 1.0 - d).tolist(), x))
+        start = np.array([0.5 * (1.0 / water_level(np.maximum(p, 1.0 - d).tolist(), x))
                           for p, x in ((p1, d1), (rho * p1, d2))])
         start[delta >= s.sum()] = 0.0
     else:

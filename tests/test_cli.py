@@ -270,7 +270,8 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     assert lines[0] == "alpha1,alpha2,T,R0,R1,R2,q_1,q_2,q_3"
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
     summary = json.loads(res.stdout)
-    assert list(summary) == ["points", "out", "max_gap", "iterations", "closed_form"]
+    assert list(summary) == ["points", "out", "max_gap", "iterations", "closed_form",
+                             "one_multiplier"]
     assert len(rows) == summary["points"] and summary["out"] == out
     for row in rows:
         assert len(row) == 9
@@ -286,13 +287,14 @@ def test_region_csv_schema(runner, cvf_file, tmp_path):
     assert Path(out).read_bytes() == want.encode()
     assert gw.region_csv(points) == want
     assert lines[-1].startswith("1,1,6.2480634510635")
-    # the summary certifies the sweep: the largest gap, the total dual
-    # evaluations and the count of closed-form points, here (0.5, 0.5) and
-    # (1, 1), whose priced branches stay free inside D_W
+    # the summary certifies the sweep: the largest gap, the total solver
+    # evaluations and the counts of closed-form points, here (0.5, 0.5) and
+    # (1, 1), whose priced branches stay free inside D_W, and of
+    # one-multiplier points, the four with a single unit weight
     assert summary["max_gap"] == max(p.gap for p in points)
     assert 0.0 < summary["max_gap"] <= 1e-10
-    assert summary["iterations"] == sum(p.iterations for p in points) >= len(points) - 2
-    assert summary["closed_form"] == 2
+    assert summary["iterations"] == sum(p.iterations for p in points)
+    assert summary["closed_form"] == 2 and summary["one_multiplier"] == 4
     assert [(p.alpha1, p.alpha2) for p in points if p.path == "closed-form"] == [(0.5, 0.5),
                                                                                  (1.0, 1.0)]
 

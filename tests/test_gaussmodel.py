@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gwgauss as gw
-from gwgauss.gaussmodel import (LOG_2PIE, branch_variances, free_state, log_branch_variances,
-                                 log_one_minus_square, logdet_or_neginf, one_minus_square,
-                                 symmetrize)
+from gwgauss.gaussmodel import (LOG_2PIE, TINY, branch_variances, edge_coordinate, edge_state,
+                                 free_state, log_branch_variances, log_one_minus_square,
+                                 logdet_or_neginf, one_minus_square, symmetrize)
 
 from conftest import random_pair
 
@@ -212,6 +212,58 @@ def test_free_state_against_mpmath():
     # equal k gives the identity for any positive k
     q, w1, v1, w2, v2 = free_state(0.6, 0.3, 0.3)
     assert (q, w1, w2) == (1.0, 0.6, 0.6) and v1 == v2 == pytest.approx(0.4, rel=2 * EPS)
+
+
+def test_edge_state_against_mpmath():
+    # (q, w1, v1, w2, v2) at log(v1 / v2) = t, within 4 eps relative of 400
+    # digits (the smaller variance reaches 1e-300), with d from 1e-12 to
+    # 1 - 1e-12 and |t| from 1e-20 to 690, where that variance stays normal
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    d = np.concatenate([1.0 - 10.0 ** rng.uniform(-12.0, -0.01, 300),
+                        10.0 ** rng.uniform(-12.0, -0.01, 300)])
+    t = rng.choice([-1.0, 1.0], d.size) * 10.0 ** rng.uniform(-20.0, math.log10(690.0), d.size)
+    t[:10] = 0.0
+    with mp.workdps(400):
+        for x, tj in zip(d.tolist(), t.tolist()):
+            got = edge_state(x, tj)
+            if min(got[2], got[4]) < TINY:
+                continue
+            # the larger w solves w^2 - c w - E d^2 = 0 with E = e^{-|t|}
+            e, square = mp.exp(-abs(mp.mpf(tj))), mp.mpf(x) ** 2
+            c = 1 - e
+            big = (c + mp.sqrt(c * c + 4 * e * square)) / 2
+            w1, w2 = (big, square / big) if tj <= 0.0 else (square / big, big)
+            want = (x / w1, w1, 1 - w1, w2, 1 - w2)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * EPS * w, (x, tj, got)
+            # and their ratio has the log it was asked for, to their rounding
+            assert abs(mp.log(mp.mpf(got[2]) / got[4]) - tj) <= 10 * EPS * (1.0 + abs(tj))
+    # t = 0 is the identity state
+    q, w1, v1, w2, v2 = edge_state(0.6, 0.0)
+    assert (q, w1, w2) == (1.0, 0.6, 0.6) and v1 == v2 == pytest.approx(0.4, rel=2 * EPS)
+
+
+def test_edge_coordinate_against_mpmath():
+    # log(v1 / v2) at q = e^u, within 2 eps (1 + |u|) relative of 50 digits
+    # wherever both w = d e^{-+u} are at most 3/4, with d from 1e-12 to
+    # 1 - 1e-12; near q = 1 with tiny d, log v1 - log v2 cancels
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    d = np.concatenate([1.0 - 10.0 ** rng.uniform(-12.0, -0.01, 300),
+                        10.0 ** rng.uniform(-12.0, -0.01, 300)])
+    lo, hi = np.log(d) - math.log(0.75), math.log(0.75) - np.log(d)
+    keep = lo < hi
+    u = rng.uniform(lo[keep], hi[keep])
+    u[:10] = 1e-9
+    with mp.workdps(50):
+        for x, uj in zip(d[keep].tolist(), u.tolist()):
+            got = edge_coordinate(x, uj)
+            q = mp.exp(mp.mpf(uj))
+            want = mp.log((1 - x / q) / (1 - x * q))
+            assert abs(got - want) <= 2 * EPS * (1.0 + abs(uj)) * abs(want), (x, uj, got)
+            # the round trip through edge_state returns q
+            assert abs(edge_state(x, got)[0] - q) <= 4 * EPS * (1.0 + abs(uj)) * q, (x, uj)
 
 
 def test_mi_canonical_cases():

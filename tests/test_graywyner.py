@@ -246,7 +246,9 @@ def test_region_sweep_pinned_kink_case():
     assert abs(pt.objective - 2.1544549009483700) < 1e-8
     np.testing.assert_allclose(pt.q, [15.0 / 17.0] * 2, rtol=0, atol=1e-6)
     assert pt.converged and 0.0 < pt.gap <= 1e-10
-    assert pt.iterations > 0
+    # branch 1 saturates at weight 1, so no closed form holds and one
+    # multiplier is live
+    assert pt.path == "one-multiplier"
 
 
 def test_region_sweep_rejects_coefficients_outside_unit_interval():
@@ -292,13 +294,18 @@ def test_region_sweep_certificates():
         assert p.converged
         assert 0.0 < p.gap <= 1e-10
         # inside D_W the closed form serves each pair whose priced branches
-        # stay free, the equal weights among them, with no dual evaluation
+        # stay free, the equal weights among them, with no dual evaluation;
+        # a single unit weight leaves one live multiplier
         if p.path == "closed-form":
             assert p.iterations == 0
+        elif p.path == "one-multiplier":
+            assert (p.alpha1 == 1.0) != (p.alpha2 == 1.0) and 0 <= p.iterations <= 100
         else:
             assert p.path == "dual" and 0 < p.iterations < 200
     assert {(p.alpha1, p.alpha2) for p in pts if p.alpha1 == p.alpha2} <= {
         (p.alpha1, p.alpha2) for p in pts if p.path == "closed-form"}
+    assert {(p.alpha1, p.alpha2) for p in pts if p.path == "one-multiplier"} == {
+        (p.alpha1, p.alpha2) for p in pts if (p.alpha1 == 1.0) != (p.alpha2 == 1.0)}
     # at unit weights on D_W the family minimum is the joint rate, and
     # the gap bounds how far above it the returned objective may sit
     (unit,) = [p for p in pts if (p.alpha1, p.alpha2) == (1.0, 1.0)]
@@ -358,6 +365,12 @@ SWEEP_DUAL_CASES = [
     (D3, 0.3, 0.3, (0.5, 0.5)),
     (np.array([0.6, 0.3]), 0.2, 0.3, (0.3, 0.8)),
     (np.array([0.6]), 0.1, 0.3, (0.8, 0.4)),
+    # one-multiplier points: one unit weight, the other branch unpriced or
+    # at its equal split, and one with a slack budget on the unit branch
+    (D3, 0.3, 0.3, (0.0, 1.0)),
+    (np.array([0.6, 0.3]), 0.2, 0.3, (1.0, 0.3)),
+    (np.array([0.9, 0.2]), 0.05, 1.4, (0.6, 1.0)),
+    (np.array([0.6, 0.3]), 1e-3, 10.0, (1.0, 0.0)),
 ]
 
 
@@ -367,7 +380,10 @@ def test_region_sweep_certificates_match_a_brute_force_dual(case):
     (pt,) = gw.region_sweep(d, delta1, delta2, alphas=[alpha])
     assert pt.multipliers.shape == (2,) and np.all(pt.multipliers >= 0.0)
     assert pt.converged and 0.0 < pt.gap <= 1e-10
-    assert pt.iterations == 0 if pt.path == "closed-form" else pt.iterations >= 1
+    if pt.path == "closed-form":
+        assert pt.iterations == 0
+    elif pt.path == "dual":
+        assert pt.iterations >= 1
     # the grid bound lies above the dual's infimum and near it; the gap the
     # point reports covers the objective's distance to it (the bound is not
     # above the infimum beyond rounding) and is not vacuous
@@ -585,13 +601,17 @@ def _benchmark_like(rng, passes):
 def test_region_sweep_evaluations_on_benchmark_like_instances():
     # a deterministic stand-in for the sweep's speed.  At equal weights the
     # optimum is the identity state with the equal split, which the closed
-    # form gives with no dual evaluation, and no point takes more than 6
-    # dual evaluations
+    # form gives with no dual evaluation; at the four pairs with one unit
+    # weight one multiplier is live, and its Newton iteration takes at most
+    # 1 step from its start
     for d, delta1, delta2 in _benchmark_like(np.random.default_rng(30), 5):
         for pt in gw.region_sweep(d, delta1, delta2, alphas=BENCH_WEIGHTS):
-            assert pt.iterations <= 6, (d, delta1, delta2, pt.alpha1, pt.alpha2)
+            where = (d, delta1, delta2, pt.alpha1, pt.alpha2)
             if pt.alpha1 == pt.alpha2:
-                assert pt.path == "closed-form" and pt.iterations == 0, (d, delta1, delta2)
+                assert pt.path == "closed-form" and pt.iterations == 0, where
+            else:
+                assert pt.path == "one-multiplier" and pt.iterations <= 1, where
+                assert pt.converged, where
 
 
 # coefficients in the bulk, tiny, or within 1e-12 of 1; budgets over 600
@@ -672,10 +692,11 @@ def test_joint_rdf_and_the_unit_weight_sweep_point_are_one_solve(rng):
 
 def test_sweep_point_floats_are_python_floats():
     # numpy weights come back as Python floats, and so do the values formed
-    # from them, on both paths
-    alphas = [(np.float64(0.5), np.float64(0.5)), (np.float32(1.0), np.float64(0.2))]
+    # from them, on all three paths
+    alphas = [(np.float64(0.5), np.float64(0.5)), (np.float32(1.0), np.float64(0.2)),
+              (np.float64(0.9), np.float32(0.3))]
     points = gw.region_sweep(D3, 0.3, 0.3, alphas=alphas)
-    assert [p.path for p in points] == ["closed-form", "dual"]
+    assert [p.path for p in points] == ["closed-form", "one-multiplier", "dual"]
     for p in points:
         values = [p.alpha1, p.alpha2, p.objective, p.gap, p.triple.r0, p.triple.r1,
                   p.triple.r2, p.triple.delta1, p.triple.delta2]
@@ -693,14 +714,24 @@ def test_region_sweep_converges_with_a_weight_at_the_smallest_normal_float():
     assert pt.converged and pt.gap <= 1e-10 * (1.0 + abs(pt.objective))
 
 
-@pytest.mark.xfail(strict=True, reason="the dual stops at its step cap after 1031 "
-                                       "evaluations, with a gap of 3.3e-11")
 def test_region_sweep_converges_with_a_tiny_coefficient_and_a_slack_budget():
-    # a hypothesis draw of the off-unit finiteness test; branch 2 saturates,
-    # so the point stays on the dual
-    (pt,) = gw.region_sweep([1e-20, 0.9999999999], math.inf, 1.0, alphas=[(0.0, 1.0)])
-    assert pt.path == "dual"
-    assert pt.converged
+    # a hypothesis draw of the off-unit finiteness test, where the dual took
+    # 1031 evaluations and stopped at its step cap.  Branch 2 saturates and
+    # branch 1 has no weight, so one multiplier is live.  At delta2 = 1 the
+    # d ~ 0 component's branch-2 variance, at most 1, meets its allocation:
+    # a kink in the dual, which the one-multiplier solve brackets
+    d = [1e-20, 0.9999999999]
+    (pt,) = gw.region_sweep(d, math.inf, 1.0, alphas=[(0.0, 1.0)])
+    assert pt.path == "one-multiplier" and pt.converged
+    assert 0.0 < pt.gap <= 1e-12 * (1.0 + pt.objective)
+    # T is convex and nonincreasing in delta2, with slope -mu2: across the
+    # kink it moves by no more than the multiplier allows, and never up
+    deltas = [0.99999999, 1.0, 1.0000000001]
+    points = [gw.region_sweep(d, math.inf, x, alphas=[(0.0, 1.0)])[0] for x in deltas]
+    for (da, a), (db, b) in zip(zip(deltas, points), zip(deltas[1:], points[1:])):
+        assert a.converged and b.converged
+        slack = a.gap + b.gap
+        assert -slack <= a.objective - b.objective <= a.multipliers[1] * (db - da) + slack
 
 
 # ---------------------------------------------------------------- closed form
@@ -821,7 +852,8 @@ def test_region_sweep_is_nondecreasing_in_each_weight():
         paths += [lo.path, hi.path]
         allowance = lo.gap + hi.gap + 1e-14 * (1.0 + abs(hi.objective))
         assert lo.objective <= hi.objective + allowance, (d.tolist(), delta1, delta2, low, high)
-    assert paths.count("closed-form") >= 50 and paths.count("dual") >= 50
+    counts = [paths.count(path) for path in ("closed-form", "one-multiplier", "dual")]
+    assert min(counts) >= 50, counts
 
 
 def test_no_dense_family_state_beats_the_sweep():
@@ -850,4 +882,189 @@ def test_no_dense_family_state_beats_the_sweep():
                 dense = r0 + p.alpha1 * r1 + p.alpha2 * r2
                 assert dense >= p.objective - p.gap, (d.tolist(), delta1, delta2, p.alpha1,
                                                       p.alpha2, p.path)
-    assert paths.count("closed-form") >= 40 and paths.count("dual") >= 40
+    counts = [paths.count(path) for path in ("closed-form", "one-multiplier", "dual")]
+    assert min(counts) >= 40, counts
+
+
+# ------------------------------------------------------- one multiplier
+# Where exactly one weight is 1, that branch s saturates in every component,
+# and where the other branch o takes its equal split or no price only mu_s is
+# live: region_sweep solves the point by one Newton iteration on the states
+# and the water level c = 1 / (2 mu_s).  The tests below hold it to the dual,
+# to closed forms, to a 50-digit solve and to laws that need no solver.
+
+def _no_one_multiplier(monkeypatch):
+    """Send every weight pair with one unit weight to the dual."""
+    import gwgauss.graywyner
+
+    monkeypatch.setattr(gwgauss.graywyner, "_unit_weight_state", lambda *args: None)
+
+
+def _one_unit_weight(rng):
+    """``(1, a)`` or ``(a, 1)`` with a at 0, 1/2 or uniform in [0, 1)."""
+    a = float(rng.choice([0.0, 0.5, rng.random()]))
+    return (1.0, a) if rng.random() < 0.5 else (a, 1.0)
+
+
+def test_one_multiplier_points_match_the_forced_dual(monkeypatch):
+    # 2000 points on the new path against the dual forced on the same
+    # weights.  The new T is never above the dual's by more than 1e-13
+    # relative, and each point's certificate covers the other; where the
+    # dual's own gap is below 1e-13 relative the two agree to 1e-13.  The
+    # dual's gap reaches 1e-12 where its inner stop leaves q 3e-12 off
+    rng = np.random.default_rng(47)
+    points = []
+    while len(points) < 2000:
+        n = int(rng.integers(1, 7))
+        d = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+        delta = gw.dw_bound(d) * 10.0 ** rng.uniform(-1.0, math.log10(30.0), 2)
+        alpha = _one_unit_weight(rng)
+        (pt,) = gw.region_sweep(d, *delta, alphas=[alpha])
+        if pt.path == "one-multiplier":
+            assert pt.converged and 0.0 < pt.gap <= 1e-12 * (1.0 + pt.objective)
+            points.append((d, delta, alpha, pt))
+    _no_one_multiplier(monkeypatch)
+    compared = 0
+    for d, delta, alpha, pt in points:
+        (dual,) = gw.region_sweep(d, *delta, alphas=[alpha])
+        assert dual.path == "dual"
+        if not (dual.converged and dual.gap <= 1e-12):
+            continue
+        compared += 1
+        where = (d.tolist(), delta.tolist(), alpha)
+        rel = 1e-13 * abs(dual.objective)
+        assert pt.objective <= dual.objective + rel, where
+        assert dual.objective - dual.gap <= pt.objective, where
+        assert pt.objective - pt.gap <= dual.objective, where
+        if dual.gap <= rel:
+            assert abs(pt.objective - dual.objective) <= rel, where
+        np.testing.assert_allclose(pt.q, dual.q, rtol=1e-11, atol=0.0, err_msg=str(where))
+    assert compared >= 1900
+
+
+def test_one_multiplier_with_one_component_meets_its_budget():
+    # with n = 1 and a binding budget the saturated variance is the budget,
+    # v_s = delta_s, so the point needs no solve: w_o = d^2 / (1 - delta_s),
+    # and T = R0 + alpha_o R_o there, in 50 digits
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(53)
+    with mp.workdps(50):
+        for _ in range(300):
+            x = float(rng.uniform(0.05, 0.95))
+            alpha = _one_unit_weight(rng)
+            s = 0 if alpha[0] == 1.0 else 1
+            a = alpha[1 - s]
+            # at mu_s = 0 the weight 1/2 >= k_o leaves v_s >= 1 - d
+            ds = (1.0 - x) * 10.0 ** rng.uniform(-8.0, -0.05)
+            vs, dm = mp.mpf(ds), mp.mpf(x)
+            vo = (1 - dm * dm - vs) / (1 - vs)
+            do = math.inf if rng.random() < 0.3 else float(vo) * rng.uniform(0.1, 0.9)
+            budgets = [ds, do] if s == 0 else [do, ds]
+            (pt,) = gw.region_sweep([x], *budgets, alphas=[alpha])
+            r0 = (mp.log(1 - dm * dm) - mp.log(vs) - mp.log(vo)) / 2
+            ro = mp.log(vo / do) / 2 if do < math.inf else 0
+            want = r0 + a * ro
+            where = (x, budgets, alpha)
+            assert pt.path == "one-multiplier" and pt.converged, where
+            assert abs(pt.objective - want) <= min(pt.gap, 1e-13 * (1.0 + want)), where
+            q = (1 - vs) / dm if s == 1 else dm / (1 - vs)
+            assert abs(pt.q[0] - q) <= 1e-13 * q, where
+
+
+def _mp_corner(mp, d, delta):
+    """``(T, states)`` in the working precision at weight 1 on a branch s
+    with budget ``delta`` and weight 0 on the other: each ``v_s`` solves
+    ``v / c + P(v) = 1``, ``P = d^2 v / ((1 - v)(1 - d^2 - v))``, by Newton
+    from ``min(c, 1 - d)``, and c solves ``sum v_s = delta`` by Newton in
+    log c; T is R0 plus the water-fill rate of the v_s over delta."""
+    d = [mp.mpf(x) for x in d]
+    tol = mp.mpf(10) ** (-mp.mp.dps + 5)
+
+    def saturated(c):
+        out = []
+        for x in d:
+            z = 1 - x * x
+            v = min(c, 1 - x)
+            for _ in range(400):
+                p = x * x * v / ((1 - v) * (z - v))
+                slope = 1 / c + p * (1 / v + 1 / (1 - v) + 1 / (z - v))
+                step = (v / c + p - 1) / slope
+                v -= step
+                if abs(step) <= tol * v:
+                    break
+            out.append((v, slope))
+        return out
+
+    y = mp.log(mp.mpf(delta) / len(d))
+    for _ in range(200):
+        rows = saturated(mp.exp(y))
+        total = sum(v for v, _ in rows)
+        step = mp.log(delta / total) * total / sum(v / (mp.exp(y) * g) for v, g in rows)
+        y += step
+        if abs(step) <= tol:
+            break
+    vs = [v for v, _ in saturated(mp.exp(y))]
+    vo = [(1 - x * x - v) / (1 - v) for x, v in zip(d, vs)]
+    r0 = sum((mp.log(1 - x * x) - mp.log(a) - mp.log(b)) / 2 for x, a, b in zip(d, vs, vo))
+    return r0 + _mp_waterfill(mp, vs, mp.mpf(delta))[0], vs
+
+
+def test_one_multiplier_certificates_at_tiny_budgets():
+    # the certificate law at the corners (1, 0) and (0, 1), with the unit
+    # branch's budget at 1e-16 to 1e-6 per component and the other slack:
+    # every T lies within its gap of a 50-digit solve, where the dual left
+    # T above the minimum by more than its gap (ROADMAP item 16)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        # the 50-digit minimum 32.2361913019166429; the dual gave
+        # 32.23645595793567 with a gap of 1.3e-4
+        want, _ = _mp_corner(mp, [0.6, 0.3], 2e-14)
+        assert abs(want - mp.mpf("32.2361913019166429")) <= 1e-16
+        (pt,) = gw.region_sweep([0.6, 0.3], 0.3, 2e-14, alphas=[(0.0, 1.0)])
+        assert pt.path == "one-multiplier" and pt.converged
+        assert abs(pt.objective - want) <= pt.gap <= 1e-12 * (1.0 + pt.objective)
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            d = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+            delta = n * 10.0 ** rng.uniform(-16.0, -6.0)
+            want, vs = _mp_corner(mp, d.tolist(), delta)
+            for alpha, budgets in (((1.0, 0.0), (delta, math.inf)), ((0.0, 1.0), (math.inf, delta))):
+                (pt,) = gw.region_sweep(d, *budgets, alphas=[alpha])
+                where = (d.tolist(), budgets, alpha)
+                assert pt.path == "one-multiplier" and pt.converged, where
+                assert abs(pt.objective - want) <= pt.gap <= 1e-12 * (1.0 + pt.objective), where
+
+
+@pytest.mark.parametrize("alpha", [(0.001, 1.0), (0.3, 1.0)])
+def test_one_multiplier_prices_no_branch_with_a_slack_budget(alpha):
+    # an infinite budget stands for sum(1 - d^2), which a component with
+    # d ~ 0 can reach: the dual left mu1 > 0 there and reported a gap of
+    # 5e-7.  A budget at or above that sum prices its branch at exactly 0
+    d = [1e-20, 0.999999]
+    (pt,) = gw.region_sweep(d, math.inf, 1.0, alphas=[alpha])
+    assert pt.path == "one-multiplier" and pt.converged
+    assert pt.multipliers[0] == 0.0 and pt.multipliers[1] > 0.0
+    assert 0.0 < pt.gap <= 1e-12 * (1.0 + pt.objective)
+    (far,) = gw.region_sweep(d, 1e300, 1.0, alphas=[alpha])
+    assert math.isclose(pt.objective, far.objective, rel_tol=1.3e-13)
+
+
+def test_a_slack_budget_takes_the_weight_off_its_branch():
+    # a law that needs no solver: with delta_o >= sum(1 - d^2) >= sum v_o,
+    # R_o = 0 at every state, so T(a, 1) = T(0, 1) for any a, within both
+    # gaps; the same with the branches swapped
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        d = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
+        slack = float(np.sum((1.0 - d) * (1.0 + d))) * rng.choice([1.0, 3.0, math.inf])
+        tight = gw.dw_bound(d) * 10.0 ** rng.uniform(-3.0, 1.5)
+        a = float(rng.random())
+        for budgets, low, high in (((slack, tight), (0.0, 1.0), (a, 1.0)),
+                                   ((tight, slack), (1.0, 0.0), (1.0, a))):
+            lo, hi = gw.region_sweep(d, *budgets, alphas=[low, high])
+            where = (d.tolist(), budgets, a)
+            assert lo.path == hi.path == "one-multiplier", where
+            assert abs(hi.objective - lo.objective) <= lo.gap + hi.gap, where
+            assert hi.multipliers[budgets.index(slack)] == 0.0, where

@@ -308,3 +308,45 @@ def test_ci_dual_fence_sees_a_planted_start():
     assert _ci_dual_calls("graywyner.py", planted) == [
         "graywyner.py:2: 3", "graywyner.py:3: 4", "graywyner.py:4: 4", "graywyner.py:5: *",
         "graywyner.py:5: *"]
+
+
+# one home for the edge-exact state formulas of ROADMAP item 16, which
+# gaussmodel.edge_state and gaussmodel.edge_coordinate hold: elsewhere in
+# src/ and scripts/ no sinh call and no hypot of a square root, the r of
+# ``hypot(c, 2 sqrt(E) d)``; a hypot of plain values, a norm, is no finding
+EDGE_HOME = "gaussmodel.py"
+
+
+def _edge_state_findings(name: str, source: str) -> list[str]:
+    """``name:line: spelling`` of each sinh call and each hypot call with a
+    sqrt call among its arguments in ``source``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = ast.unparse(node.func).split(".")[-1]
+        if called == "sinh":
+            found.append((node.lineno, "sinh"))
+        elif called == "hypot" and any(
+                isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "sqrt"
+                for arg in node.args for n in ast.walk(arg)):
+            found.append((node.lineno, "hypot of a sqrt"))
+    return [f"{name}:{line}: {spelling}" for line, spelling in sorted(found)]
+
+
+def test_edge_state_formulas_have_one_home():
+    package = Path(gw.__file__).resolve().parent
+    sources = sorted(package.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    found = [f for path in sources for f in _edge_state_findings(path.name, path.read_text())]
+    assert found and all(f.startswith(f"{EDGE_HOME}:") for f in found), found
+
+
+def test_edge_state_fence_sees_a_planted_copy():
+    planted = "\n".join([
+        "def state(d, t, u, r1, r2):",
+        "    r = math.hypot(-math.expm1(-abs(t)), 2.0 * math.sqrt(math.exp(-abs(t))) * d)",
+        "    s = np.sinh(u)",
+        "    return r, s, math.hypot(r1, r2)",
+    ])
+    assert _edge_state_findings("graywyner.py", planted) == [
+        "graywyner.py:2: hypot of a sqrt", "graywyner.py:3: sinh"]
